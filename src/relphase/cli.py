@@ -37,10 +37,11 @@ import numpy as np
 
 from .core import ETA, phase_vector
 from .em import EMField, evolve_closed_form, evolve_numeric
-from .representations import (DUAL_PAIRS, Representation, exponential_flow,
-                              np_block_pattern, np_blocks, np_matrix,
-                              np_matrix_conjugate, parse_generator, to_np_basis)
-from .verify import DEFAULT_TOLERANCE
+from .representations import (DUAL_PAIRS, REPRESENTATION_KINDS, Representation,
+                              exponential_flow, np_block_pattern, np_blocks,
+                              np_matrix, np_matrix_conjugate, parse_generator,
+                              to_np_basis)
+from .verify import DEFAULT_TOLERANCE, run_all
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -101,9 +102,8 @@ class ConfigError(Exception):
 def cmd_verify(args: argparse.Namespace) -> int:
     reports = []
     all_pass = True
-    for name, suite_fn in _timed_suites(args.seed):
-        t0 = time.perf_counter()
-        checks = suite_fn()
+    t0 = time.perf_counter()
+    for name, checks in run_all(args.seed):
         elapsed = time.perf_counter() - t0
         suite_pass = all(c.passed(args.tolerance) for c in checks)
         all_pass = all_pass and suite_pass
@@ -116,6 +116,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         worst = max((c.residual for c in checks), default=0.0)
         print(f"[verify] {name}: {len(checks)} checks, max residual {worst:.3e}, "
               f"{'PASS' if suite_pass else 'FAIL'} ({elapsed:.3f}s)", file=sys.stderr)
+        t0 = time.perf_counter()
 
     if args.format == "json":
         payload = json.dumps(reports, indent=2) + "\n"
@@ -130,15 +131,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         payload = buf.getvalue()
     _write_payload(payload, args.output)
     return 0 if all_pass else VERIFY_ERROR
-
-
-def _timed_suites(seed: int):
-    """Suites wrapped so each consumes the shared generator in listed order."""
-    from .verify import SUITES
-
-    rng = np.random.default_rng(seed)
-    for name, fn in SUITES:
-        yield name, (lambda fn=fn: fn(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("verify", help="run every invariant suite")
 
     p_tr = sub.add_parser("transform", help="apply an exponential generator flow to a vector")
-    p_tr.add_argument("representation", choices=("spin1", "spin_half_plus", "spin_half_minus"))
+    p_tr.add_argument("representation", choices=REPRESENTATION_KINDS)
     p_tr.add_argument("generator", help="angular generator label, e.g. M01 or M12")
     p_tr.add_argument("phi", type=float, help="flow parameter (rapidity or angle)")
     p_tr.add_argument("component", nargs=4, metavar="C",
@@ -337,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="internal integrator steps per sample (default: %(default)s)")
 
     p_np = sub.add_parser("np-dump", help="null-tetrad block structure of the spin-1/2 generators")
-    p_np.add_argument("representation", choices=("spin_half_plus", "spin_half_minus"))
+    p_np.add_argument("representation",
+                      choices=[k for k in REPRESENTATION_KINDS if k.startswith("spin_half")])
 
     return parser
 

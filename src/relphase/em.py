@@ -33,7 +33,7 @@ from numpy.typing import ArrayLike
 
 from .core import ArrayC, ArrayR, scalar_square
 from .liealgebra import QoElement, qo_realize
-from .representations import DUAL_PAIRS, PoincareGenerator, pi_half
+from .representations import DUAL_PAIRS, Representation
 
 # Kernel sinh(x)/x switches to its Taylor expansion below this |x| to avoid
 # cancellation near null fields.
@@ -76,7 +76,7 @@ class FieldInvariant:
     w: complex
 
 
-_BOOST_PLUS = tuple(pi_half(PoincareGenerator.angular(0, j), +1).l0.matrix for j in (1, 2, 3))
+_BOOST_PLUS = tuple(Representation("spin_half_plus").angular_matrix(0, j) for j in (1, 2, 3))
 # Gram matrix of the three boost images, inverted once for component extraction.
 _BOOST_STACK = np.stack(_BOOST_PLUS).reshape(3, 16)
 _BOOST_PINV = np.linalg.pinv(_BOOST_STACK)

@@ -7,14 +7,16 @@ X_{alpha beta} = eta_{gamma beta} X^gamma_alpha is antisymmetric.  The six
 operators d_basis(0,1), d_basis(0,2), d_basis(0,3), d_basis(2,3),
 d_basis(3,1), d_basis(1,2) span it over the complex numbers.
 
-A ``QoElement`` stores both views of an algebra element: the antisymmetric
-coefficient tensor x^{alpha beta} and the realised operator
+A ``QoElement`` stores one field, the realised operator.  For an
+antisymmetric coefficient tensor x^{alpha beta} that operator is
 
-    sum over ALL ordered pairs (alpha, beta) of x^{alpha beta} D_{alpha beta},
+    sum over ALL ordered pairs (alpha, beta) of x^{alpha beta} D_{alpha beta}
+        = 2 x eta,
 
 so a coefficient pair (x^{alpha beta}, x^{beta alpha} = -x^{alpha beta})
 contributes 2 x^{alpha beta} D_{alpha beta}.  This double-counting convention
-is fixed here once; ``qo_from_operator`` inverts it.
+is fixed here once: ``qo_realize`` applies it and the derived ``coeffs``
+property inverts it (x = matrix eta / 2).
 
 The graded algebra is L0 + L1 + L2 with L0 the quasi-orthogonal algebra,
 L1 the phase space and L2 the complex scalars.  Brackets: operator commutator
@@ -42,49 +44,47 @@ def qo_basis() -> dict[tuple[int, int], ArrayC]:
     return {pair: d_basis(*pair) for pair in QO_BASIS_PAIRS}
 
 
-_BASIS_MATRICES = np.stack([d_basis(*pair) for pair in QO_BASIS_PAIRS])
-# Flattened basis, pseudo-inverted once: projects any operator onto the span.
-_BASIS_FLAT = _BASIS_MATRICES.reshape(6, 16)
-_BASIS_PINV = np.linalg.pinv(_BASIS_FLAT)
-
-
 @dataclass(frozen=True)
 class QoElement:
-    """Element of the quasi-orthogonal algebra.
+    """Element of the quasi-orthogonal algebra, held as its realised operator.
 
-    coeffs: antisymmetric 4x4 complex tensor x^{alpha beta}.
-    matrix: the realised operator, summed over all ordered index pairs.
+    matrix: the operator, summed over all ordered index pairs.
+    coeffs: the antisymmetric 4x4 coefficient tensor x^{alpha beta}, derived
+    from ``matrix`` on each access.
     """
 
-    coeffs: ArrayC
     matrix: ArrayC
 
     def __post_init__(self) -> None:
-        # Private copies so elements stay immutable even if the caller
-        # mutates its arrays afterwards.
-        for name in ("coeffs", "matrix"):
-            arr = np.array(getattr(self, name), dtype=np.complex128, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        # A private copy so elements stay immutable even if the caller
+        # mutates its array afterwards.
+        arr = np.array(self.matrix, dtype=np.complex128, copy=True)
+        arr.setflags(write=False)
+        object.__setattr__(self, "matrix", arr)
+
+    @property
+    def coeffs(self) -> ArrayC:
+        coeffs = self.matrix @ ETA / 2
+        coeffs.setflags(write=False)
+        return coeffs
 
     def __add__(self, other: "QoElement") -> "QoElement":
-        return QoElement(self.coeffs + other.coeffs, self.matrix + other.matrix)
+        return QoElement(self.matrix + other.matrix)
 
     def __sub__(self, other: "QoElement") -> "QoElement":
-        return QoElement(self.coeffs - other.coeffs, self.matrix - other.matrix)
+        return QoElement(self.matrix - other.matrix)
 
     def __neg__(self) -> "QoElement":
-        return QoElement(-self.coeffs, -self.matrix)
+        return QoElement(-self.matrix)
 
     def __mul__(self, scale: complex) -> "QoElement":
-        return QoElement(self.coeffs * scale, self.matrix * scale)
+        return QoElement(self.matrix * scale)
 
     __rmul__ = __mul__
 
     @staticmethod
     def zero() -> "QoElement":
-        return QoElement(np.zeros((4, 4), dtype=np.complex128),
-                         np.zeros((4, 4), dtype=np.complex128))
+        return QoElement(np.zeros((4, 4), dtype=np.complex128))
 
 
 def qo_realize(coeffs: ArrayLike, tol: float = 1e-12) -> QoElement:
@@ -99,34 +99,19 @@ def qo_realize(coeffs: ArrayLike, tol: float = 1e-12) -> QoElement:
     if asym > tol:
         raise ValueError(f"coefficient tensor is not antisymmetric (residual {asym:.3e})")
     x = 0.5 * (x - x.T)  # exact antisymmetry
-    matrix = np.einsum("ab,abij->ij", x, _D_ALL)
-    return QoElement(x, matrix)
+    return QoElement(2 * x @ ETA)
 
 
 def qo_from_operator(matrix: ArrayLike, tol: float = 1e-10) -> QoElement:
-    """Recover the coefficient view of an operator known to lie in the algebra.
+    """Wrap an operator known to lie in the algebra as an element.
 
-    Raises ValueError when the operator is outside the span within tol.
+    Raises ValueError when the operator is outside the algebra within tol,
+    judged by :func:`is_in_qo`.
     """
     m = np.asarray(matrix, dtype=np.complex128)
-    c = _BASIS_PINV.T @ m.reshape(16)
-    recon = (c @ _BASIS_FLAT).reshape(4, 4)
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(recon - m).max() > tol * scale:
+    if m.shape != (4, 4) or not is_in_qo(m, tol):
         raise ValueError("operator is not in the quasi-orthogonal algebra")
-    coeffs = np.zeros((4, 4), dtype=np.complex128)
-    for (alpha, beta), ci in zip(QO_BASIS_PAIRS, c):
-        coeffs[alpha, beta] += ci / 2.0
-        coeffs[beta, alpha] -= ci / 2.0
-    return QoElement(coeffs, m)
-
-
-# Full table D_{alpha beta} for the einsum in qo_realize.
-_D_ALL = np.zeros((4, 4, 4, 4), dtype=np.complex128)
-for _a in range(4):
-    for _b in range(4):
-        _D_ALL[_a, _b] = d_basis(_a, _b)
-_D_ALL.setflags(write=False)
+    return QoElement(m)
 
 
 def is_quasi_orthogonal(g: ArrayLike, tol: float = 1e-12) -> bool:
@@ -223,7 +208,8 @@ def graded_bracket(x: GradedElement, y: GradedElement) -> GradedElement:
     the modified bracket in :mod:`relphase.representations`, which restores
     Jacobi on their image.
     """
-    op = qo_from_operator(commutator(x.l0.matrix, y.l0.matrix))
+    # The commutator of two algebra elements stays in the algebra.
+    op = QoElement(commutator(x.l0.matrix, y.l0.matrix))
     vec = x.l0.matrix @ y.l1 - y.l0.matrix @ x.l1
     scal = symplectic_bracket(x.l1, y.l1)
     return GradedElement(op, vec, scal)

@@ -8,6 +8,8 @@ rotations (both indices spatial).
 
 The spin-1 map sends P_mu to the basis vector u_mu (grade 1) and
 M_{alpha beta} to the algebra generator d_basis(alpha, beta) (grade 0).
+Each map sends the twelve ordered angular labels to fixed 4x4 operators; they
+are built once at import and returned as read-only arrays.
 
 The spin-1/2 maps combine each boost generator with its dual rotation
 generator.  With the dual pairing
@@ -47,8 +49,8 @@ from numpy.typing import ArrayLike
 from scipy.linalg import expm
 
 from .core import ArrayC, basis, symplectic_bracket
-from .liealgebra import (GradedElement, QoElement, commutator, graded_bracket,
-                         qo_from_operator, qo_realize)
+from .liealgebra import (QO_BASIS_PAIRS, GradedElement, QoElement, commutator,
+                         graded_bracket, qo_realize)
 from .triproduct import d_basis
 
 # ---------------------------------------------------------------------------
@@ -57,8 +59,6 @@ from .triproduct import d_basis
 
 #: Rotation index pair dual to each boost plane, keyed by the spatial axis.
 DUAL_PAIRS: dict[int, tuple[int, int]] = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
-
-_CANONICAL_ANGULAR = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 @dataclass(frozen=True)
@@ -147,24 +147,61 @@ def d_pm(j: int, sign: int) -> ArrayC:
     return d_basis(0, j) + sign * 1j * d_perp(j)
 
 
-def _qo_single(alpha: int, beta: int, scale: complex = 1.0) -> QoElement:
-    """QoElement holding scale * d_basis(alpha, beta)."""
-    coeffs = np.zeros((4, 4), dtype=np.complex128)
-    coeffs[alpha, beta] = scale / 2.0
-    coeffs[beta, alpha] = -scale / 2.0
-    return qo_realize(coeffs)
-
-
 # ---------------------------------------------------------------------------
 # Representations
 # ---------------------------------------------------------------------------
 
-def pi_spin1(g: PoincareGenerator) -> GradedElement:
-    """Spin-1 image: P_mu -> u_mu in grade 1, M_{alpha beta} -> D_{alpha beta}."""
+def _image_table(images: dict[tuple[int, int], ArrayC]) -> dict[tuple[int, int], ArrayC]:
+    """Read-only images of all twelve ordered pairs from six, one per plane.
+
+    A swapped pair maps to the negated image.  Adding 0.0 turns the -0.0
+    entries left by negation and conjugation into +0.0.  The entries are
+    views of one read-only stack, so no caller can make them writable again.
+    """
+    pairs = list(images) + [(beta, alpha) for alpha, beta in images]
+    stack = np.stack([images[p] for p in images] + [-images[p] for p in images]) + 0.0
+    stack.setflags(write=False)
+    return dict(zip(pairs, stack))
+
+
+def _half_plus_images() -> dict[tuple[int, int], ArrayC]:
+    """Plus-representation images of the boosts and their dual rotations."""
+    images = {}
+    for j, (k, l) in DUAL_PAIRS.items():
+        images[(0, j)] = 0.5 * d_pm(j, +1)
+        images[(k, l)] = -1j * images[(0, j)]
+    return images
+
+
+_PLUS = _half_plus_images()
+_ANGULAR_IMAGES: dict[str, dict[tuple[int, int], ArrayC]] = {
+    "spin1": _image_table({pair: d_basis(*pair) for pair in QO_BASIS_PAIRS}),
+    "spin_half_plus": _image_table(_PLUS),
+    "spin_half_minus": _image_table({pair: np.conj(m) for pair, m in _PLUS.items()}),
+}
+
+#: Names of the three generator maps.
+REPRESENTATION_KINDS = tuple(_ANGULAR_IMAGES)
+
+
+def _angular(kind: str, alpha: int, beta: int) -> ArrayC:
+    try:
+        return _ANGULAR_IMAGES[kind][(alpha, beta)]
+    except KeyError:
+        raise ValueError(f"angular indices must be distinct and in 0..3, "
+                         f"got ({alpha}, {beta})") from None
+
+
+def _image(kind: str, g: PoincareGenerator) -> GradedElement:
     if g.kind == "translation":
         return GradedElement.from_vector(basis(g.indices[0]))
-    alpha, beta = g.indices
-    return GradedElement.from_operator(_qo_single(alpha, beta, g.sign))
+    alpha, beta = g.indices if g.sign > 0 else g.indices[::-1]
+    return GradedElement.from_operator(QoElement(_angular(kind, alpha, beta)))
+
+
+def pi_spin1(g: PoincareGenerator) -> GradedElement:
+    """Spin-1 image: P_mu -> u_mu in grade 1, M_{alpha beta} -> D_{alpha beta}."""
+    return _image("spin1", g)
 
 
 def pi_half(g: PoincareGenerator, sign: int) -> GradedElement:
@@ -181,27 +218,7 @@ def pi_half(g: PoincareGenerator, sign: int) -> GradedElement:
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if g.kind == "translation":
-        return GradedElement.from_vector(basis(g.indices[0]))
-    alpha, beta = g.indices
-    if alpha == 0:
-        j = beta
-        op = (_qo_single(0, j, 0.5 * g.sign)
-              + _qo_single(*DUAL_PAIRS[j], 0.5j * sign * g.sign))
-        return GradedElement.from_operator(op)
-    # spatial rotation: find the dual axis and its orientation
-    for j, (k, l) in DUAL_PAIRS.items():
-        if (alpha, beta) == (k, l):
-            orient = 1
-            break
-        if (alpha, beta) == (l, k):
-            orient = -1
-            break
-    else:
-        raise ValueError(f"not a rotation pair: ({alpha}, {beta})")
-    scale = -sign * 1j * orient * g.sign
-    boost = pi_half(PoincareGenerator.angular(0, j), sign)
-    return GradedElement.from_operator(scale * boost.l0)
+    return _image("spin_half_plus" if sign > 0 else "spin_half_minus", g)
 
 
 def half_graded_bracket(x: GradedElement, y: GradedElement) -> GradedElement:
@@ -211,7 +228,8 @@ def half_graded_bracket(x: GradedElement, y: GradedElement) -> GradedElement:
     translations exactly like their spin-1 counterparts.  Grade-0 and
     grade-1-pair brackets are unchanged.
     """
-    op = qo_from_operator(commutator(x.l0.matrix, y.l0.matrix))
+    # The commutator of two algebra elements stays in the algebra.
+    op = QoElement(commutator(x.l0.matrix, y.l0.matrix))
     a = x.l0.matrix + np.conj(x.l0.matrix)
     b = y.l0.matrix + np.conj(y.l0.matrix)
     vec = a @ y.l1 - b @ x.l1
@@ -223,28 +241,23 @@ def half_graded_bracket(x: GradedElement, y: GradedElement) -> GradedElement:
 class Representation:
     """One of the three generator maps, with its matching graded bracket."""
 
-    kind: str  # "spin1" | "spin_half_plus" | "spin_half_minus"
+    kind: str  # one of REPRESENTATION_KINDS
 
     def __post_init__(self) -> None:
-        if self.kind not in ("spin1", "spin_half_plus", "spin_half_minus"):
+        if self.kind not in REPRESENTATION_KINDS:
             raise ValueError(f"unknown representation {self.kind!r}")
 
     def __call__(self, g: PoincareGenerator) -> GradedElement:
-        if self.kind == "spin1":
-            return pi_spin1(g)
-        return pi_half(g, +1 if self.kind == "spin_half_plus" else -1)
+        return _image(self.kind, g)
 
     def angular_matrix(self, alpha: int, beta: int) -> ArrayC:
-        """Operator part of the image of M_{alpha beta}."""
-        return np.asarray(self(PoincareGenerator.angular(alpha, beta)).l0.matrix)
+        """Operator part of the image of M_{alpha beta}, a read-only array."""
+        return _angular(self.kind, alpha, beta)
 
     def bracket(self, x: GradedElement, y: GradedElement) -> GradedElement:
         if self.kind == "spin1":
             return graded_bracket(x, y)
         return half_graded_bracket(x, y)
-
-
-REPRESENTATION_KINDS = ("spin1", "spin_half_plus", "spin_half_minus")
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from relphase import (ETA, EMField, PoincareGenerator, Representation, basis,
-                      boost_flow_closed, commutator, d_basis, d_operator, d_pm,
+from relphase import (ETA, EMField, Representation, boost_flow_closed,
+                      commutator, d_basis, d_operator, d_pm,
                       evolution_generator, evolve_closed_form, evolve_numeric,
                       exp_faraday, exponential_flow, faraday_conjugate,
                       faraday_tensor, np_block_pattern, np_blocks,
                       to_np_basis)
-from relphase.liealgebra import QO_BASIS_PAIRS
 from relphase.representations import DUAL_PAIRS
+from relphase.verify import _poincare_checks
 
 SPIN1 = Representation("spin1")
 PLUS = Representation("spin_half_plus")
@@ -39,35 +39,6 @@ def report(number, name, worst, tolerance, note=""):
     print(f"[criterion {number}] {name}: {'PASS' if ok else 'FAIL'} "
           f"(max residual {worst:.3e}, tolerance {tolerance:g}){suffix}")
     assert ok, f"criterion {number} ({name}): residual {worst:.3e} > {tolerance:g}"
-
-
-def poincare_worst(rep):
-    worst = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            br = rep.bracket(rep(PoincareGenerator.translation(mu)),
-                             rep(PoincareGenerator.translation(nu)))
-            worst = max(worst, br.norm())
-    for (alpha, beta) in QO_BASIS_PAIRS:
-        x = rep(PoincareGenerator.angular(alpha, beta))
-        for mu in range(4):
-            br = rep.bracket(x, rep(PoincareGenerator.translation(mu)))
-            expected = ETA[mu, beta] * basis(alpha) - ETA[mu, alpha] * basis(beta)
-            worst = max(worst, rel(br.l1, expected),
-                        float(np.abs(br.l0.matrix).max()), abs(br.l2))
-
-    def mat(a, b):
-        return (np.zeros((4, 4), dtype=complex) if a == b
-                else rep.angular_matrix(a, b))
-
-    for (m, n) in QO_BASIS_PAIRS:
-        for (a, b) in QO_BASIS_PAIRS:
-            br = rep.bracket(rep(PoincareGenerator.angular(m, n)),
-                             rep(PoincareGenerator.angular(a, b)))
-            expected = (ETA[m, b] * mat(n, a) + ETA[n, a] * mat(m, b)
-                        - ETA[m, a] * mat(n, b) - ETA[n, b] * mat(m, a))
-            worst = max(worst, rel(br.l0.matrix, expected))
-    return worst
 
 
 def acceptance_fields(count=100, nulls=5, seed=2024):
@@ -93,7 +64,7 @@ def acceptance_fields(count=100, nulls=5, seed=2024):
 
 def test_criterion_1_spin1_poincare_relations():
     t0 = time.perf_counter()
-    worst = poincare_worst(SPIN1)
+    worst = max(c.residual for c in _poincare_checks(SPIN1, SPIN1.kind))
     elapsed = time.perf_counter() - t0
     report(1, "spin-1 generator commutation relations", worst, 1e-13,
            note=f"runtime {elapsed:.2f}s")
@@ -101,7 +72,7 @@ def test_criterion_1_spin1_poincare_relations():
 
 
 def test_criterion_2_spin_half_relations_and_explicit_cases():
-    worst = max(poincare_worst(PLUS), poincare_worst(MINUS))
+    worst = max(c.residual for rep in (PLUS, MINUS) for c in _poincare_checks(rep, rep.kind))
     report(2, "spin-1/2 commutation relations (both signs)", worst, 1e-13)
 
     worst = 0.0

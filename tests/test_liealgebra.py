@@ -44,9 +44,23 @@ class TestQoRealize:
         q2 = qo_from_operator(q.matrix)
         np.testing.assert_allclose(q2.coeffs, q.coeffs, atol=1e-12)
 
+    def test_coeffs_recover_antisymmetrised_input_exactly(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            q = qo_realize(x - x.T)
+            np.testing.assert_array_equal(q.coeffs, 0.5 * ((x - x.T) - (x - x.T).T))
+            assert not q.coeffs.flags.writeable
+
     def test_from_operator_rejects_outsiders(self):
         with pytest.raises(ValueError):
             qo_from_operator(np.eye(4))
+        rng = np.random.default_rng(9)
+        for pair in QO_BASIS_PAIRS:
+            for bump in (np.eye(4), np.outer(basis(0), basis(0)),
+                         rng.standard_normal((4, 4))):
+                with pytest.raises(ValueError):
+                    qo_from_operator(d_basis(*pair) + 1e-6 * bump)
 
 
 class TestMembership:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relphase import (ETA, PAULI, PoincareGenerator, Representation, basis,
+from relphase import (PAULI, PoincareGenerator, Representation, basis,
                       boost_flow_closed, commutator, d_basis, d_perp, d_pm,
                       exponential_flow, half_flow_closed, half_graded_bracket,
                       np_block_pattern, np_blocks, np_matrix,
@@ -10,6 +10,7 @@ from relphase import (ETA, PAULI, PoincareGenerator, Representation, basis,
                       scalar_product, to_np_basis)
 from relphase.liealgebra import QO_BASIS_PAIRS
 from relphase.representations import DUAL_PAIRS
+from relphase.verify import _poincare_checks
 
 SPIN1 = Representation("spin1")
 PLUS = Representation("spin_half_plus")
@@ -145,38 +146,79 @@ class TestSpinHalf:
         np.testing.assert_allclose(lhs, np.zeros((4, 4)), atol=1e-14)
 
 
+def reference_image(kind, alpha, beta):
+    """Closed-form angular image built from d_basis, independent of the tables."""
+    if alpha > beta:
+        return -reference_image(kind, beta, alpha)
+    if kind == "spin1":
+        return d_basis(alpha, beta)
+    plus = {(0, j): 0.5 * (d_basis(0, j) + 1j * d_perp(j)) for j in (1, 2, 3)}
+    for j, (k, l) in DUAL_PAIRS.items():
+        plus[(k, l)] = -1j * plus[(0, j)]
+        plus[(l, k)] = 1j * plus[(0, j)]
+    return plus[(alpha, beta)] if kind == "spin_half_plus" else np.conj(plus[(alpha, beta)])
+
+
+ORDERED_PAIRS = [(a, b) for a in range(4) for b in range(4) if a != b]
+
+
+class TestImageTables:
+    @pytest.mark.parametrize("rep", [SPIN1, PLUS, MINUS], ids=lambda r: r.kind)
+    def test_every_ordered_pair_matches_closed_form(self, rep):
+        for alpha, beta in ORDERED_PAIRS:
+            expected = reference_image(rep.kind, alpha, beta)
+            np.testing.assert_array_equal(rep.angular_matrix(alpha, beta), expected)
+            np.testing.assert_array_equal(
+                rep(PoincareGenerator.angular(alpha, beta)).l0.matrix, expected)
+
+    @pytest.mark.parametrize("rep", [SPIN1, PLUS, MINUS], ids=lambda r: r.kind)
+    def test_returned_arrays_are_read_only(self, rep):
+        for alpha, beta in ORDERED_PAIRS:
+            before = rep.angular_matrix(alpha, beta).copy()
+            arrays = (rep.angular_matrix(alpha, beta),
+                      rep(PoincareGenerator.angular(alpha, beta)).l0.matrix)
+            for arr in arrays:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 7.0
+            with pytest.raises(ValueError):
+                arrays[0].setflags(write=True)
+            np.testing.assert_array_equal(rep.angular_matrix(alpha, beta), before)
+
+    def test_pi_images_are_read_only(self):
+        g = PoincareGenerator.angular(0, 2)
+        for image in (pi_spin1(g), pi_half(g, +1), pi_half(g, -1)):
+            with pytest.raises(ValueError):
+                image.l0.matrix[0, 2] = 7.0
+        np.testing.assert_array_equal(pi_spin1(g).l0.matrix, d_basis(0, 2))
+
+    @pytest.mark.parametrize("pair", [(2, 2), (0, 4), (-1, 0)])
+    def test_bad_indices_are_value_errors(self, pair):
+        for rep in (SPIN1, PLUS, MINUS):
+            with pytest.raises(ValueError):
+                rep.angular_matrix(*pair)
+            with pytest.raises(ValueError):
+                rep(PoincareGenerator("angular", pair))
+
+
+def poincare_residual(rep, name):
+    """Residual of one row of the Poincare bracket table, from the verify suite."""
+    checks = {c.id: c.residual for c in _poincare_checks(rep, rep.kind)}
+    return checks[f"{rep.kind}.{name}"]
+
+
 class TestPoincareRelations:
     @pytest.mark.parametrize("rep", [SPIN1, PLUS, MINUS], ids=lambda r: r.kind)
     def test_translations_commute(self, rep):
-        for mu in range(4):
-            for nu in range(4):
-                br = rep.bracket(rep(PoincareGenerator.translation(mu)),
-                                 rep(PoincareGenerator.translation(nu)))
-                assert br.norm() < 1e-13
+        assert poincare_residual(rep, "translation_brackets_vanish") < 1e-13
 
     @pytest.mark.parametrize("rep", [SPIN1, PLUS, MINUS], ids=lambda r: r.kind)
     def test_angular_translation_brackets(self, rep):
-        for (alpha, beta) in QO_BASIS_PAIRS:
-            x = rep(PoincareGenerator.angular(alpha, beta))
-            for mu in range(4):
-                br = rep.bracket(x, rep(PoincareGenerator.translation(mu)))
-                expected = ETA[mu, beta] * basis(alpha) - ETA[mu, alpha] * basis(beta)
-                np.testing.assert_allclose(br.l1, expected, atol=1e-13)
+        assert poincare_residual(rep, "angular_translation_brackets") < 1e-13
 
     @pytest.mark.parametrize("rep", [SPIN1, PLUS, MINUS], ids=lambda r: r.kind)
     def test_angular_angular_brackets(self, rep):
-        def mat(a, b):
-            if a == b:
-                return np.zeros((4, 4), dtype=complex)
-            return rep.angular_matrix(a, b)
-
-        for (m, n) in QO_BASIS_PAIRS:
-            for (a, b) in QO_BASIS_PAIRS:
-                br = rep.bracket(rep(PoincareGenerator.angular(m, n)),
-                                 rep(PoincareGenerator.angular(a, b)))
-                expected = (ETA[m, b] * mat(n, a) + ETA[n, a] * mat(m, b)
-                            - ETA[m, a] * mat(n, b) - ETA[n, b] * mat(m, a))
-                np.testing.assert_allclose(br.l0.matrix, expected, atol=1e-13)
+        assert poincare_residual(rep, "angular_angular_brackets") < 1e-13
 
     def test_modified_bracket_matches_plain_action(self):
         # the conjugate pair in the modified bracket recovers the real
