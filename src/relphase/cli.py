@@ -30,13 +30,15 @@ import argparse
 import csv
 import io
 import json
+import math
+import re
 import sys
 import time
 
 import numpy as np
 
-from .core import ETA, phase_vector
-from .em import EMField, evolve_closed_form, evolve_numeric
+from .core import phase_vector
+from .em import EMField, evolve_closed_form, evolve_numeric, shell_drift
 from .representations import (DUAL_PAIRS, REPRESENTATION_KINDS, Representation,
                               exponential_flow, np_block_pattern, np_blocks,
                               np_matrix, np_matrix_conjugate, parse_generator,
@@ -185,20 +187,27 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     p0 = np.asarray(args.p0, dtype=np.float64)
     if not np.all(np.isfinite(p0)):
         raise ConfigError("momentum components must be finite")
-    shell0 = float(p0 @ ETA @ p0)
 
+    taus = np.linspace(0.0, args.tau_max, args.samples)
     rows = []
-    for tau in np.linspace(0.0, args.tau_max, args.samples):
-        tau = float(tau)
-        p = evolve_closed_form(field, p0, tau)
-        row = {"tau": tau, "p": [float(x) for x in p]}
+    # Overflow is detected on the rows below, so numpy's warnings are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
         if args.compare:
-            pn = evolve_numeric(field, p0, tau, args.rk4_steps)
-            scale = max(1.0, float(np.abs(p).max()))
-            row["p_num"] = [float(x) for x in pn]
-            row["dev"] = float(np.abs(p - pn).max()) / scale
-            row["shell_residual"] = abs(float(p @ ETA @ p) - shell0) / scale ** 2
-        rows.append(row)
+            p_num = evolve_numeric(field, p0, taus, args.rk4_steps)
+        for k, tau in enumerate(taus):
+            tau = float(tau)
+            p = evolve_closed_form(field, p0, tau)
+            row = {"tau": tau, "p": [float(x) for x in p]}
+            values = row["p"]
+            if args.compare:
+                row["p_num"] = [float(x) for x in p_num[k]]
+                row["dev"] = float(np.abs(p - p_num[k]).max()) / max(1.0, float(np.abs(p).max()))
+                row["shell_residual"] = shell_drift(p0, p)
+                values = values + row["p_num"] + [row["dev"], row["shell_residual"]]
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigError(f"non-finite result at tau={tau:.17g}: the momentum "
+                                  "overflows double precision; reduce tau-max or the field")
+            rows.append(row)
 
     if args.format == "json":
         payload = json.dumps({
@@ -208,7 +217,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             "samples": args.samples,
             "compare": bool(args.compare),
             "rows": rows,
-        }, indent=2) + "\n"
+        }, indent=2, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -288,8 +297,22 @@ def cmd_np_dump(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a dash followed by a digit as a negative number, never an option.
+
+    Before Python 3.13 argparse takes ``-4.03e-05`` for an unknown option,
+    because its negative-number pattern has no exponent, and the command then
+    fails with a missing-argument error.  This is the pattern of 3.13 on;
+    no relphase option starts with a digit.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relphase",
         description="Relativistic phase-space toolkit: verification suites, "
                     "generator flows, and charged-particle evolution.")

@@ -1,13 +1,25 @@
 import csv
+import io
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from relphase import EMField, evolve_closed_form
 from relphase.cli import format_complex, main, parse_complex
+
+
+PINNED_EVOLVE = Path(__file__).parent / "data" / "evolve_compare_pinned.json"
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 def run_cli(args, tmp_path=None):
@@ -168,6 +180,60 @@ class TestEvolveCommand:
         for row in d["rows"]:
             tau = row["tau"]
             assert row["p"][0] == pytest.approx(1 + tau ** 2 / 2, abs=1e-9)
+
+    def test_compare_matches_pinned_scalar_rk4_output(self, tmp_path):
+        # The fixture holds `--format csv evolve ... --compare` output of the
+        # per-sample scalar RK4 loop (generic, null, pure-E and pure-B fields,
+        # default 10 000 steps).  The closed-form columns must not move at
+        # all; the batched oracle may differ in the last digits only.
+        out = tmp_path / "e.csv"
+        exact = ["tau", "p0", "p1", "p2", "p3", "shell_residual"]
+        for case in json.loads(PINNED_EVOLVE.read_text()):
+            assert main(["--format", "csv", "--output", str(out), "evolve",
+                         *case["argv"], "--compare"]) == 0
+            pinned = list(csv.DictReader(io.StringIO(case["csv"])))
+            rows = list(csv.DictReader(out.open()))
+            assert len(rows) == len(pinned)
+            for got, want in zip(rows, pinned):
+                assert [got[k] for k in exact] == [want[k] for k in exact]
+                scale = max(1.0, *(abs(float(want[f"p{i}"])) for i in range(4)))
+                for i in range(4):
+                    key = f"p{i}_num"
+                    assert abs(float(got[key]) - float(want[key])) <= 1e-14 * scale
+            assert (max(float(r["dev"]) for r in rows)
+                    <= 2.0 * max(float(r["dev"]) for r in pinned))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("extra", [[], ["--compare"]])
+    def test_overflow_is_usage_error(self, fmt, extra, tmp_path, capsys):
+        out = tmp_path / f"e.{fmt}"
+        assert main(["--format", fmt, "--output", str(out), "evolve",
+                     "1", "0", "0", "0", "0", "0", "1", "0", "0", "0",
+                     "1500", "2", *extra]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: non-finite result at tau=1500")
+
+    def test_large_finite_momentum_is_reported(self, capsys):
+        # |p| ~ 5e303: finite, so the rows come out finite and parse strictly
+        assert main(["evolve", "1", "0", "0", "0", "0", "0", "1", "0", "0", "0",
+                     "700", "2", "--compare", "--rk4-steps", "2000"]) == 0
+        rows = strict_json(capsys.readouterr().out)["rows"]
+        last = rows[-1]
+        assert last["p"][0] > 1e303
+        assert all(math.isfinite(v) for v in [*last["p_num"], last["dev"]])
+        assert last["shell_residual"] < 1e-10
+
+    def test_negative_exponent_arguments_are_numbers(self, tmp_path):
+        out = tmp_path / "e.csv"
+        assert main(["--format", "csv", "--output", str(out), "evolve",
+                     "-4.0323547901399692e-05", "0", "0", "0", "0", "-1e-3",
+                     "1", "-2.5e-07", "0", "0", "1.0", "2"]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert rows[0]["p1"] == "-2.4999999999999999e-07"
+        assert main(["--output", str(out), "transform", "spin1", "M01", "-1e-05",
+                     "1", "0", "0", "0"]) == 0
 
     def test_bad_sample_count_is_usage_error(self):
         assert main(["evolve", "1", "0", "0", "0", "0", "0", "1", "0", "0", "0",

@@ -7,6 +7,7 @@ from relphase import (ETA, EMField, Representation, basis, commutator,
                       exponential_flow, faraday_components, faraday_conjugate,
                       faraday_tensor, field_tensor, invariant_z, is_in_qo,
                       lorentz_force, mass_shell_residual, scalar_product)
+from relphase.em import shell_drift
 
 PLUS = Representation("spin_half_plus")
 
@@ -241,6 +242,56 @@ class TestEvolution:
         e1 = np.abs(evolve_numeric(f, p0, 2.0, 50) - exact).max()
         e2 = np.abs(evolve_numeric(f, p0, 2.0, 100) - exact).max()
         assert e1 / e2 == pytest.approx(16.0, rel=0.25)
+
+    def test_tau_vector_matches_scalar_calls(self):
+        rng = np.random.default_rng(35)
+        for f in random_fields(36, 6):
+            p0 = rng.uniform(-1, 1, 4)
+            taus = np.concatenate(([0.0], rng.uniform(-3.0, 6.0, 4)))
+            rows = evolve_numeric(f, p0, taus, 500)
+            for tau, row in zip(taus, rows):
+                assert rel(row, evolve_numeric(f, p0, float(tau), 500)) < 1e-14
+
+    def test_tau_zero_row_is_exact(self):
+        f = EMField([0.4, 0.2, -0.6], [0.3, -0.1, 0.8])
+        p0 = np.array([1.0, 0.1, -0.2, 0.3])
+        rows = evolve_numeric(f, p0, np.linspace(0.0, 2.0, 3), 100)
+        np.testing.assert_array_equal(rows[0], p0)
+
+    def test_tau_shape_contract(self):
+        f = EMField([0.4, 0.2, -0.6], [0.3, -0.1, 0.8])
+        p0 = np.ones(4)
+        assert evolve_numeric(f, p0, 1.0, 10).shape == (4,)
+        assert evolve_numeric(f, p0, np.float64(1.0), 10).shape == (4,)
+        assert evolve_numeric(f, p0, [0.5, 1.0, 2.0], 10).shape == (3, 4)
+        with pytest.raises(ValueError):
+            evolve_numeric(f, p0, np.ones((2, 2)), 10)
+
+    def test_closed_form_checks_imaginary_residual(self):
+        f = EMField([0.6, -0.2, 0.1], [0.3, 0.5, -0.4])
+        p0 = np.array([1.0, 0.2, -0.1, 0.4])
+        with pytest.raises(ValueError):
+            evolve_closed_form(f, p0, 3.0, imag_tol=0.0)
+        # the tolerance is relative to |p|: at |p| ~ 3e51 the imaginary
+        # residual is ~1e34 in absolute terms and still passes
+        p = evolve_closed_form(EMField([1, 0, 0], [0, 0, 0.1]), p0, 120.0)
+        assert np.abs(p).max() > 1e50
+
+    def test_mass_shell_residual_large_and_overflowing(self):
+        f = EMField([1, 0, 0], [0, 0, 0])
+        assert mass_shell_residual(f, [1, 0, 0, 0], 700.0) < 1e-11
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+            mass_shell_residual(f, [1, 0, 0, 0], 1500.0)
+
+    def test_shell_drift_equals_unscaled_formula(self):
+        # the power-of-two prescaling is exact, so ordinary momenta give the
+        # very bits of the direct formula
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            p0 = rng.uniform(-1, 1, 4)
+            p = p0 * 10.0 ** rng.uniform(-3, 12)
+            direct = abs(p @ ETA @ p - p0 @ ETA @ p0) / max(1.0, np.abs(p).max()) ** 2
+            assert shell_drift(p0, p) == direct
 
     def test_mass_shell_and_reality(self):
         for f in random_fields(33, 20):
