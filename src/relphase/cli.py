@@ -143,10 +143,17 @@ def cmd_transform(args: argparse.Namespace) -> int:
     gen = parse_generator(args.generator)
     if gen.kind != "angular":
         raise ConfigError(f"transform needs an angular generator label, got {args.generator!r}")
+    if not math.isfinite(args.phi):
+        raise ConfigError(f"phi must be finite, got {args.phi}")
     rep = Representation(args.representation)
     v = phase_vector([parse_complex(c) for c in args.component])
-    matrix = exponential_flow(rep.angular_matrix(*gen.indices) * gen.sign, args.phi)
-    out = matrix @ v
+    # Overflow is detected on the result below, so numpy's warnings are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = exponential_flow(rep.angular_matrix(*gen.indices) * gen.sign, args.phi)
+        out = matrix @ v
+    if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(out))):
+        raise ConfigError(f"non-finite result at phi={args.phi:.17g}: the flow overflows "
+                          "double precision; reduce phi or the components")
 
     if args.format == "json":
         payload = json.dumps({
@@ -156,7 +163,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
             "input": _vector_strings(v),
             "matrix": _matrix_strings(matrix),
             "output": _vector_strings(out),
-        }, indent=2) + "\n"
+        }, indent=2, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)

@@ -15,6 +15,14 @@ Conventions, fixed once for the whole library:
   recovered as the real and imaginary parts of <conj(a)|b>.
 * Natural units throughout: c = 1, unit charge and mass.
 
+Batch axes: the products, ``conjugate`` and ``decompose`` accept phase
+vectors with leading batch axes, shape ``(..., 4)``, broadcast against each
+other.  A product of ``(..., 4)`` inputs has shape ``(...)``; two single
+vectors give a Python ``complex`` (``scalar_product``, ``scalar_square``) or
+``float`` (``lorentz_product``, ``symplectic_bracket``), as before.  The
+contractions are stacked matrix products, so every entry of a batched result
+has the same bits as the single-vector call on that entry.
+
 All operations are pure functions over immutable values and are safe to use
 from multiple threads.
 """
@@ -30,6 +38,10 @@ ArrayR = NDArray[np.float64]
 #: Minkowski metric with signature (+,-,-,-).
 ETA: ArrayR = np.diag([1.0, -1.0, -1.0, -1.0])
 ETA.setflags(write=False)
+
+# The metric cast once for complex contractions; the cast is exact.
+_ETA_C = ETA.astype(np.complex128)
+_ETA_C.setflags(write=False)
 
 _UNIT = np.eye(4, dtype=np.complex128)
 _UNIT.setflags(write=False)
@@ -68,17 +80,25 @@ def phase_operator(matrix: ArrayLike) -> ArrayC:
     return m
 
 
-def scalar_product(a: ArrayLike, b: ArrayLike) -> complex:
+def scalar_product(a: ArrayLike, b: ArrayLike) -> complex | ArrayC:
     """Bilinear Minkowski scalar product <a|b> = eta_{mu nu} a^mu b^nu.
 
-    Complex linear in both slots (no conjugation) and symmetric.
+    Complex linear in both slots (no conjugation) and symmetric.  Inputs of
+    shape (..., 4) give an array of shape (...); single vectors a complex.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    return complex(a @ ETA @ b)
+    s = _bilinear(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
+    return complex(s[0]) if s.ndim == 1 else s[..., 0]
 
 
-def scalar_square(a: ArrayLike) -> complex:
+def _bilinear(a: ArrayC, b: ArrayC) -> ArrayC:
+    """<a|b> of complex (..., 4) arrays, kept with a trailing unit axis: (..., 1).
+
+    The lowered a is a one-row matrix applied to b.
+    """
+    return np.matvec((a @ _ETA_C)[..., None, :], b)
+
+
+def scalar_square(a: ArrayLike) -> complex | ArrayC:
     """Scalar square <a|a>; an arbitrary complex number in general."""
     return scalar_product(a, a)
 
@@ -88,22 +108,22 @@ def conjugate(a: ArrayLike) -> ArrayC:
     return np.conj(np.asarray(a, dtype=np.complex128))
 
 
-def lorentz_product(a: ArrayLike, b: ArrayLike) -> float:
+def lorentz_product(a: ArrayLike, b: ArrayLike) -> float | ArrayR:
     """Re <conj(a)|b>: the Lorentzian product extended to the full space.
 
     Restricts to the usual Lorentz product on the real (momentum) subspace
     and on the imaginary (position) subspace.
     """
-    return complex(scalar_product(conjugate(a), b)).real
+    return scalar_product(conjugate(a), b).real
 
 
-def symplectic_bracket(a: ArrayLike, b: ArrayLike) -> float:
+def symplectic_bracket(a: ArrayLike, b: ArrayLike) -> float | ArrayR:
     """Im <conj(a)|b>: the symplectic skew product; antisymmetric.
 
     Vanishes when both arguments are real or both pure imaginary; it pairs
     the momentum subspace with the position subspace.
     """
-    return complex(scalar_product(conjugate(a), b)).imag
+    return scalar_product(conjugate(a), b).imag
 
 
 def decompose(a: ArrayLike) -> tuple[ArrayR, ArrayR]:

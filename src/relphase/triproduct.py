@@ -13,6 +13,15 @@ action
 
 kept as an independent construction so the two code paths can be tested
 against each other.
+
+Batch axes: ``tri_product``, ``tri_product_coords``, ``d_operator`` and
+``d_hat`` accept phase vectors of shape ``(..., 4)``, broadcast against each
+other; the tri-products return ``(..., 4)`` and the operator maps
+``(..., 4, 4)``.  Single vectors give ``(4,)`` and ``(4, 4)`` as before.
+The contractions are stacked matrix products (never ``einsum`` or
+``sum``), so each entry of a batched result has the bits of the
+single-vector call.  A stack of operators acts on a stack of vectors with
+``np.matvec(m, c)``; ``m @ c`` would be a matrix product.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import ETA, ArrayC, scalar_product
+from .core import _ETA_C, _UNIT, ETA, ArrayC, _bilinear
 
 
 def tri_product(a: ArrayLike, b: ArrayLike, c: ArrayLike) -> ArrayC:
@@ -28,7 +37,7 @@ def tri_product(a: ArrayLike, b: ArrayLike, c: ArrayLike) -> ArrayC:
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     c = np.asarray(c, dtype=np.complex128)
-    return scalar_product(a, b) * c - scalar_product(c, a) * b + scalar_product(b, c) * a
+    return _bilinear(a, b) * c - _bilinear(c, a) * b + _bilinear(b, c) * a
 
 
 def tri_product_coords(a: ArrayLike, b: ArrayLike, c: ArrayLike) -> ArrayC:
@@ -39,10 +48,11 @@ def tri_product_coords(a: ArrayLike, b: ArrayLike, c: ArrayLike) -> ArrayC:
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     c = np.asarray(c, dtype=np.complex128)
-    al = ETA @ a
-    bl = ETA @ b
-    cl = ETA @ c
-    return (al @ b) * c - (cl @ a) * b + (bl @ c) * a
+    # lowered indices eta_{mu nu} v^nu, held as one-row matrices
+    al = np.matvec(ETA, a)[..., None, :]
+    bl = np.matvec(ETA, b)[..., None, :]
+    cl = np.matvec(ETA, c)[..., None, :]
+    return np.matvec(al, b) * c - np.matvec(cl, a) * b + np.matvec(bl, c) * a
 
 
 def d_operator(a: ArrayLike, b: ArrayLike) -> ArrayC:
@@ -50,11 +60,9 @@ def d_operator(a: ArrayLike, b: ArrayLike) -> ArrayC:
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     # {a,b,c} = <a|b> c - <c|a> b + <b|c> a, column gamma = image of u_gamma
-    ab = a @ ETA @ b
-    m = ab * np.eye(4, dtype=np.complex128)
-    m -= np.outer(b, ETA @ a)
-    m += np.outer(a, ETA @ b)
-    return m
+    al = (a @ _ETA_C)[..., None, :]
+    bl = (b @ _ETA_C)[..., None, :]
+    return np.matvec(al, b)[..., None] * _UNIT - b[..., :, None] * al + a[..., :, None] * bl
 
 
 def d_hat(a: ArrayLike, b: ArrayLike) -> ArrayC:

@@ -66,8 +66,39 @@ def _rel(a, b) -> float:
     return float(np.abs(a - b).max(initial=0.0)) / scale
 
 
+def _worst(a, b) -> float:
+    """Largest :func:`_rel` residual over draws along the leading axis.
+
+    Each draw is reduced over its trailing axes, then the max is taken over
+    draws; the result has the bits of the max of per-draw ``_rel`` calls.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    axes = tuple(range(1, a.ndim))
+    scale = np.maximum(1.0, np.maximum(np.abs(a).max(axis=axes), np.abs(b).max(axis=axes)))
+    return float((np.abs(a - b).max(axis=axes) / scale).max(initial=0.0))
+
+
 def _rvec(rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(4) + 1j * rng.standard_normal(4)
+
+
+def _draw(rng: np.random.Generator, draws: int, *widths: int) -> list[np.ndarray]:
+    """Complex inputs of ``draws`` independent draws from one block of normals.
+
+    Per draw, width w takes 2w normals: w real parts, then w imaginary parts,
+    the order in which :func:`_rvec` (w = 4) or a scalar factor drawn as
+    ``rng.standard_normal() + 1j * rng.standard_normal()`` (w = 1) take
+    them.  Returns one ``(draws, w)`` array per width.  The generator fills
+    the block in the order a per-draw loop of those calls would read it, so
+    the inputs and the generator state left behind are the same.
+    """
+    x = rng.standard_normal((draws, 2 * sum(widths)))
+    out, k = [], 0
+    for w in widths:
+        out.append(x[:, k:k + w] + 1j * x[:, k + w:k + 2 * w])
+        k += 2 * w
+    return out
 
 
 def _rfield(rng: np.random.Generator) -> EMField:
@@ -84,41 +115,31 @@ _ANGULAR = list(QO_BASIS_PAIRS)
 def suite_core(rng: np.random.Generator, draws: int = 500) -> list[Check]:
     checks = []
 
-    worst = 0.0
-    for _ in range(draws):
-        lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        a, b, c = _rvec(rng), _rvec(rng), _rvec(rng)
-        lhs1 = scalar_product(lam * a + c, b)
-        rhs1 = lam * scalar_product(a, b) + scalar_product(c, b)
-        lhs2 = scalar_product(b, lam * a + c)
-        rhs2 = lam * scalar_product(b, a) + scalar_product(b, c)
-        worst = max(worst, _rel(lhs1, rhs1), _rel(lhs2, rhs2))
+    lam, a, b, c = _draw(rng, draws, 1, 4, 4, 4)
+    mixed = lam * a + c
+    lam = lam[:, 0]
+    worst = max(_worst(scalar_product(mixed, b), lam * scalar_product(a, b) + scalar_product(c, b)),
+                _worst(scalar_product(b, mixed), lam * scalar_product(b, a) + scalar_product(b, c)))
     checks.append(Check("core.bilinearity", worst, 1e-12))
 
-    worst = 0.0
-    for _ in range(draws):
-        a, b = _rvec(rng), _rvec(rng)
-        worst = max(worst, abs(scalar_product(a, b) - scalar_product(b, a)))
+    a, b = _draw(rng, draws, 4, 4)
+    worst = float(np.abs(scalar_product(a, b) - scalar_product(b, a)).max())
     checks.append(Check("core.symmetry", worst, 1e-15))
 
-    worst = 0.0
-    for _ in range(draws):
-        a = _rvec(rng)
-        p, x = decompose(a)
-        s = scalar_product(conjugate(a), a)
-        sq = scalar_square(a)
-        worst = max(worst, _rel(scalar_square(p), 0.5 * (s + sq).real))
-        worst = max(worst, _rel(scalar_square(x), 0.5 * (s - sq).real))
+    (a,) = _draw(rng, draws, 4)
+    p, x = decompose(a)
+    s = scalar_product(conjugate(a), a)
+    sq = scalar_square(a)
+    worst = max(_worst(scalar_square(p), 0.5 * (s + sq).real),
+                _worst(scalar_square(x), 0.5 * (s - sq).real))
     checks.append(Check("core.decomposition_identities", worst, 1e-12))
 
-    worst = 0.0
-    for _ in range(100):
-        a, b = _rvec(rng), _rvec(rng)
-        worst = max(worst, abs(symplectic_bracket(a, b) + symplectic_bracket(b, a)))
-        pr, pi = rng.standard_normal(4), rng.standard_normal(4)
-        qr, qi = rng.standard_normal(4), rng.standard_normal(4)
-        worst = max(worst, abs(symplectic_bracket(pr, qr)))
-        worst = max(worst, abs(symplectic_bracket(1j * pi, 1j * qi)))
+    # p and q carry two real vectors each: momenta in the real parts,
+    # positions in the imaginary parts.
+    a, b, p, q = _draw(rng, 100, 4, 4, 4, 4)
+    worst = float(max(np.abs(symplectic_bracket(a, b) + symplectic_bracket(b, a)).max(),
+                      np.abs(symplectic_bracket(p.real, q.real)).max(),
+                      np.abs(symplectic_bracket(1j * p.imag, 1j * q.imag)).max()))
     checks.append(Check("core.symplectic_skew", worst, 1e-14))
 
     return checks
@@ -128,46 +149,42 @@ def suite_core(rng: np.random.Generator, draws: int = 500) -> list[Check]:
 # triproduct
 # ---------------------------------------------------------------------------
 
+def _jordan_check(rng: np.random.Generator, draws: int) -> Check:
+    """Derivation identity [D(x,y), D(a,b)] = D(D(x,y)a, b) - D(a, D(y,x)b)."""
+    x, y, a, b = _draw(rng, draws, 4, 4, 4, 4)
+    dxy = d_operator(x, y)
+    lhs = commutator(dxy, d_operator(a, b))
+    rhs = d_operator(np.matvec(dxy, a), b) - d_operator(a, np.matvec(d_operator(y, x), b))
+    return Check("tri.jordan_identity", _worst(lhs, rhs), 1e-10)
+
+
 def suite_triproduct(rng: np.random.Generator, draws: int = 500) -> list[Check]:
     checks = []
 
-    worst = 0.0
-    for _ in range(draws):
-        a, b, c = _rvec(rng), _rvec(rng), _rvec(rng)
-        worst = max(worst, _rel(tri_product(a, b, c), tri_product(c, b, a)))
-    checks.append(Check("tri.outer_symmetry", worst, 1e-12))
+    a, b, c = _draw(rng, draws, 4, 4, 4)
+    checks.append(Check("tri.outer_symmetry",
+                        _worst(tri_product(a, b, c), tri_product(c, b, a)), 1e-12))
 
-    worst = 0.0
-    for _ in range(100):
-        lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        a, a2, b, c = _rvec(rng), _rvec(rng), _rvec(rng), _rvec(rng)
-        worst = max(worst, _rel(tri_product(lam * a + a2, b, c),
-                                lam * tri_product(a, b, c) + tri_product(a2, b, c)))
-        worst = max(worst, _rel(tri_product(b, lam * a + a2, c),
-                                lam * tri_product(b, a, c) + tri_product(b, a2, c)))
-        worst = max(worst, _rel(tri_product(b, c, lam * a + a2),
-                                lam * tri_product(b, c, a) + tri_product(b, c, a2)))
+    lam, a, a2, b, c = _draw(rng, 100, 1, 4, 4, 4, 4)
+    mixed = lam * a + a2
+    worst = max(_worst(tri_product(mixed, b, c),
+                       lam * tri_product(a, b, c) + tri_product(a2, b, c)),
+                _worst(tri_product(b, mixed, c),
+                       lam * tri_product(b, a, c) + tri_product(b, a2, c)),
+                _worst(tri_product(b, c, mixed),
+                       lam * tri_product(b, c, a) + tri_product(b, c, a2)))
     checks.append(Check("tri.trilinearity", worst, 1e-12))
 
-    worst = 0.0
-    for _ in range(draws):
-        x, y, a, b = _rvec(rng), _rvec(rng), _rvec(rng), _rvec(rng)
-        lhs = commutator(d_operator(x, y), d_operator(a, b))
-        rhs = d_operator(d_operator(x, y) @ a, b) - d_operator(a, d_operator(y, x) @ b)
-        worst = max(worst, _rel(lhs, rhs))
-    checks.append(Check("tri.jordan_identity", worst, 1e-10))
+    checks.append(_jordan_check(rng, draws))
 
-    worst = 0.0
-    for _ in range(draws):
-        a, b, c = _rvec(rng), _rvec(rng), _rvec(rng)
-        worst = max(worst, _rel(tri_product(a, b, c), tri_product_coords(a, b, c)))
-    checks.append(Check("tri.coordinate_form", worst, 1e-13))
+    a, b, c = _draw(rng, draws, 4, 4, 4)
+    checks.append(Check("tri.coordinate_form",
+                        _worst(tri_product(a, b, c), tri_product_coords(a, b, c)), 1e-13))
 
-    worst = 0.0
-    for alpha in range(4):
-        for beta in range(4):
-            worst = max(worst, float(np.abs(d_basis(alpha, beta)
-                                            - d_hat(basis(alpha), basis(beta))).max()))
+    pairs = np.array([(alpha, beta) for alpha in range(4) for beta in range(4)])
+    units = np.stack([basis(mu) for mu in range(4)])
+    closed = np.stack([d_basis(alpha, beta) for alpha, beta in pairs])
+    worst = float(np.abs(closed - d_hat(units[pairs[:, 0]], units[pairs[:, 1]])).max())
     checks.append(Check("tri.basis_operator_agreement", worst, 1e-15))
 
     return checks

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from relphase import (ETA, EMField, Representation, boost_flow_closed,
-                      commutator, d_basis, d_operator, d_pm,
+                      commutator, d_basis, d_pm,
                       evolution_generator, evolve_closed_form, evolve_numeric,
                       exp_faraday, exponential_flow, faraday_conjugate,
                       faraday_tensor, np_block_pattern, np_blocks,
                       to_np_basis)
 from relphase.representations import DUAL_PAIRS
-from relphase.verify import _poincare_checks
+from relphase.verify import _jordan_check, _poincare_checks
 
 SPIN1 = Representation("spin1")
 PLUS = Representation("spin_half_plus")
@@ -89,14 +89,7 @@ def test_criterion_2_spin_half_relations_and_explicit_cases():
 
 
 def test_criterion_3_jordan_identity():
-    rng = np.random.default_rng(500)
-    worst = 0.0
-    for _ in range(500):
-        x, y, a, b = (rng.standard_normal(4) + 1j * rng.standard_normal(4)
-                      for _ in range(4))
-        lhs = commutator(d_operator(x, y), d_operator(a, b))
-        rhs = d_operator(d_operator(x, y) @ a, b) - d_operator(a, d_operator(y, x) @ b)
-        worst = max(worst, rel(lhs, rhs))
+    worst = _jordan_check(np.random.default_rng(500), 500).residual
     report(3, "triple-product derivation identity, 500 seeded quadruples",
            worst, 1e-10)
 

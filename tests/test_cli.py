@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,9 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relphase import EMField, evolve_closed_form
 from relphase.cli import format_complex, main, parse_complex
+from relphase.representations import REPRESENTATION_KINDS
 
 
 PINNED_EVOLVE = Path(__file__).parent / "data" / "evolve_compare_pinned.json"
@@ -125,6 +129,76 @@ class TestTransformCommand:
                 i, j = int(r["row"]), int(r["col"])
                 assert float(r["re"]) == expected[i, j].real
                 assert float(r["im"]) == expected[i, j].imag
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_overflow_is_usage_error(self, fmt, to_file, tmp_path, capsys):
+        out = tmp_path / f"t.{fmt}"
+        flags = ["--output", str(out)] if to_file else []
+        assert main(["--format", fmt, *flags, "transform", "spin1", "M01", "1e3",
+                     "1", "0", "0", "0"]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: non-finite result at phi=1000")
+
+    def test_overflow_of_the_image_vector_is_usage_error(self, capsys):
+        # the flow matrix is finite, the image of a huge vector is not
+        assert main(["transform", "spin1", "M01", "1.0", "1e308", "0", "0", "0"]) == 0
+        assert main(["transform", "spin1", "M01", "2.0", "1e308", "0", "0", "0"]) == 2
+        assert "error: non-finite result" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("phi", ["inf", "nan"])
+    def test_non_finite_phi_is_usage_error(self, phi, capsys):
+        assert main(["transform", "spin1", "M12", phi, "1", "0", "0", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: phi must be finite")
+
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+finite_complexes = st.complex_numbers(allow_nan=False, allow_infinity=False)
+ANGULAR_LABELS = [f"M{a}{b}" for a in range(4) for b in range(4) if a != b]
+
+
+class TestCliProperties:
+    @given(finite_complexes)
+    @settings(max_examples=300)
+    def test_parse_complex_inverts_format_complex(self, z):
+        back = parse_complex(format_complex(z))
+        assert back == z
+        assert repr(back) == repr(z)  # signed zeros survive too
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(kind=st.sampled_from(REPRESENTATION_KINDS), label=st.sampled_from(ANGULAR_LABELS),
+           phi=st.floats(min_value=-1e6, max_value=1e6),
+           components=st.lists(finite_complexes, min_size=4, max_size=4),
+           fmt=st.sampled_from(["json", "csv"]))
+    @settings(max_examples=150, deadline=None)
+    def test_transform_is_finite_or_usage_error(self, kind, label, phi, components, fmt):
+        code, out, err = run_quiet(["--format", fmt, "transform", kind, label, repr(phi),
+                                    *map(format_complex, components)])
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ")
+            return
+        assert code == 0
+        if fmt == "json":
+            d = strict_json(out)
+            values = [parse_complex(z) for z in [*d["input"], *sum(d["matrix"], []), *d["output"]]]
+            assert len(values) == 24
+        else:
+            rows = list(csv.DictReader(io.StringIO(out)))
+            assert len(rows) == 24
+            values = [complex(float(r["re"]), float(r["im"])) for r in rows]
+        assert all(math.isfinite(z.real) and math.isfinite(z.imag) for z in values)
 
 
 class TestEvolveCommand:

@@ -163,3 +163,53 @@ class TestPhaseOperator:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
             phase_operator(bad)
+
+
+class TestBatchAxes:
+    """(..., 4) inputs give the stack of the single-vector results, bit for bit."""
+
+    @pytest.fixture
+    def stacks(self):
+        rng = np.random.default_rng(12)
+        return [rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
+                for _ in range(2)]
+
+    @pytest.mark.parametrize("fn", [scalar_product, lorentz_product, symplectic_bracket])
+    def test_pair_products_stack(self, fn, stacks):
+        a, b = stacks
+        got = fn(a, b)
+        assert got.shape == (50,)
+        np.testing.assert_array_equal(got, [fn(x, y) for x, y in zip(a, b)])
+
+    @pytest.mark.parametrize("fn", [scalar_square, conjugate])
+    def test_one_argument_kernels_stack(self, fn, stacks):
+        a, _ = stacks
+        np.testing.assert_array_equal(fn(a), [fn(x) for x in a])
+
+    def test_decompose_stacks(self, stacks):
+        a, _ = stacks
+        p, x = decompose(a)
+        np.testing.assert_array_equal(p, [decompose(v)[0] for v in a])
+        np.testing.assert_array_equal(x, [decompose(v)[1] for v in a])
+
+    def test_broadcasts_a_single_vector_against_a_stack(self, stacks):
+        a, b = stacks
+        np.testing.assert_array_equal(scalar_product(a, b[0]),
+                                      [scalar_product(x, b[0]) for x in a])
+        np.testing.assert_array_equal(symplectic_bracket(b[0], a),
+                                      [symplectic_bracket(b[0], x) for x in a])
+
+    def test_several_leading_axes(self, stacks):
+        a, b = (v.reshape(5, 10, 4) for v in stacks)
+        assert scalar_product(a, b).shape == (5, 10)
+        np.testing.assert_array_equal(scalar_product(a, b).ravel(),
+                                      scalar_product(stacks[0], stacks[1]))
+
+    def test_single_vectors_keep_scalar_types(self, stacks):
+        a, b = stacks[0][0], stacks[1][0]
+        assert type(scalar_product(a, b)) is complex
+        assert type(scalar_square(a)) is complex
+        assert type(lorentz_product(a, b)) is float
+        assert type(symplectic_bracket(a, b)) is float
+        assert conjugate(a).shape == (4,)
+        assert [v.shape for v in decompose(a)] == [(4,), (4,)]

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,3 +113,40 @@ class TestJordanIdentity:
             rhs = d_operator(d_operator(x, y) @ a, b) - d_operator(a, d_operator(y, x) @ b)
             worst = max(worst, rel(lhs, rhs))
         assert worst < 1e-10
+
+
+class TestBatchAxes:
+    """(..., 4) inputs give the stack of the single-vector results, bit for bit."""
+
+    @pytest.fixture
+    def stacks(self):
+        rng = np.random.default_rng(13)
+        return [rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
+                for _ in range(3)]
+
+    @pytest.mark.parametrize("fn", [tri_product, tri_product_coords])
+    def test_tri_products_stack(self, fn, stacks):
+        got = fn(*stacks)
+        assert got.shape == (50, 4)
+        np.testing.assert_array_equal(got, [fn(*v) for v in zip(*stacks)])
+        assert fn(*(v[0] for v in stacks)).shape == (4,)
+
+    @pytest.mark.parametrize("fn", [d_operator, d_hat])
+    def test_operators_stack(self, fn, stacks):
+        a, b, _ = stacks
+        got = fn(a, b)
+        assert got.shape == (50, 4, 4)
+        np.testing.assert_array_equal(got, [fn(x, y) for x, y in zip(a, b)])
+        assert fn(a[0], b[0]).shape == (4, 4)
+
+    def test_broadcasts_single_vectors_against_a_stack(self, stacks):
+        a, b, c = stacks
+        np.testing.assert_array_equal(tri_product(a, b[0], c[0]),
+                                      [tri_product(x, b[0], c[0]) for x in a])
+        np.testing.assert_array_equal(d_operator(a[0], b),
+                                      [d_operator(a[0], y) for y in b])
+
+    def test_operator_stack_acts_by_matvec(self, stacks):
+        a, b, c = stacks
+        np.testing.assert_array_equal(np.matvec(d_operator(a, b), c),
+                                      [d_operator(x, y) @ z for x, y, z in zip(a, b, c)])
