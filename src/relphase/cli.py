@@ -40,9 +40,8 @@ import numpy as np
 from .core import phase_vector
 from .em import EMField, evolve_closed_form, evolve_numeric, shell_drift
 from .representations import (DUAL_PAIRS, REPRESENTATION_KINDS, Representation,
-                              exponential_flow, np_block_pattern, np_blocks,
-                              np_matrix, np_matrix_conjugate, parse_generator,
-                              to_np_basis)
+                              exponential_flow, np_block_residuals, np_matrix,
+                              np_matrix_conjugate, parse_generator)
 from .verify import DEFAULT_TOLERANCE, run_all
 
 USAGE_ERROR = 2
@@ -249,29 +248,22 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 def cmd_np_dump(args: argparse.Namespace) -> int:
     kind = args.representation
-    rep = Representation(kind)
     tetrad = np_matrix() if kind == "spin_half_plus" else np_matrix_conjugate()
 
     generators = []
-    worst = 0.0
-    for boost in (True, False):
-        for j in (1, 2, 3):
-            pair = (0, j) if boost else DUAL_PAIRS[j]
-            mat = to_np_basis(rep.angular_matrix(*pair), tetrad)
-            b1, b2, off = np_blocks(mat)
-            e1, e2 = np_block_pattern(j, boost, kind)
-            r1 = float(np.abs(b1 - e1).max())
-            r2 = float(np.abs(b2 - e2).max())
-            worst = max(worst, off, r1, r2)
-            generators.append({
-                "label": f"M{pair[0]}{pair[1]}",
-                "axis": j,
-                "kind": "boost" if boost else "rotation",
-                "matrix": _matrix_strings(mat),
-                "off_block_residual": off,
-                "first_block_residual": r1,
-                "second_block_residual": r2,
-            })
+    blocks = np_block_residuals(kind, tetrad)
+    for j, boost, mat, (off, r1, r2) in blocks:
+        pair = (0, j) if boost else DUAL_PAIRS[j]
+        generators.append({
+            "label": f"M{pair[0]}{pair[1]}",
+            "axis": j,
+            "kind": "boost" if boost else "rotation",
+            "matrix": _matrix_strings(mat),
+            "off_block_residual": off,
+            "first_block_residual": r1,
+            "second_block_residual": r2,
+        })
+    worst = max(max(res) for *_, res in blocks)
 
     passed = worst <= args.tolerance
     if args.format == "json":
@@ -305,17 +297,20 @@ def cmd_np_dump(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a dash followed by a digit as a negative number, never an option.
+    """Reads a dash followed by a digit, ``inf`` or ``nan`` as a negative
+    number, never an option.
 
     Before Python 3.13 argparse takes ``-4.03e-05`` for an unknown option,
     because its negative-number pattern has no exponent, and the command then
-    fails with a missing-argument error.  This is the pattern of 3.13 on;
-    no relphase option starts with a digit.
+    fails with a missing-argument error.  The digit part is the pattern of
+    3.13 on.  ``-inf``, ``-infinity`` and ``-nan`` (any case) are numbers to
+    ``float`` too, so they reach the command's own finiteness checks; no
+    relphase option starts with a digit, ``inf`` or ``nan``.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:

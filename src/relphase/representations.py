@@ -9,7 +9,9 @@ rotations (both indices spatial).
 The spin-1 map sends P_mu to the basis vector u_mu (grade 1) and
 M_{alpha beta} to the algebra generator d_basis(alpha, beta) (grade 0).
 Each map sends the twelve ordered angular labels to fixed 4x4 operators; they
-are built once at import and returned as read-only arrays.
+are built once at import and returned as read-only arrays.  The graded images
+of all sixteen labels, translations included, are built once as well: every
+call returns the same immutable element.
 
 The spin-1/2 maps combine each boost generator with its dual rotation
 generator.  With the dual pairing
@@ -192,11 +194,24 @@ def _angular(kind: str, alpha: int, beta: int) -> ArrayC:
                          f"got ({alpha}, {beta})") from None
 
 
+def _graded_images(kind: str) -> dict[tuple[str, tuple[int, ...]], GradedElement]:
+    """Images of the four translations and the twelve ordered angular pairs."""
+    images = {("translation", (mu,)): GradedElement.from_vector(basis(mu)) for mu in range(4)}
+    images.update({("angular", pair): GradedElement.from_operator(QoElement(m))
+                   for pair, m in _ANGULAR_IMAGES[kind].items()})
+    return images
+
+
+# One immutable element per kind and label, returned by every generator map.
+_GRADED_IMAGES = {kind: _graded_images(kind) for kind in REPRESENTATION_KINDS}
+
+
 def _image(kind: str, g: PoincareGenerator) -> GradedElement:
-    if g.kind == "translation":
-        return GradedElement.from_vector(basis(g.indices[0]))
-    alpha, beta = g.indices if g.sign > 0 else g.indices[::-1]
-    return GradedElement.from_operator(QoElement(_angular(kind, alpha, beta)))
+    indices = g.indices if g.sign > 0 else g.indices[::-1]
+    try:
+        return _GRADED_IMAGES[kind][(g.kind, indices)]
+    except KeyError:
+        raise ValueError(f"no image for the {g.kind} generator with indices {g.indices}") from None
 
 
 def pi_spin1(g: PoincareGenerator) -> GradedElement:
@@ -405,3 +420,27 @@ def np_blocks(a: ArrayLike) -> tuple[ArrayC, ArrayC, float]:
     a = np.asarray(a, dtype=np.complex128)
     off = max(float(np.abs(a[:2, 2:]).max()), float(np.abs(a[2:, :2]).max()))
     return a[:2, :2].copy(), a[2:, 2:].copy(), off
+
+
+def np_block_residuals(rep_kind: str,
+                       tetrad: NPBasis) -> list[tuple[int, bool, ArrayC, tuple[float, ...]]]:
+    """Pauli-block residuals of the six spin-1/2 angular images in a tetrad.
+
+    One entry (j, boost, matrix, (off, first, second)) per generator: the
+    boosts M_{0j} for j = 1, 2, 3, then their dual rotations.  ``matrix`` is
+    the image in the tetrad coordinates; ``off`` is its largest off-block
+    entry, and ``first`` and ``second`` are the largest deviations of its
+    diagonal blocks from :func:`np_block_pattern`.  The plus representation
+    is block diagonal in :func:`np_matrix`, the minus one in
+    :func:`np_matrix_conjugate`.
+    """
+    out = []
+    for boost in (True, False):
+        for j in (1, 2, 3):
+            pair = (0, j) if boost else DUAL_PAIRS[j]
+            matrix = to_np_basis(_angular(rep_kind, *pair), tetrad)
+            b1, b2, off = np_blocks(matrix)
+            e1, e2 = np_block_pattern(j, boost, rep_kind)
+            out.append((j, boost, matrix,
+                        (off, float(np.abs(b1 - e1).max()), float(np.abs(b2 - e2).max()))))
+    return out

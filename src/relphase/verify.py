@@ -14,6 +14,15 @@ Tolerance scaling: a check passes when residual <= tolerance * (scale /
 DEFAULT_TOLERANCE).  With the default scale each check is judged at its
 specified tolerance; tightening the scale tightens every check
 proportionally.
+
+Each invariant is computed once.  An invariant that is also checked outside
+this module has a residual function here that takes its inputs as arguments
+(fields, momenta, proper times, element triples, a representation) and
+returns the residual; the Pauli-block residuals are computed by
+:func:`relphase.representations.np_block_residuals`.  The suites only draw
+the inputs and wrap each result in a :class:`Check`; the acceptance
+criteria, the unit tests and ``relphase np-dump`` call the same functions
+with their own inputs and bounds.
 """
 
 from __future__ import annotations
@@ -34,9 +43,8 @@ from .liealgebra import (QO_BASIS_PAIRS, GradedElement, QoElement, commutator,
 from .representations import (DUAL_PAIRS, PoincareGenerator, Representation,
                               boost_flow_closed, d_pm, exponential_flow,
                               half_flow_closed, half_graded_bracket,
-                              np_block_pattern, np_blocks, np_matrix,
-                              np_matrix_conjugate, rotation_flow_closed,
-                              to_np_basis)
+                              np_block_residuals, np_matrix,
+                              np_matrix_conjugate, rotation_flow_closed)
 from .triproduct import (d_basis, d_hat, d_operator, tri_product,
                          tri_product_coords)
 
@@ -206,10 +214,9 @@ def _random_graded(rng: np.random.Generator, real_ops: bool = False) -> GradedEl
                          complex(rng.standard_normal() + 1j * rng.standard_normal()))
 
 
-def suite_liealgebra(rng: np.random.Generator) -> list[Check]:
-    checks = []
-    dmat = qo_basis()
-
+def bracket_table_residual(dmat: dict[tuple[int, int], np.ndarray]) -> float:
+    """Largest deviation of [D_mn, D_ab] over the six basis operators ``dmat``
+    from the structure constants of the algebra."""
     worst = 0.0
     for (m, n) in _ANGULAR:
         for (a, b) in _ANGULAR:
@@ -217,26 +224,50 @@ def suite_liealgebra(rng: np.random.Generator) -> list[Check]:
             rhs = (ETA[n, a] * d_basis(m, b) - ETA[m, a] * d_basis(n, b)
                    + ETA[n, b] * d_basis(a, m) - ETA[m, b] * d_basis(a, n))
             worst = max(worst, _rel(lhs, rhs))
-    checks.append(Check("qo.bracket_table", worst, 1e-13))
+    return worst
 
-    # Dimension: the six generators are independent and exhaust the solution
-    # space of X^T eta + eta X = 0.
-    flat = np.stack([dmat[p].reshape(16) for p in _ANGULAR])
-    rank = np.linalg.matrix_rank(flat, tol=1e-10)
+
+def qo_dimension(generators: list[np.ndarray]) -> tuple[int, int, float]:
+    """Rank of the generators, dimension of the algebra, and span residual.
+
+    The algebra is the solution space of X^T eta + eta X = 0; the span
+    residual is the largest change of a solution basis vector under
+    projection onto the span of the generators.
+    """
+    flat = np.stack([g.reshape(16) for g in generators])
     constraint = np.zeros((16, 16))
     eye = np.eye(4)
     for i in range(4):
         for j in range(4):
             e = np.outer(eye[i], eye[j])
             constraint[:, 4 * i + j] = (e.T @ ETA + ETA @ e).reshape(16)
-    null_dim = 16 - np.linalg.matrix_rank(constraint, tol=1e-10)
+    constraint_rank = np.linalg.matrix_rank(constraint, tol=1e-10)
     _, _, vh = np.linalg.svd(constraint)
-    null_basis = vh[np.linalg.matrix_rank(constraint, tol=1e-10):]
-    # residual of projecting each null vector onto the generator span
+    null_basis = vh[constraint_rank:]
     proj = null_basis @ np.linalg.pinv(flat) @ flat
-    span_resid = float(np.abs(proj - null_basis).max())
-    dim_resid = float(abs(rank - 6) + abs(null_dim - 6)) + span_resid
-    checks.append(Check("qo.dimension_six", dim_resid, 1e-12))
+    return (int(np.linalg.matrix_rank(flat, tol=1e-10)), 16 - int(constraint_rank),
+            float(np.abs(proj - null_basis).max()))
+
+
+def jacobi_residual(bracket, triples) -> float:
+    """Largest cyclic sum of ``bracket`` over (x, y, z) triples of graded
+    elements, relative to max(1, |x| |y| |z|)."""
+    worst = 0.0
+    for x, y, z in triples:
+        s = bracket(bracket(x, y), z) + bracket(bracket(y, z), x) + bracket(bracket(z, x), y)
+        worst = max(worst, s.norm() / max(1.0, x.norm() * y.norm() * z.norm()))
+    return worst
+
+
+def suite_liealgebra(rng: np.random.Generator) -> list[Check]:
+    checks = []
+    dmat = qo_basis()
+    checks.append(Check("qo.bracket_table", bracket_table_residual(dmat), 1e-13))
+
+    # Dimension: the six generators are independent and exhaust the solution
+    # space of X^T eta + eta X = 0.
+    rank, dim, span = qo_dimension([dmat[p] for p in _ANGULAR])
+    checks.append(Check("qo.dimension_six", float(abs(rank - 6) + abs(dim - 6)) + span, 1e-12))
 
     worst = 0.0
     for _ in range(100):
@@ -248,17 +279,8 @@ def suite_liealgebra(rng: np.random.Generator) -> list[Check]:
     # Jacobi on the real form: grade-0 parts with real coefficients.  With
     # fully complex grade-0 parts the mixed identity provably fails (the
     # grade-2 pairing is real-valued); see the graded_bracket docstring.
-    worst = 0.0
-    for _ in range(100):
-        x = _random_graded(rng, real_ops=True)
-        y = _random_graded(rng, real_ops=True)
-        z = _random_graded(rng, real_ops=True)
-        s = (graded_bracket(graded_bracket(x, y), z)
-             + graded_bracket(graded_bracket(y, z), x)
-             + graded_bracket(graded_bracket(z, x), y))
-        scale = max(1.0, x.norm() * y.norm() * z.norm())
-        worst = max(worst, s.norm() / scale)
-    checks.append(Check("graded.jacobi_real_form", worst, 1e-10))
+    triples = [tuple(_random_graded(rng, real_ops=True) for _ in range(3)) for _ in range(100)]
+    checks.append(Check("graded.jacobi_real_form", jacobi_residual(graded_bracket, triples), 1e-10))
 
     worst = 0.0
     for _ in range(20):
@@ -316,6 +338,67 @@ def _ang_mat(rep: Representation, alpha: int, beta: int) -> np.ndarray:
     return rep.angular_matrix(alpha, beta)
 
 
+def explicit_commutator_residual(rep: Representation) -> float:
+    """The four explicitly verifiable commutators of the angular images.
+
+    [M23, M12] = -M31, [M01, M31] = M03, [M01, M03] = M31, [M01, M23] = 0.
+    The signs of the second and third are pinned by the angular bracket
+    table (the relation :func:`_poincare_checks` checks exhaustively).
+    """
+    m = rep.angular_matrix
+    worst = max(_rel(commutator(m(2, 3), m(1, 2)), -m(3, 1)),
+                _rel(commutator(m(0, 1), m(3, 1)), m(0, 3)),
+                _rel(commutator(m(0, 1), m(0, 3)), m(3, 1)))
+    return max(worst, float(np.abs(commutator(m(0, 1), m(2, 3))).max()))
+
+
+def tripotency_residual(mats: list[np.ndarray]) -> float:
+    """Largest deviation of T^3 from T over the operators ``mats``."""
+    return max(_rel(t @ t @ t, t) for t in mats)
+
+
+def car_residual(mats: list[np.ndarray]) -> float:
+    """Largest deviation of (T_j T_k + T_k T_j) / 2 from delta_jk I."""
+    eye = np.eye(4)
+    return max(float(np.abs(0.5 * (a @ b + b @ a) - (eye if j == k else 0)).max())
+               for j, a in enumerate(mats) for k, b in enumerate(mats))
+
+
+def generator_squares_residual(rep: Representation) -> float:
+    """Largest deviation of the squared boost images from I/4 and of the
+    squared rotation images from -I/4."""
+    eye = np.eye(4)
+    worst = 0.0
+    for j in (1, 2, 3):
+        bq = rep.angular_matrix(0, j)
+        rq = rep.angular_matrix(*DUAL_PAIRS[j])
+        worst = max(worst, float(np.abs(bq @ bq - 0.25 * eye).max()),
+                    float(np.abs(rq @ rq + 0.25 * eye).max()))
+    return worst
+
+
+def half_angle_period_residual(half: np.ndarray, whole: np.ndarray) -> float:
+    """A full turn of the spin-1/2 rotation ``half`` gives -I and a double
+    turn +I; a full turn of the spin-1 rotation ``whole`` gives +I."""
+    eye = np.eye(4)
+    return max(float(np.abs(exponential_flow(half, 2 * np.pi) + eye).max()),
+               float(np.abs(exponential_flow(half, 4 * np.pi) - eye).max()),
+               float(np.abs(exponential_flow(whole, 2 * np.pi) - eye).max()))
+
+
+def boost_closed_form_residual(phis, flows) -> float:
+    """``flows`` against the closed-form boost along axis 1 at each rapidity
+    of ``phis``, and their entries against cosh and sinh in size."""
+    worst = 0.0
+    for phi, flow in zip(phis, flows):
+        worst = max(worst, _rel(boost_flow_closed(1, phi), flow))
+        expected_abs = np.eye(4)
+        expected_abs[0, 0] = expected_abs[1, 1] = np.cosh(phi)
+        expected_abs[0, 1] = expected_abs[1, 0] = np.sinh(phi)
+        worst = max(worst, _rel(np.abs(flow), expected_abs))
+    return worst
+
+
 def suite_representations(rng: np.random.Generator) -> list[Check]:
     checks = []
     spin1 = Representation("spin1")
@@ -325,70 +408,32 @@ def suite_representations(rng: np.random.Generator) -> list[Check]:
     for rep, tag in ((spin1, "rep.spin1"), (plus, "rep.plus"), (minus, "rep.minus")):
         checks.extend(_poincare_checks(rep, tag))
 
-    # The four explicitly verifiable spin-1/2 commutators.  The signs of the
-    # second and third are pinned by the angular bracket table (the same
-    # relation the suite above checks exhaustively).
-    worst = 0.0
-    cases = [
-        ((2, 3), (1, 2), (3, 1), -1.0),
-        ((0, 1), (3, 1), (0, 3), +1.0),
-        ((0, 1), (0, 3), (3, 1), +1.0),
-    ]
-    for (p1, p2, pr, sgn) in cases:
-        lhs = commutator(plus.angular_matrix(*p1), plus.angular_matrix(*p2))
-        worst = max(worst, _rel(lhs, sgn * plus.angular_matrix(*pr)))
-    lhs = commutator(plus.angular_matrix(0, 1), plus.angular_matrix(2, 3))
-    worst = max(worst, float(np.abs(lhs).max()))
-    checks.append(Check("rep.plus.explicit_commutators", worst, 1e-14))
+    checks.append(Check("rep.plus.explicit_commutators", explicit_commutator_residual(plus), 1e-14))
 
-    worst = 0.0
-    eye = np.eye(4)
-    for j in (1, 2, 3):
-        d = d_basis(0, j)
-        worst = max(worst, _rel(d @ d @ d, d))
-        for s in (+1, -1):
-            t = d_pm(j, s)
-            worst = max(worst, _rel(t @ t @ t, t))
-    for (k, l) in ((2, 3), (3, 1), (1, 2)):
-        t = 1j * d_basis(k, l)
-        worst = max(worst, _rel(t @ t @ t, t))
-    checks.append(Check("rep.tripotency", worst, 1e-14))
-
-    worst = 0.0
-    for s in (+1, -1):
-        for j in (1, 2, 3):
-            for k in (1, 2, 3):
-                anti = 0.5 * (d_pm(j, s) @ d_pm(k, s) + d_pm(k, s) @ d_pm(j, s))
-                worst = max(worst, float(np.abs(anti - (eye if j == k else 0)).max()))
+    tripotents = ([d_basis(0, j) for j in (1, 2, 3)]
+                  + [d_pm(j, s) for j in (1, 2, 3) for s in (+1, -1)]
+                  + [1j * d_basis(*pair) for pair in DUAL_PAIRS.values()])
+    checks.append(Check("rep.tripotency", tripotency_residual(tripotents), 1e-14))
+    worst = max(car_residual([d_pm(j, s) for j in (1, 2, 3)]) for s in (+1, -1))
     checks.append(Check("rep.car", worst, 1e-14))
-
-    worst = 0.0
-    for j in (1, 2, 3):
-        bq = plus.angular_matrix(0, j)
-        worst = max(worst, float(np.abs(bq @ bq - 0.25 * eye).max()))
-        rq = plus.angular_matrix(*DUAL_PAIRS[j])
-        worst = max(worst, float(np.abs(rq @ rq + 0.25 * eye).max()))
-    checks.append(Check("rep.plus.generator_squares", worst, 1e-14))
+    checks.append(Check("rep.plus.generator_squares", generator_squares_residual(plus), 1e-14))
 
     # Jacobi for the spin-1/2 bracket on its own image, where the conjugate
     # pairs commute and grade-0-plus-conjugate parts are real.
-    worst = 0.0
     boosts = [plus.angular_matrix(0, j) for j in (1, 2, 3)]
-    for _ in range(60):
-        def img_elem() -> GradedElement:
-            c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            op = qo_from_operator(c[0] * boosts[0] + c[1] * boosts[1] + c[2] * boosts[2])
-            return GradedElement(op, _rvec(rng),
-                                 complex(rng.standard_normal() + 1j * rng.standard_normal()))
 
-        x, y, z = img_elem(), img_elem(), img_elem()
-        s = (half_graded_bracket(half_graded_bracket(x, y), z)
-             + half_graded_bracket(half_graded_bracket(y, z), x)
-             + half_graded_bracket(half_graded_bracket(z, x), y))
-        worst = max(worst, s.norm() / max(1.0, x.norm() * y.norm() * z.norm()))
-    checks.append(Check("rep.half_bracket_jacobi_on_image", worst, 1e-10))
+    def img_elem() -> GradedElement:
+        c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        op = qo_from_operator(c[0] * boosts[0] + c[1] * boosts[1] + c[2] * boosts[2])
+        return GradedElement(op, _rvec(rng),
+                             complex(rng.standard_normal() + 1j * rng.standard_normal()))
+
+    triples = [(img_elem(), img_elem(), img_elem()) for _ in range(60)]
+    checks.append(Check("rep.half_bracket_jacobi_on_image",
+                        jacobi_residual(half_graded_bracket, triples), 1e-10))
 
     worst = 0.0
+    eye = np.eye(4)
     for rep in (spin1, plus, minus):
         for pair in _ANGULAR:
             x = rep.angular_matrix(*pair)
@@ -420,33 +465,17 @@ def suite_representations(rng: np.random.Generator) -> list[Check]:
     worst = max(worst, _rel(tetrad.from_np_coords(tetrad.to_np_coords(v)), v))
     checks.append(Check("rep.np_round_trip", worst, 1e-15))
 
-    worst = 0.0
-    for rep, kind, tet in ((plus, "spin_half_plus", np_matrix()),
-                           (minus, "spin_half_minus", np_matrix_conjugate())):
-        for j in (1, 2, 3):
-            for boost in (True, False):
-                pair = (0, j) if boost else DUAL_PAIRS[j]
-                a = to_np_basis(rep.angular_matrix(*pair), tet)
-                b1, b2, off = np_blocks(a)
-                e1, e2 = np_block_pattern(j, boost, kind)
-                worst = max(worst, off, float(np.abs(b1 - e1).max()), float(np.abs(b2 - e2).max()))
+    worst = max(max(res) for kind, tetrad in (("spin_half_plus", np_matrix()),
+                                              ("spin_half_minus", np_matrix_conjugate()))
+                for *_, res in np_block_residuals(kind, tetrad))
     checks.append(Check("rep.np_pauli_blocks", worst, 1e-12))
 
-    x = plus.angular_matrix(1, 2)
-    worst = float(np.abs(exponential_flow(x, 2 * np.pi) + eye).max())
-    worst = max(worst, float(np.abs(exponential_flow(x, 4 * np.pi) - eye).max()))
-    worst = max(worst, float(np.abs(exponential_flow(d_basis(1, 2), 2 * np.pi) - eye).max()))
+    worst = half_angle_period_residual(plus.angular_matrix(1, 2), d_basis(1, 2))
     checks.append(Check("rep.half_angle_periods", worst, 1e-11))
 
-    worst = 0.0
-    for phi in (0.5, 1.0, 2.0):
-        worst = max(worst, _rel(boost_flow_closed(1, phi),
-                                exponential_flow(d_basis(0, 1), phi)))
-        expected_abs = np.eye(4)
-        expected_abs[0, 0] = expected_abs[1, 1] = np.cosh(phi)
-        expected_abs[0, 1] = expected_abs[1, 0] = np.sinh(phi)
-        worst = max(worst, _rel(np.abs(exponential_flow(d_basis(0, 1), phi)), expected_abs))
-    checks.append(Check("rep.boost_closed_form", worst, 1e-12))
+    phis = (0.5, 1.0, 2.0)
+    flows = [exponential_flow(d_basis(0, 1), phi) for phi in phis]
+    checks.append(Check("rep.boost_closed_form", boost_closed_form_residual(phis, flows), 1e-12))
 
     worst = 0.0
     for j in (1, 2, 3):
@@ -466,37 +495,41 @@ def suite_representations(rng: np.random.Generator) -> list[Check]:
 # em
 # ---------------------------------------------------------------------------
 
-def suite_em(rng: np.random.Generator, draws: int = 500) -> list[Check]:
-    checks = []
+def faraday_square_residual(fields: list[EMField]) -> float:
+    """Largest deviation of the squared Faraday operator from z/4 times I."""
     eye = np.eye(4)
-
-    fields = [_rfield(rng) for _ in range(draws)]
-
     worst = 0.0
     for f in fields:
         fc = faraday_tensor(f)
         worst = max(worst, _rel(fc @ fc, (invariant_z(f).z / 4.0) * eye))
-    checks.append(Check("em.faraday_square_invariant", worst, 1e-12))
+    return worst
 
+
+def conjugate_commutator_residual(fields: list[EMField]) -> float:
+    """Largest entry of the commutator of the Faraday operator and its conjugate."""
+    return max(float(np.abs(commutator(faraday_tensor(f), faraday_conjugate(f))).max())
+               for f in fields)
+
+
+def commuting_factor_residual(fields: list[EMField], taus) -> float:
+    """exp(tau A) against exp(tau conj(Fc)) exp(tau Fc), A the evolution generator."""
     worst = 0.0
     for f in fields:
-        worst = max(worst, float(np.abs(commutator(faraday_tensor(f),
-                                                   faraday_conjugate(f))).max()))
-    checks.append(Check("em.conjugate_commutes", worst, 1e-12))
-
-    worst = 0.0
-    for f in fields[:60]:
-        for tau in (0.5, 2.0, 10.0):
+        for tau in taus:
             lhs = exponential_flow(evolution_generator(f), tau)
             rhs = exponential_flow(faraday_conjugate(f), tau) @ exponential_flow(faraday_tensor(f), tau)
             worst = max(worst, _rel(lhs, rhs))
-    checks.append(Check("em.commuting_factorization", worst, 1e-11))
+    return worst
 
-    worst_shell = 0.0
-    worst_real = 0.0
-    taus = np.linspace(0.0, 10.0, 9)
-    for f in fields[:40]:
-        p0 = rng.uniform(-1, 1, 4)
+
+def shell_and_reality_residuals(fields: list[EMField], p0s, taus) -> tuple[float, float]:
+    """Mass-shell drift and imaginary part of conj(X) X p0, X = exp_faraday(f, tau).
+
+    Field k starts from the real momentum p0s[k]; both residuals are relative
+    to max(1, |p|) (the drift to its square), maximised over fields and taus.
+    """
+    worst_shell = worst_real = 0.0
+    for f, p0 in zip(fields, p0s):
         for tau in taus:
             x = exp_faraday(f, float(tau))
             p = np.conj(x) @ (x @ p0.astype(np.complex128))
@@ -504,21 +537,48 @@ def suite_em(rng: np.random.Generator, draws: int = 500) -> list[Check]:
             worst_real = max(worst_real, float(np.abs(p.imag).max()) / scale)
             shell = abs((p.real @ ETA @ p.real) - (p0 @ ETA @ p0)) / scale ** 2
             worst_shell = max(worst_shell, shell)
-    checks.append(Check("em.mass_shell_conserved", worst_shell, 1e-11))
-    checks.append(Check("em.evolution_reality", worst_real, 1e-11))
+    return worst_shell, worst_real
 
-    worst = 0.0
+
+def flow_invariance_residual(fields: list[EMField], axes, phis) -> float:
+    """Change of the invariant z when field k is conjugated by the spin-1/2
+    boost flow along axes[k] at rapidity phis[k], relative to max(1, |z|)."""
     plus = Representation("spin_half_plus")
-    for f in fields[:40]:
+    worst = 0.0
+    for f, j, phi in zip(fields, axes, phis):
         z = invariant_z(f).z
-        j = int(rng.integers(1, 4))
-        phi = float(rng.uniform(-1.5, 1.5))
         x = plus.angular_matrix(0, j)
         transformed = (exponential_flow(x, phi) @ faraday_tensor(f)
                        @ exponential_flow(x, -phi))
         comps = faraday_components(transformed)
         worst = max(worst, abs(complex(np.sum(comps * comps)) - z) / max(1.0, abs(z)))
-    checks.append(Check("em.invariant_under_flows", worst, 1e-11))
+    return worst
+
+
+def closed_form_rk4_residual(fields: list[EMField], p0s, tau: float, steps: int) -> float:
+    """Closed-form evolution against RK4 with ``steps`` steps at proper time tau."""
+    return max(_rel(evolve_closed_form(f, p0, tau), evolve_numeric(f, p0, tau, steps))
+               for f, p0 in zip(fields, p0s))
+
+
+def suite_em(rng: np.random.Generator, draws: int = 500) -> list[Check]:
+    checks = []
+    eye = np.eye(4)
+
+    fields = [_rfield(rng) for _ in range(draws)]
+    checks.append(Check("em.faraday_square_invariant", faraday_square_residual(fields), 1e-12))
+    checks.append(Check("em.conjugate_commutes", conjugate_commutator_residual(fields), 1e-12))
+    checks.append(Check("em.commuting_factorization",
+                        commuting_factor_residual(fields[:60], (0.5, 2.0, 10.0)), 1e-11))
+
+    shell, real = shell_and_reality_residuals(fields[:40], rng.uniform(-1, 1, (40, 4)),
+                                              np.linspace(0.0, 10.0, 9))
+    checks.append(Check("em.mass_shell_conserved", shell, 1e-11))
+    checks.append(Check("em.evolution_reality", real, 1e-11))
+
+    axes, phis = zip(*[(int(rng.integers(1, 4)), float(rng.uniform(-1.5, 1.5))) for _ in range(40)])
+    checks.append(Check("em.invariant_under_flows",
+                        flow_invariance_residual(fields[:40], axes, phis), 1e-11))
 
     worst = 0.0
     for f in fields[:40]:
@@ -544,12 +604,7 @@ def suite_em(rng: np.random.Generator, draws: int = 500) -> list[Check]:
         worst = max(worst, _rel(exp_faraday(null, tau), np.eye(4) + tau * fc))
     checks.append(Check("em.null_field_flow_linear", worst, 1e-12))
 
-    worst = 0.0
-    for f in fields[:3]:
-        p0 = rng.uniform(-1, 1, 4)
-        pc = evolve_closed_form(f, p0, 1.0)
-        pn = evolve_numeric(f, p0, 1.0, 2000)
-        worst = max(worst, _rel(pc, pn))
+    worst = closed_form_rk4_residual(fields[:3], rng.uniform(-1, 1, (3, 4)), 1.0, 2000)
     checks.append(Check("em.closed_form_vs_rk4", worst, 1e-8))
 
     return checks

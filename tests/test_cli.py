@@ -17,7 +17,8 @@ from relphase.cli import format_complex, main, parse_complex
 from relphase.representations import REPRESENTATION_KINDS
 
 
-PINNED_EVOLVE = Path(__file__).parent / "data" / "evolve_compare_pinned.json"
+DATA = Path(__file__).parent / "data"
+PINNED_EVOLVE = DATA / "evolve_compare_pinned.json"
 
 
 def strict_json(text):
@@ -201,6 +202,39 @@ class TestCliProperties:
         assert all(math.isfinite(z.real) and math.isfinite(z.imag) for z in values)
 
 
+big_floats = st.floats(min_value=-1e300, max_value=1e300)
+
+
+class TestEvolveProperties:
+    @given(e=st.lists(big_floats, min_size=3, max_size=3),
+           b=st.lists(big_floats, min_size=3, max_size=3),
+           p0=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
+           tau_max=st.floats(min_value=1e-300, max_value=1e300),
+           samples=st.integers(2, 4), compare=st.booleans(), fmt=st.sampled_from(["json", "csv"]))
+    @settings(max_examples=150, deadline=None)
+    def test_evolve_is_finite_or_usage_error(self, e, b, p0, tau_max, samples, compare, fmt):
+        argv = ["--format", fmt, "evolve", *map(repr, e + b + p0), repr(tau_max), str(samples)]
+        if compare:
+            argv += ["--compare", "--rk4-steps", "8"]
+        code, out, err = run_quiet(argv)
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ")
+            return
+        assert code == 0
+        if fmt == "json":
+            rows = strict_json(out)["rows"]
+            values = [v for row in rows for v in
+                      [row["tau"], *row["p"], *row.get("p_num", []),
+                       *[row[k] for k in ("dev", "shell_residual") if k in row]]]
+        else:
+            rows = list(csv.reader(io.StringIO(out)))[1:]
+            values = [float(cell) for row in rows for cell in row]
+        assert len(rows) == samples
+        assert len(values) == samples * (11 if compare else 5)
+        assert all(math.isfinite(v) for v in values)
+
+
 class TestEvolveCommand:
     def test_zero_field_constant(self, tmp_path):
         out = tmp_path / "e.csv"
@@ -309,6 +343,21 @@ class TestEvolveCommand:
         assert main(["--output", str(out), "transform", "spin1", "M01", "-1e-05",
                      "1", "0", "0", "0"]) == 0
 
+    @pytest.mark.parametrize("argv, message", [
+        (["transform", "spin1", "M12", "-inf", "1", "0", "0", "0"], "phi must be finite"),
+        (["transform", "spin1", "M12", "1", "-Infinity", "0", "0", "0"],
+         "phase vector coordinates must be finite"),
+        (["evolve", "-NaN", "0", "0", "0", "0", "0", "1", "0", "0", "0", "1", "2"],
+         "e components must be finite"),
+    ])
+    def test_negative_non_finite_arguments_are_numbers(self, argv, message, capsys):
+        # argparse must not read -inf or -nan as an option and blame a
+        # missing argument; the command's own check reports them
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
     def test_bad_sample_count_is_usage_error(self):
         assert main(["evolve", "1", "0", "0", "0", "0", "0", "1", "0", "0", "0",
                      "1.0", "1"]) == 2
@@ -319,6 +368,15 @@ class TestEvolveCommand:
 
 
 class TestNpDumpCommand:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("kind", ["plus", "minus"])
+    def test_output_matches_pinned_bytes(self, kind, fmt, tmp_path):
+        # the pinned files are the output of `relphase [--format csv] np-dump`
+        # from before the Pauli-block residuals moved into representations
+        out = tmp_path / f"np.{fmt}"
+        assert main(["--format", fmt, "--output", str(out), "np-dump", f"spin_half_{kind}"]) == 0
+        assert out.read_bytes() == (DATA / f"np_dump_{kind}.{fmt}").read_bytes()
+
     @pytest.mark.parametrize("rep", ["spin_half_plus", "spin_half_minus"])
     def test_blocks_within_tolerance(self, rep, tmp_path):
         out = tmp_path / "np.json"

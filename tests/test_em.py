@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from relphase import (ETA, EMField, Representation, basis, commutator,
-                      d_basis, evolution_generator, evolve_closed_form,
-                      evolve_numeric, exp_faraday, exp_faraday_conjugate,
-                      exponential_flow, faraday_components, faraday_conjugate,
-                      faraday_tensor, field_tensor, invariant_z, is_in_qo,
-                      lorentz_force, mass_shell_residual, scalar_product)
+from relphase import (ETA, EMField, Representation, basis, d_basis,
+                      evolution_generator, evolve_closed_form, evolve_numeric,
+                      exp_faraday, exp_faraday_conjugate, exponential_flow,
+                      faraday_components, faraday_conjugate, faraday_tensor,
+                      field_tensor, invariant_z, is_in_qo, lorentz_force,
+                      mass_shell_residual, scalar_product)
 from relphase.em import shell_drift
+from relphase.verify import (commuting_factor_residual, conjugate_commutator_residual,
+                             faraday_square_residual, flow_invariance_residual,
+                             shell_and_reality_residuals)
 
 PLUS = Representation("spin_half_plus")
 
@@ -65,10 +68,7 @@ class TestFaradayTensor:
     def test_square_is_quarter_invariant(self):
         fc = faraday_tensor(EMField([1, 0, 0], [0, 0, 0]))
         np.testing.assert_allclose(fc @ fc, 0.25 * np.eye(4), atol=1e-14)
-        for f in random_fields(22, 100):
-            fc = faraday_tensor(f)
-            z = invariant_z(f).z
-            assert rel(fc @ fc, (z / 4) * np.eye(4)) < 1e-12
+        assert faraday_square_residual(random_fields(22, 100)) < 1e-12
 
     def test_zero_field(self):
         np.testing.assert_array_equal(faraday_tensor(EMField([0] * 3, [0] * 3)),
@@ -80,9 +80,7 @@ class TestFaradayTensor:
                                    0.5 * (d_basis(0, 1) - 1j * d_basis(2, 3)))
 
     def test_conjugate_commutes(self):
-        for f in random_fields(23, 100):
-            c = commutator(faraday_tensor(f), faraday_conjugate(f))
-            assert np.abs(c).max() < 1e-12
+        assert conjugate_commutator_residual(random_fields(23, 100)) < 1e-12
 
     def test_evolution_generator_flips_magnetic_sign(self):
         f = EMField([0.3, -0.7, 0.2], [0.5, 0.1, -0.4])
@@ -143,15 +141,10 @@ class TestInvariant:
 
     def test_invariance_under_boost_flows(self):
         rng = np.random.default_rng(28)
-        for f in random_fields(29, 30):
-            z = invariant_z(f).z
-            j = int(rng.integers(1, 4))
-            phi = float(rng.uniform(-1.5, 1.5))
-            x = PLUS.angular_matrix(0, j)
-            g = exponential_flow(x, phi)
-            gin = exponential_flow(x, -phi)
-            comps = faraday_components(g @ faraday_tensor(f) @ gin)
-            assert abs(complex(np.sum(comps * comps)) - z) < 1e-11 * max(1.0, abs(z))
+        fields = random_fields(29, 30)
+        axes, phis = zip(*[(int(rng.integers(1, 4)), float(rng.uniform(-1.5, 1.5)))
+                           for _ in fields])
+        assert flow_invariance_residual(fields, axes, phis) < 1e-11
 
 
 class TestExpFaraday:
@@ -294,24 +287,18 @@ class TestEvolution:
             assert shell_drift(p0, p) == direct
 
     def test_mass_shell_and_reality(self):
-        for f in random_fields(33, 20):
-            p0 = np.array([1.5, 0.3, -0.2, 0.1])
-            shell0 = p0 @ ETA @ p0
-            for tau in np.linspace(0.0, 10.0, 6):
-                x = exp_faraday(f, float(tau))
-                p = np.conj(x) @ (x @ p0.astype(complex))
-                scale = max(1.0, np.abs(p).max())
-                assert np.abs(p.imag).max() / scale < 1e-11
-                assert abs(p.real @ ETA @ p.real - shell0) / scale ** 2 < 1e-11
+        fields = random_fields(33, 20)
+        p0 = np.array([1.5, 0.3, -0.2, 0.1])
+        taus = np.linspace(0.0, 10.0, 6)
+        shell, real = shell_and_reality_residuals(fields, [p0] * len(fields), taus)
+        assert real < 1e-11
+        assert shell < 1e-11
+        for f in fields:
+            for tau in taus:
                 assert mass_shell_residual(f, p0, float(tau)) < 1e-11
 
     def test_factorised_flow_matches_joint_exponential(self):
-        for f in random_fields(34, 30):
-            for tau in (0.5, 2.0):
-                joint = exponential_flow(evolution_generator(f), tau)
-                split = (exponential_flow(faraday_conjugate(f), tau)
-                         @ exponential_flow(faraday_tensor(f), tau))
-                assert rel(joint, split) < 1e-11
+        assert commuting_factor_residual(random_fields(34, 30), (0.5, 2.0)) < 1e-11
 
     def test_branch_independent(self):
         # the closed form is even in w: replacing w by -w changes nothing

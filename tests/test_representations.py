@@ -4,13 +4,15 @@ import pytest
 from relphase import (PAULI, PoincareGenerator, Representation, basis,
                       boost_flow_closed, commutator, d_basis, d_perp, d_pm,
                       exponential_flow, half_flow_closed, half_graded_bracket,
-                      np_block_pattern, np_blocks, np_matrix,
-                      np_matrix_conjugate, parse_generator, pi_half, pi_spin1,
-                      qo_dual, qo_from_operator, rotation_flow_closed,
-                      scalar_product, to_np_basis)
+                      np_block_pattern, np_matrix, np_matrix_conjugate,
+                      parse_generator, pi_half, pi_spin1, qo_dual,
+                      qo_from_operator, rotation_flow_closed, scalar_product,
+                      to_np_basis)
 from relphase.liealgebra import QO_BASIS_PAIRS
-from relphase.representations import DUAL_PAIRS
-from relphase.verify import _poincare_checks
+from relphase.representations import DUAL_PAIRS, np_block_residuals
+from relphase.verify import (_poincare_checks, car_residual, explicit_commutator_residual,
+                             generator_squares_residual, half_angle_period_residual,
+                             tripotency_residual)
 
 SPIN1 = Representation("spin1")
 PLUS = Representation("spin_half_plus")
@@ -77,18 +79,14 @@ class TestDualPlane:
 
 class TestTripotents:
     def test_squares_to_identity(self):
+        # for one operator the anticommutator residual is |T T - I|
         for j in (1, 2, 3):
             for s in (+1, -1):
-                t = d_pm(j, s)
-                np.testing.assert_allclose(t @ t, np.eye(4), atol=1e-14)
+                assert car_residual([d_pm(j, s)]) < 1e-14
 
     def test_anticommutation(self):
         for s in (+1, -1):
-            for j in (1, 2, 3):
-                for k in (1, 2, 3):
-                    anti = 0.5 * (d_pm(j, s) @ d_pm(k, s) + d_pm(k, s) @ d_pm(j, s))
-                    expected = np.eye(4) if j == k else np.zeros((4, 4))
-                    np.testing.assert_allclose(anti, expected, atol=1e-14)
+            assert car_residual([d_pm(j, s) for j in (1, 2, 3)]) < 1e-14
 
     def test_opposite_signs_commute(self):
         for j in (1, 2, 3):
@@ -98,15 +96,11 @@ class TestTripotents:
                     atol=1e-14)
 
     def test_tripotency(self):
-        for j in (1, 2, 3):
-            d = d_basis(0, j)
-            np.testing.assert_allclose(d @ d @ d, d, atol=1e-14)
-            for s in (+1, -1):
-                t = d_pm(j, s)
-                np.testing.assert_allclose(t @ t @ t, t, atol=1e-14)
-        for pair in ((2, 3), (3, 1), (1, 2)):
-            t = 1j * d_basis(*pair)
-            np.testing.assert_allclose(t @ t @ t, t, atol=1e-14)
+        # Every entry is 0 or of size 1, so the scale of the residual is exactly 1.
+        tripotents = ([d_basis(0, j) for j in (1, 2, 3)]
+                      + [d_pm(j, s) for j in (1, 2, 3) for s in (+1, -1)]
+                      + [1j * d_basis(*pair) for pair in ((2, 3), (3, 1), (1, 2))])
+        assert tripotency_residual(tripotents) < 1e-14
 
 
 class TestSpinHalf:
@@ -127,23 +121,11 @@ class TestSpinHalf:
                                           np.conj(PLUS.angular_matrix(*pair)))
 
     def test_generator_squares(self):
-        for j in (1, 2, 3):
-            b = PLUS.angular_matrix(0, j)
-            np.testing.assert_allclose(b @ b, 0.25 * np.eye(4), atol=1e-14)
-            r = PLUS.angular_matrix(*DUAL_PAIRS[j])
-            np.testing.assert_allclose(r @ r, -0.25 * np.eye(4), atol=1e-14)
+        assert generator_squares_residual(PLUS) < 1e-14
 
     def test_explicit_commutators(self):
-        # the first case as stated; the next two signs are fixed by the
-        # angular bracket table rather than by symbol shuffling
-        lhs = commutator(PLUS.angular_matrix(2, 3), PLUS.angular_matrix(1, 2))
-        np.testing.assert_allclose(lhs, -PLUS.angular_matrix(3, 1), atol=1e-14)
-        lhs = commutator(PLUS.angular_matrix(0, 1), PLUS.angular_matrix(3, 1))
-        np.testing.assert_allclose(lhs, PLUS.angular_matrix(0, 3), atol=1e-14)
-        lhs = commutator(PLUS.angular_matrix(0, 1), PLUS.angular_matrix(0, 3))
-        np.testing.assert_allclose(lhs, PLUS.angular_matrix(3, 1), atol=1e-14)
-        lhs = commutator(PLUS.angular_matrix(0, 1), PLUS.angular_matrix(2, 3))
-        np.testing.assert_allclose(lhs, np.zeros((4, 4)), atol=1e-14)
+        # Entries are at most 1/2 in size, so the scale of the residual is exactly 1.
+        assert explicit_commutator_residual(PLUS) < 1e-14
 
 
 def reference_image(kind, alpha, beta):
@@ -187,10 +169,27 @@ class TestImageTables:
 
     def test_pi_images_are_read_only(self):
         g = PoincareGenerator.angular(0, 2)
-        for image in (pi_spin1(g), pi_half(g, +1), pi_half(g, -1)):
+        t = PoincareGenerator.translation(2)
+        for image in (pi_spin1(g), pi_half(g, +1), pi_half(g, -1),
+                      pi_spin1(t), pi_half(t, +1), pi_half(t, -1)):
             with pytest.raises(ValueError):
                 image.l0.matrix[0, 2] = 7.0
+            with pytest.raises(ValueError):
+                image.l1[2] = 7.0
         np.testing.assert_array_equal(pi_spin1(g).l0.matrix, d_basis(0, 2))
+        np.testing.assert_array_equal(pi_spin1(t).l1, basis(2))
+        np.testing.assert_array_equal(pi_spin1(t).l0.matrix, np.zeros((4, 4)))
+
+    def test_images_are_built_once(self):
+        for rep in (SPIN1, PLUS, MINUS):
+            for g in (PoincareGenerator.translation(3), PoincareGenerator.angular(3, 1)):
+                assert rep(g) is rep(g)
+
+    def test_non_canonical_hand_built_label(self):
+        # a hand-built M10 with sign +1 is read as the ordered pair (1, 0)
+        for rep in (SPIN1, PLUS, MINUS):
+            image = rep(PoincareGenerator("angular", (1, 0)))
+            np.testing.assert_array_equal(image.l0.matrix, rep.angular_matrix(1, 0))
 
     @pytest.mark.parametrize("pair", [(2, 2), (0, 4), (-1, 0)])
     def test_bad_indices_are_value_errors(self, pair):
@@ -199,6 +198,12 @@ class TestImageTables:
                 rep.angular_matrix(*pair)
             with pytest.raises(ValueError):
                 rep(PoincareGenerator("angular", pair))
+
+    @pytest.mark.parametrize("mu", [-1, 4])
+    def test_bad_translation_index_is_value_error(self, mu):
+        for rep in (SPIN1, PLUS, MINUS):
+            with pytest.raises(ValueError):
+                rep(PoincareGenerator("translation", (mu,)))
 
 
 def poincare_residual(rep, name):
@@ -262,13 +267,7 @@ class TestFlows:
                                            exponential_flow(xr, phi), atol=1e-13)
 
     def test_half_angle_periods(self):
-        x = PLUS.angular_matrix(1, 2)
-        np.testing.assert_allclose(exponential_flow(x, 2 * np.pi), -np.eye(4),
-                                   atol=1e-11)
-        np.testing.assert_allclose(exponential_flow(x, 4 * np.pi), np.eye(4),
-                                   atol=1e-11)
-        np.testing.assert_allclose(exponential_flow(d_basis(1, 2), 2 * np.pi),
-                                   np.eye(4), atol=1e-11)
+        assert half_angle_period_residual(PLUS.angular_matrix(1, 2), d_basis(1, 2)) < 1e-11
 
     def test_spin1_flow_preserves_real_subspace(self):
         rng = np.random.default_rng(12)
@@ -307,13 +306,12 @@ class TestNullTetrad:
     @pytest.mark.parametrize("boost", [True, False], ids=["boost", "rotation"])
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_plus_blocks(self, j, boost):
-        pair = (0, j) if boost else DUAL_PAIRS[j]
-        a = to_np_basis(PLUS.angular_matrix(*pair))
-        b1, b2, off = np_blocks(a)
-        e1, e2 = np_block_pattern(j, boost, "spin_half_plus")
+        blocks = {(axis, b): res for axis, b, _, res in
+                  np_block_residuals("spin_half_plus", np_matrix())}
+        off, first, second = blocks[(j, boost)]
         assert off < 1e-12
-        np.testing.assert_allclose(b1, e1, atol=1e-12)
-        np.testing.assert_allclose(b2, e2, atol=1e-12)
+        assert first < 1e-12
+        assert second < 1e-12
 
     def test_first_block_is_conjugate_pauli(self):
         for j in (1, 2, 3):

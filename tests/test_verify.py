@@ -2,10 +2,14 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from relphase import (basis, commutator, conjugate, d_basis, d_hat, d_operator,
-                      decompose, scalar_product, scalar_square, symplectic_bracket,
-                      tri_product, tri_product_coords)
+from relphase import (DUAL_PAIRS, EMField, GradedElement, QoElement, Representation,
+                      basis, commutator, conjugate, d_basis, d_hat, d_operator, d_pm,
+                      decompose, exponential_flow, graded_bracket, np_matrix, qo_basis,
+                      qo_from_operator, scalar_product, scalar_square,
+                      symplectic_bracket, tri_product, tri_product_coords, verify)
+from relphase.representations import np_block_residuals
 from relphase.verify import (SUITES, _draw, _rel, _rvec, _worst, run_all, suite_core,
                              suite_triproduct)
 
@@ -138,3 +142,206 @@ def test_batched_suites_reproduce_the_per_draw_loops():
         assert [c.residual for c in suite_triproduct(batched, draws=60)] == \
             loop_triproduct(per_draw, 60)
         assert batched.bit_generator.state == per_draw.bit_generator.state
+
+
+
+PLUS = Representation("spin_half_plus")
+
+
+class Skewed:
+    """The plus map with deliberate errors: its angular operators times
+    ``sign`` and given the vector part ``vec``, its translations given the
+    operator part ``op``."""
+
+    def __init__(self, sign=1, vec=np.zeros(4), op=np.zeros((4, 4))):
+        self.sign, self.vec, self.op = sign, vec, op
+
+    def __call__(self, g):
+        image = PLUS(g)
+        if g.kind == "angular":
+            return GradedElement(QoElement(self.sign * image.l0.matrix), self.vec, 0)
+        return GradedElement(QoElement(self.op), image.l1, 0)
+
+    def angular_matrix(self, alpha, beta):
+        return self.sign * PLUS.angular_matrix(alpha, beta)
+
+    def bracket(self, x, y):
+        return PLUS.bracket(x, y)
+
+
+class Images:
+    """A stand-in generator map with angular operators only: those of
+    ``base``, except for the labels that ``changed`` replaces."""
+
+    def __init__(self, changed=(), base=PLUS.angular_matrix):
+        self.changed, self.base = dict(changed), base
+
+    def angular_matrix(self, alpha, beta):
+        return self.changed.get((alpha, beta), self.base(alpha, beta))
+
+
+def metric_images(*signs):
+    """Angular operators built like d_basis, with the metric diag(signs)."""
+    def image(alpha, beta):
+        m = np.zeros((4, 4), dtype=np.complex128)
+        m[beta, alpha] -= signs[alpha]
+        m[alpha, beta] += signs[beta]
+        return m
+    return Images(base=image)
+
+
+FIELDS = [EMField([0.6, -0.2, 0.1], [0.3, 0.5, -0.4]), EMField([0.1, 0.9, -0.3], [-0.7, 0.2, 0.5])]
+P0S = [np.array([1.0, 0.2, -0.1, 0.4]), np.array([1.5, 0.3, -0.2, 0.1])]
+
+
+def perturb(monkeypatch, name, change):
+    """Make verify's ``name`` return ``change`` of its true result."""
+    original = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: change(original(*args)))
+
+
+def poincare(rep, *names):
+    checks = {c.id: c for c in verify._poincare_checks(rep, "x")}
+    return [(checks[f"x.{name}"].residual, checks[f"x.{name}"].tolerance) for name in names]
+
+
+def explicit(rep):
+    return [(verify.explicit_commutator_residual(rep), 1e-14)]
+
+
+def squares(rep):
+    return [(verify.generator_squares_residual(rep), 1e-14)]
+
+
+def periods(half, whole):
+    return [(verify.half_angle_period_residual(half, whole), 1e-11)]
+
+
+def wrong_double_turn(mp):
+    # a double turn is the square of a full turn, so only a wrong flow can
+    # break it alone
+    original = verify.exponential_flow
+    mp.setattr(verify, "exponential_flow",
+               lambda x, phi: -original(x, phi) if phi > 3 * np.pi else original(x, phi))
+    return periods(PLUS.angular_matrix(1, 2), d_basis(1, 2))
+
+
+def boost_flows_of_opposite_rapidity(mp):
+    phis = (0.5, 1.0)
+    flows = [exponential_flow(d_basis(0, 1), -phi) for phi in phis]
+    return [(verify.boost_closed_form_residual(phis, flows), 1e-12)]
+
+
+def wrong_closed_boost(mp):
+    # flows equal to a wrong closed form: only the cosh/sinh sizes catch it
+    perturb(mp, "boost_flow_closed", lambda g: 2.0 * g)
+    phis = (0.5, 1.0)
+    flows = [verify.boost_flow_closed(1, phi) for phi in phis]
+    return [(verify.boost_closed_form_residual(phis, flows), 1e-12)]
+
+
+def np_blocks_minus_in_plus_tetrad(mp):
+    # the minus images are block diagonal in the conjugate tetrad only
+    res = [r for *_, r in np_block_residuals("spin_half_minus", np_matrix())]
+    return [(max(r[k] for r in res), 1e-12) for k in range(3)]
+
+
+def flipped_table_entry(mp):
+    dmat = qo_basis()
+    dmat[(0, 2)] = -dmat[(0, 2)]
+    return [(verify.bracket_table_residual(dmat), 1e-13)]
+
+
+def duplicated_generator(mp):
+    generators = [d_basis(*p) for p in [(0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (0, 1)]]
+    rank, _, span = verify.qo_dimension(generators)
+    return [(abs(rank - 6), 0.5), (span, 1e-12)]
+
+
+def imaginary_operator_jacobi(mp):
+    # an imaginary grade-0 part breaks the mixed identity of graded_bracket
+    a = GradedElement.from_operator(qo_from_operator(1j * d_basis(0, 1)))
+    triple = (a, GradedElement.from_vector(basis(0)), GradedElement.from_vector(basis(1)))
+    return [(verify.jacobi_residual(graded_bracket, [triple]), 1e-10)]
+
+
+def perturbed_faraday_square(mp):
+    perturb(mp, "faraday_tensor", lambda fc: fc + 1e-3 * d_basis(1, 2))
+    return [(verify.faraday_square_residual(FIELDS), 1e-12)]
+
+
+def perturbed_conjugate(mp):
+    perturb(mp, "faraday_conjugate", lambda fc: fc + 1e-3 * d_basis(1, 2))
+    return [(verify.conjugate_commutator_residual(FIELDS), 1e-12),
+            (verify.commuting_factor_residual(FIELDS, (0.5, 2.0)), 1e-11)]
+
+
+def momentum_off_the_flow(mp):
+    perturb(mp, "exp_faraday", lambda x: 1.001 * x)
+    shell, _ = verify.shell_and_reality_residuals(FIELDS, P0S, (0.0, 1.0))
+    return [(shell, 1e-11)]
+
+
+def complex_momentum(mp):
+    shell, real = verify.shell_and_reality_residuals(FIELDS, [1j * p for p in P0S], (0.0, 1.0))
+    return [(shell, 1e-11), (real, 1e-11)]
+
+
+def perturbed_components(mp):
+    perturb(mp, "faraday_components", lambda comps: 1.001 * comps)
+    return [(verify.flow_invariance_residual(FIELDS, (1, 3), (0.4, -1.1)), 1e-11)]
+
+
+def two_rk4_steps(mp):
+    return [(verify.closed_form_rk4_residual(FIELDS, P0S, 2.0, 2), 1e-8)]
+
+
+WRONG_INPUTS = {
+    # One case per term of each shared residual.  A case that isolates a
+    # term leaves the other terms at zero, so dropping that term fails it.
+    "poincare_angular_sign": lambda mp: poincare(
+        Skewed(sign=-1), "angular_translation_brackets", "angular_angular_brackets"),
+    "poincare_translation_operator": lambda mp: poincare(
+        Skewed(op=d_basis(0, 1)), "translation_brackets_vanish", "angular_translation_brackets"),
+    "poincare_angular_vector": lambda mp: poincare(
+        Skewed(vec=1j * basis(0)), "angular_translation_brackets"),
+    # another real form flips one sign: the metric entry of axis 2, 1 or 0
+    # decides the first, second or third commutator
+    "explicit_23_12": lambda mp: explicit(metric_images(1, -1, 1, -1)),
+    "explicit_01_31": lambda mp: explicit(metric_images(1, 1, -1, -1)),
+    "explicit_01_03": lambda mp: explicit(metric_images(-1, -1, -1, -1)),
+    # M03 commutes with M12 but not with M01
+    "explicit_01_23": lambda mp: explicit(Images(
+        {(2, 3): PLUS.angular_matrix(2, 3) + PLUS.angular_matrix(0, 3)})),
+    "rotation_cubes": lambda mp: [(verify.tripotency_residual([d_basis(1, 2)]), 1e-14)],
+    "car_square": lambda mp: [(verify.car_residual([d_basis(0, 1)]), 1e-14)],
+    "car_opposite_signs": lambda mp: [(verify.car_residual([d_pm(1, +1), d_pm(2, -1)]), 1e-14)],
+    "squares_boost": lambda mp: squares(Images(
+        {(0, j): PLUS.angular_matrix(*pair) for j, pair in DUAL_PAIRS.items()})),
+    "squares_rotation": lambda mp: squares(Images(
+        {pair: PLUS.angular_matrix(0, j) for j, pair in DUAL_PAIRS.items()})),
+    "period_half": lambda mp: periods(d_basis(1, 2), d_basis(1, 2)),
+    "period_whole": lambda mp: periods(PLUS.angular_matrix(1, 2), PLUS.angular_matrix(1, 2)),
+    "period_double": wrong_double_turn,
+    "boost_flow": boost_flows_of_opposite_rapidity,
+    "boost_sizes": wrong_closed_boost,
+    "np_blocks": np_blocks_minus_in_plus_tetrad,
+    "bracket_table": flipped_table_entry,
+    "dimension": duplicated_generator,
+    "jacobi": imaginary_operator_jacobi,
+    "faraday_square": perturbed_faraday_square,
+    "conjugate_factors": perturbed_conjugate,
+    "shell": momentum_off_the_flow,
+    "shell_and_reality": complex_momentum,
+    "flow_invariance": perturbed_components,
+    "closed_form_rk4": two_rk4_steps,
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_INPUTS))
+def test_shared_residuals_catch_a_wrong_input(case, monkeypatch):
+    # Each shared residual, given a deliberately wrong input, must exceed the
+    # tolerance its callers judge it by: a residual that returns 0 or drops
+    # a term fails here.
+    for residual, tolerance in WRONG_INPUTS[case](monkeypatch):
+        assert residual > tolerance
