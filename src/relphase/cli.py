@@ -196,13 +196,14 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
     taus = np.linspace(0.0, args.tau_max, args.samples)
     rows = []
-    # Overflow is detected on the rows below, so numpy's warnings are noise.
+    # Overflow is detected on the results, so numpy's warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
+        p_all = evolve_closed_form(field, p0, taus)
         if args.compare:
             p_num = evolve_numeric(field, p0, taus, args.rk4_steps)
         for k, tau in enumerate(taus):
             tau = float(tau)
-            p = evolve_closed_form(field, p0, tau)
+            p = p_all[k]
             row = {"tau": tau, "p": [float(x) for x in p]}
             values = row["p"]
             if args.compare:

@@ -23,13 +23,29 @@ conjugate-pair definition, for which the commuting-factor solution
 holds exactly.  Charge and mass are absorbed into the field units (q/m = 1);
 proper time is the evolution parameter.
 
+Field axis: an :class:`EMField` holds E and B of shape ``(..., 3)``, one
+field per leading index.  ``field_tensor``, ``faraday_tensor``,
+``faraday_conjugate``, ``evolution_generator``, ``invariant_z``,
+``exp_faraday``, ``evolve_closed_form`` and ``evolve_numeric`` work on such
+a stack in one call and broadcast the field axes against the proper times
+``tau`` (and a momentum's leading axes) by numpy's rules; a field stack of
+shape ``(N, 1)`` against ``tau`` of shape ``(T,)`` gives every field at
+every proper time.  Operators come back with shape ``(..., 4, 4)`` and
+momenta ``(..., 4)``.  Each entry of a batched result is bit for bit the
+result of the single call on that entry, and single inputs keep their
+types: a :class:`FieldInvariant` of ``complex``, ``(4, 4)`` operators,
+``(4,)`` momenta.
+
+A closed-form result that overflows double precision is an error:
+:func:`exp_faraday` and :func:`evolve_closed_form` raise ValueError naming
+the first proper time whose result is not finite, never return inf or NaN.
+
 The independent oracle is :func:`evolve_numeric`, classical fixed-step RK4
 built from the evolution generator A alone.  For this linear equation one
 step is exactly p <- p + D p with the increment matrix
-D = hA (I + hA/2 (I + hA/3 (I + hA/4))).  ``tau`` may be a vector: the stack
-of D, one per entry, is formed once and every entry is stepped together, so
-a trajectory costs one batched pass of ``steps`` products, not
-samples x steps.
+D = hA (I + hA/2 (I + hA/3 (I + hA/4))).  The stack of D, one per field and
+proper time, is formed once and every entry is stepped together, so a batch
+costs one pass of ``steps`` stacked products, not entries x steps.
 """
 
 from __future__ import annotations
@@ -40,17 +56,26 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .core import ETA, ArrayC, ArrayR
-from .liealgebra import QoElement, qo_realize
+from .liealgebra import QoElement
 from .representations import DUAL_PAIRS, Representation
+from .triproduct import d_basis
 
 # Kernel sinh(x)/x switches to its Taylor expansion below this |x| to avoid
 # cancellation near null fields.
 _SINHC_THRESHOLD = 1e-4
 
+_EYE_C = np.eye(4, dtype=np.complex128)
+_EYE_C.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class EMField:
-    """Uniform electric and magnetic field three-vectors, natural units."""
+    """Uniform electric and magnetic field three-vectors, natural units.
+
+    ``e`` and ``b`` have the same shape ``(..., 3)``: a single field or a
+    stack of fields along the leading axes.  Indexing selects along those
+    axes, ``fields[:40]`` or ``fields[:, None]``.
+    """
 
     e: ArrayR
     b: ArrayR
@@ -58,16 +83,23 @@ class EMField:
     def __post_init__(self) -> None:
         for name in ("e", "b"):
             v = np.array(getattr(self, name), dtype=np.float64, copy=True)
-            if v.shape != (3,):
+            if v.shape[-1:] != (3,):
                 raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-            if not np.all(np.isfinite(v)):
+            if not np.isfinite(v).all():
                 raise ValueError(f"{name} components must be finite")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
+        if self.e.shape != self.b.shape:
+            raise ValueError(f"e and b must have the same shape, got {self.e.shape} "
+                             f"and {self.b.shape}")
+
+    def __getitem__(self, index) -> "EMField":
+        index = index if isinstance(index, tuple) else (index,)
+        return EMField(self.e[index + (slice(None),)], self.b[index + (slice(None),)])
 
     @property
     def faraday_vector(self) -> ArrayC:
-        """Complex field vector E + iB."""
+        """Complex field vector E + iB, shape ``(..., 3)``."""
         return self.e + 1j * self.b
 
 
@@ -77,43 +109,50 @@ class FieldInvariant:
 
     Componentwise, z = (E.E - B.B) + 2i E.B.  ``w`` is the principal square
     root of z/4; the branch cannot influence any downstream quantity because
-    the evolution kernel is even in w.
+    the evolution kernel is even in w.  Both are ``complex`` for a single
+    field and arrays of the field axes for a stack.
     """
 
-    z: complex
-    w: complex
+    z: complex | ArrayC
+    w: complex | ArrayC
 
 
-_BOOST_PLUS = tuple(Representation("spin_half_plus").angular_matrix(0, j) for j in (1, 2, 3))
+_BOOST_PLUS = np.stack([Representation("spin_half_plus").angular_matrix(0, j) for j in (1, 2, 3)])
+_BOOST_PLUS.setflags(write=False)
 # Gram matrix of the three boost images, inverted once for component extraction.
-_BOOST_STACK = np.stack(_BOOST_PLUS).reshape(3, 16)
+_BOOST_STACK = _BOOST_PLUS.reshape(3, 16)
 _BOOST_PINV = np.linalg.pinv(_BOOST_STACK)
+# Boost generators D_{0j} and their dual rotations Dperp_j, j = 1, 2, 3, as
+# rows of 16 real entries.
+_BOOST_ROWS = np.stack([d_basis(0, j) for j in (1, 2, 3)]).real.reshape(3, 16)
+_ROTATION_ROWS = np.stack([d_basis(*DUAL_PAIRS[j]) for j in (1, 2, 3)]).real.reshape(3, 16)
 
 
 def field_tensor(f: EMField) -> QoElement:
     """Real algebra element sum_j E^j D_{0j} + B^j Dperp_j.
 
     Electric components generate boosts, magnetic components rotations.  The
-    result has real matrix entries and an antisymmetric lowered matrix.
+    result has real matrix entries and an antisymmetric lowered matrix; its
+    ``matrix`` has shape ``(..., 4, 4)``.  Each entry of the sum has one
+    nonzero term, so the products are exact, and zero entries are +0.
     """
-    coeffs = np.zeros((4, 4), dtype=np.complex128)
-    for j in (1, 2, 3):
-        coeffs[0, j] += f.e[j - 1] / 2.0
-        coeffs[j, 0] -= f.e[j - 1] / 2.0
-        k, l = DUAL_PAIRS[j]
-        coeffs[k, l] += f.b[j - 1] / 2.0
-        coeffs[l, k] -= f.b[j - 1] / 2.0
-    return qo_realize(coeffs)
+    m = f.e @ _BOOST_ROWS + f.b @ _ROTATION_ROWS
+    return QoElement(m.reshape(f.e.shape[:-1] + (4, 4)))
 
 
 def faraday_tensor(f: EMField) -> ArrayC:
-    """Complex Faraday operator sum_j (E^j + i B^j) X_j.
+    """Complex Faraday operator sum_j (E^j + i B^j) X_j, shape ``(..., 4, 4)``.
 
     X_j are the plus-representation boost images; the canonical
     anticommutation relations make the square equal z/4 times the identity.
     """
-    fc = f.faraday_vector
-    return fc[0] * _BOOST_PLUS[0] + fc[1] * _BOOST_PLUS[1] + fc[2] * _BOOST_PLUS[2]
+    return _faraday(f.faraday_vector)
+
+
+def _faraday(fc: ArrayC) -> ArrayC:
+    """sum_j fc^j X_j, summed in the order j = 1, 2, 3."""
+    t = fc[..., None, None] * _BOOST_PLUS
+    return t[..., 0, :, :] + t[..., 1, :, :] + t[..., 2, :, :]
 
 
 def faraday_conjugate(f: EMField) -> ArrayC:
@@ -131,7 +170,8 @@ def evolution_generator(f: EMField) -> ArrayR:
     Expands to sum_j E^j D_{0j} - B^j Dperp_j; note the magnetic sign is
     opposite to :func:`field_tensor` (see the module docstring).
     """
-    return (faraday_tensor(f) + faraday_conjugate(f)).real
+    fc = faraday_tensor(f)
+    return (fc + np.conj(fc)).real
 
 
 def faraday_components(x: ArrayLike, tol: float = 1e-10) -> ArrayC:
@@ -157,61 +197,107 @@ def lorentz_force(field_op: ArrayLike, p: ArrayLike) -> ArrayC:
     return np.asarray(field_op, dtype=np.complex128) @ np.asarray(p, dtype=np.complex128)
 
 
+def _half_root(fc: ArrayC) -> tuple[ArrayC, ArrayC]:
+    """z and its half-root w of the Faraday vectors ``fc``, per field."""
+    z = np.add.reduce(fc * fc, axis=-1)
+    return z, np.sqrt(z + 0j) / 2.0
+
+
 def invariant_z(f: EMField) -> FieldInvariant:
     """Complex invariant z = sum_j (E^j + i B^j)^2 and its half-root w."""
-    fc = f.faraday_vector
-    z = complex(np.sum(fc * fc))
-    w = complex(np.sqrt(z + 0j) / 2.0)
+    z, w = _half_root(f.faraday_vector)
+    if np.ndim(z) == 0:
+        return FieldInvariant(z=complex(z), w=complex(w))
     return FieldInvariant(z=z, w=w)
 
 
-def _sinhc(x: complex) -> complex:
-    """sinh(x)/x with a three-term Taylor fallback near zero."""
-    if abs(x) < _SINHC_THRESHOLD:
-        x2 = x * x
-        return 1.0 + x2 / 6.0 + x2 * x2 / 120.0
-    return np.sinh(x) / x
+def _sinhc(x: ArrayLike) -> complex | ArrayC:
+    """sinh(x)/x, entry by entry, with a three-term Taylor fallback near zero.
+
+    A complex product of numpy scalars and one of arrays may round
+    differently (the array loops may fuse a multiply and an add), so the
+    Taylor terms are built from real and imaginary parts with one rounding
+    per float operation: an entry has the same bits alone or in a stack.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    small = abs(x) < _SINHC_THRESHOLD
+    if not np.count_nonzero(small):
+        return np.sinh(x) / x
+    xr, xi = x.real, x.imag
+    x2r, x2i = xr * xr - xi * xi, xr * xi + xi * xr
+    x4r, x4i = x2r * x2r - x2i * x2i, x2r * x2i + x2i * x2r
+    taylor = ((1.0 + x2r / 6.0) + x4r / 120.0) + 1j * ((0.0 + x2i / 6.0) + x4i / 120.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(small, taylor, np.sinh(x) / x)[()]
 
 
-def exp_faraday(f: EMField, tau: float) -> ArrayC:
-    """Closed form of exp(tau * Faraday tensor).
+def _check_finite(values: ArrayC, tau: ArrayLike, trailing: int, what: str) -> None:
+    """Raise ValueError naming the proper time of the first non-finite entry.
+
+    ``values`` has the broadcast axes of the fields and ``tau``, then
+    ``trailing`` axes of one result; entries are taken in C order.
+    """
+    if not np.isfinite(values).all():
+        bad = ~np.isfinite(values)
+        taus = np.broadcast_to(np.reshape(tau, np.shape(tau) + (1,) * trailing), values.shape)
+        raise ValueError(f"non-finite result at tau={float(taus[bad][0]):.17g}: the {what} "
+                         "overflows double precision; reduce tau or the field")
+
+
+def _exp_faraday(f: EMField, tau: ArrayLike) -> ArrayC:
+    """exp(tau * Faraday tensor) without the finiteness check."""
+    tau = np.asarray(tau, dtype=np.float64)[()]
+    fc = f.faraday_vector
+    x = _half_root(fc)[1] * tau
+    k = tau * _sinhc(x)
+    return np.cosh(x)[..., None, None] * _EYE_C + k[..., None, None] * _faraday(fc)
+
+
+def exp_faraday(f: EMField, tau: ArrayLike) -> ArrayC:
+    """Closed form of exp(tau * Faraday tensor), shape ``(..., 4, 4)``.
 
     Because the tensor squares to w^2 I, the series collapses to
     cosh(w tau) I + tau sinhc(w tau) * tensor; the null-field limit w -> 0
     degenerates to I + tau * tensor.  Even in w, so the branch of the square
-    root is irrelevant.
+    root is irrelevant.  Raises ValueError when an entry overflows.
     """
-    w = invariant_z(f).w
-    fc = faraday_tensor(f)
-    return np.cosh(w * tau) * np.eye(4, dtype=np.complex128) + tau * _sinhc(w * tau) * fc
+    x = _exp_faraday(f, tau)
+    _check_finite(x, tau, 2, "flow")
+    return x
 
 
-def exp_faraday_conjugate(f: EMField, tau: float) -> ArrayC:
+def exp_faraday_conjugate(f: EMField, tau: ArrayLike) -> ArrayC:
     """Closed form of exp(tau * conjugate Faraday tensor)."""
     return np.conj(exp_faraday(f, tau))
 
 
-def evolve_closed_form(f: EMField, p0: ArrayLike, tau: float, imag_tol: float = 1e-9) -> ArrayR:
+def evolve_closed_form(f: EMField, p0: ArrayLike, tau: ArrayLike,
+                       imag_tol: float = 1e-9) -> ArrayR:
     """Evolve a real four-momentum through proper time tau in closed form.
 
     p(tau) = exp(tau conj(Fc)) exp(tau Fc) p0, using that the two factors
-    commute.  The input must be a real four-momentum; the output is real (the
+    commute.  The field axes, the axes of ``tau`` and the leading axes of
+    ``p0`` (shape ``(..., 4)``) broadcast; the result has shape ``(..., 4)``.
+    The input must be a real four-momentum; the output is real (the
     residual imaginary part is checked and discarded) and stays on the mass
-    shell p^2 = p0^2.  Raises ValueError when the imaginary residual exceeds
-    imag_tol * max(1, |p|).  A result that overflows is returned non-finite.
+    shell p^2 = p0^2.  Raises ValueError when an evolved momentum is not
+    finite, or when its imaginary residual exceeds imag_tol * max(1, |p|).
     """
     p0 = np.asarray(p0, dtype=np.complex128)
-    if p0.shape != (4,):
+    if p0.shape[-1:] != (4,):
         raise ValueError(f"momentum must have 4 components, got shape {p0.shape}")
     if np.abs(p0.imag).max() > imag_tol:
         raise ValueError("evolve_closed_form expects a real four-momentum")
-    x = exp_faraday(f, tau)
-    p = np.conj(x) @ (x @ p0.real)
-    imag = np.abs(p.imag).max()
-    # |p| is only needed when the residual is above the absolute tolerance.
-    if imag > imag_tol and imag > imag_tol * np.abs(p).max():
-        raise ValueError(f"imaginary residual {imag:.3e} of the evolved momentum "
-                         f"exceeds {imag_tol:g} relative to |p|")
+    x = _exp_faraday(f, tau)
+    p = (np.conj(x) @ (x @ p0.real[..., None]))[..., 0]
+    _check_finite(p, tau, 1, "momentum")
+    # |p| is only needed when a residual is above the absolute tolerance.
+    if np.abs(p.imag).max() > imag_tol:
+        imag = np.abs(p.imag).max(axis=-1)
+        bad = (imag > imag_tol) & (imag > imag_tol * np.abs(p).max(axis=-1))
+        if bad.any():
+            raise ValueError(f"imaginary residual {imag[bad].flat[0]:.3e} of the evolved "
+                             f"momentum exceeds {imag_tol:g} relative to |p|")
     return p.real.copy()
 
 
@@ -222,10 +308,13 @@ def evolve_numeric(f: EMField, p0: ArrayLike, tau: ArrayLike, steps: int) -> Arr
     the same equation the closed form solves; global error is O(steps^-4).
     Serves as the independent oracle for :func:`evolve_closed_form`.
 
-    ``tau`` is a scalar, giving shape (4,), or a 1-D array of proper times,
-    giving one row per entry, shape (len(tau), 4).  Each entry integrates
-    from 0 with its own step h = tau_k / steps.  For this linear equation
-    one RK4 step is exactly p <- p + D p with the increment matrix
+    ``tau`` is a scalar or a 1-D array of proper times; it broadcasts
+    against the field axes and the leading axes of ``p0`` (shape
+    ``(..., 4)``), and the result has one row of shape ``(4,)`` per entry.
+    A single field gives ``(4,)`` for a scalar tau and ``(len(tau), 4)`` for
+    a vector.  Each entry integrates from 0 with its own step
+    h = tau_k / steps.  For this linear equation one RK4 step is exactly
+    p <- p + D p with the increment matrix
     D = hA (I + hA/2 (I + hA/3 (I + hA/4))), A the evolution generator;
     the stack of D is formed once and all entries are stepped together.
     """
@@ -235,16 +324,15 @@ def evolve_numeric(f: EMField, p0: ArrayLike, tau: ArrayLike, steps: int) -> Arr
     if taus.ndim > 1:
         raise ValueError(f"tau must be a scalar or a 1-D array, got shape {taus.shape}")
     p = np.asarray(p0, dtype=np.float64)
-    if p.shape != (4,):
+    if p.shape[-1:] != (4,):
         raise ValueError(f"momentum must have 4 components, got shape {p.shape}")
     eye = np.eye(4)
-    x = (taus.reshape(-1, 1, 1) / steps) * evolution_generator(f)
+    x = (taus[..., None, None] / steps) * evolution_generator(f)
     d = x @ (eye + (x / 2.0) @ (eye + (x / 3.0) @ (eye + x / 4.0)))
-    q = p.reshape(4, 1)
+    q = p[..., None]
     for _ in range(steps):
         q = q + d @ q
-    q = q[..., 0]
-    return q[0] if taus.ndim == 0 else q
+    return q[..., 0]
 
 
 def shell_drift(p0: ArrayLike, p: ArrayLike) -> float:
@@ -266,9 +354,7 @@ def shell_drift(p0: ArrayLike, p: ArrayLike) -> float:
 def mass_shell_residual(f: EMField, p0: ArrayLike, tau: float) -> float:
     """Relative drift of p^2 along the closed-form flow at proper time tau.
 
-    Raises ValueError when the evolved momentum is not finite.
+    Raises ValueError, from :func:`evolve_closed_form`, when the evolved
+    momentum overflows.
     """
-    p = evolve_closed_form(f, p0, tau)
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"evolved momentum is not finite at tau={tau:g}")
-    return shell_drift(p0, p)
+    return shell_drift(p0, evolve_closed_form(f, p0, tau))

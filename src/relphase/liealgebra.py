@@ -127,11 +127,15 @@ def is_quasi_orthogonal(g: ArrayLike, tol: float = 1e-12) -> bool:
 
 
 def is_in_qo(x: ArrayLike, tol: float = 1e-12) -> bool:
-    """True when <Xa|b> + <a|Xb> = 0 on basis pairs, i.e. X^T eta + eta X = 0."""
+    """True when <Xa|b> + <a|Xb> = 0 on basis pairs, i.e. X^T eta + eta X = 0.
+
+    ``x`` may be a stack ``(..., 4, 4)``: then True when every operator is in
+    the algebra, each judged relative to its own size.
+    """
     x = np.asarray(x, dtype=np.complex128)
-    resid = np.abs(x.T @ ETA + ETA @ x).max()
-    scale = max(1.0, float(np.abs(x).max()))
-    return bool(resid <= tol * scale)
+    resid = np.abs(x.mT @ ETA + ETA @ x).max(axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(x).max(axis=(-2, -1)))
+    return bool((resid <= tol * scale).all())
 
 
 def commutator(a: ArrayLike, b: ArrayLike) -> ArrayC:

@@ -109,10 +109,6 @@ def _draw(rng: np.random.Generator, draws: int, *widths: int) -> list[np.ndarray
     return out
 
 
-def _rfield(rng: np.random.Generator) -> EMField:
-    return EMField(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-
-
 _ANGULAR = list(QO_BASIS_PAIRS)
 
 
@@ -494,78 +490,81 @@ def suite_representations(rng: np.random.Generator) -> list[Check]:
 # ---------------------------------------------------------------------------
 # em
 # ---------------------------------------------------------------------------
+#
+# The residual functions take ``fields``, an EMField stack with one leading
+# axis, and make one batched call per invariant; ``p0s`` has one row per
+# field.
 
-def faraday_square_residual(fields: list[EMField]) -> float:
+def faraday_square_residual(fields: EMField) -> float:
     """Largest deviation of the squared Faraday operator from z/4 times I."""
-    eye = np.eye(4)
-    worst = 0.0
-    for f in fields:
-        fc = faraday_tensor(f)
-        worst = max(worst, _rel(fc @ fc, (invariant_z(f).z / 4.0) * eye))
-    return worst
+    fc = faraday_tensor(fields)
+    return _worst(fc @ fc, (invariant_z(fields).z / 4.0)[:, None, None] * np.eye(4))
 
 
-def conjugate_commutator_residual(fields: list[EMField]) -> float:
+def conjugate_commutator_residual(fields: EMField) -> float:
     """Largest entry of the commutator of the Faraday operator and its conjugate."""
-    return max(float(np.abs(commutator(faraday_tensor(f), faraday_conjugate(f))).max())
-               for f in fields)
+    return float(np.abs(commutator(faraday_tensor(fields), faraday_conjugate(fields))).max())
 
 
-def commuting_factor_residual(fields: list[EMField], taus) -> float:
-    """exp(tau A) against exp(tau conj(Fc)) exp(tau Fc), A the evolution generator."""
-    worst = 0.0
-    for f in fields:
-        for tau in taus:
-            lhs = exponential_flow(evolution_generator(f), tau)
-            rhs = exponential_flow(faraday_conjugate(f), tau) @ exponential_flow(faraday_tensor(f), tau)
-            worst = max(worst, _rel(lhs, rhs))
-    return worst
+def commuting_factor_residual(fields: EMField, taus) -> float:
+    """exp(tau A) against exp(tau conj(Fc)) exp(tau Fc), A the evolution
+    generator, for every field at every tau."""
+    taus = np.asarray(taus, dtype=np.float64)[:, None, None]
+    lhs = exponential_flow(evolution_generator(fields)[:, None], taus)
+    rhs = (exponential_flow(faraday_conjugate(fields)[:, None], taus)
+           @ exponential_flow(faraday_tensor(fields)[:, None], taus))
+    return _worst(lhs.reshape(-1, 4, 4), rhs.reshape(-1, 4, 4))
 
 
-def shell_and_reality_residuals(fields: list[EMField], p0s, taus) -> tuple[float, float]:
+def _minkowski_square(p):
+    """p @ ETA @ p for each row of p, without conjugation."""
+    return ((p @ ETA)[..., None, :] @ p[..., :, None])[..., 0, 0]
+
+
+def shell_and_reality_residuals(fields: EMField, p0s, taus) -> tuple[float, float]:
     """Mass-shell drift and imaginary part of conj(X) X p0, X = exp_faraday(f, tau).
 
     Field k starts from the real momentum p0s[k]; both residuals are relative
     to max(1, |p|) (the drift to its square), maximised over fields and taus.
     """
-    worst_shell = worst_real = 0.0
-    for f, p0 in zip(fields, p0s):
-        for tau in taus:
-            x = exp_faraday(f, float(tau))
-            p = np.conj(x) @ (x @ p0.astype(np.complex128))
-            scale = max(1.0, float(np.abs(p).max()))
-            worst_real = max(worst_real, float(np.abs(p.imag).max()) / scale)
-            shell = abs((p.real @ ETA @ p.real) - (p0 @ ETA @ p0)) / scale ** 2
-            worst_shell = max(worst_shell, shell)
-    return worst_shell, worst_real
+    p0s = np.asarray(p0s)
+    x = exp_faraday(fields[:, None], np.asarray(taus, dtype=np.float64))
+    p = (np.conj(x) @ (x @ p0s.astype(np.complex128)[:, None, :, None]))[..., 0]
+    scale = np.maximum(1.0, np.abs(p).max(axis=-1))
+    real = float((np.abs(p.imag).max(axis=-1) / scale).max())
+    shell = np.abs(_minkowski_square(p.real) - _minkowski_square(p0s)[:, None]) / scale ** 2
+    return float(shell.max()), real
 
 
-def flow_invariance_residual(fields: list[EMField], axes, phis) -> float:
+def flow_invariance_residual(fields: EMField, axes, phis) -> float:
     """Change of the invariant z when field k is conjugated by the spin-1/2
     boost flow along axes[k] at rapidity phis[k], relative to max(1, |z|)."""
     plus = Representation("spin_half_plus")
-    worst = 0.0
-    for f, j, phi in zip(fields, axes, phis):
-        z = invariant_z(f).z
-        x = plus.angular_matrix(0, j)
-        transformed = (exponential_flow(x, phi) @ faraday_tensor(f)
-                       @ exponential_flow(x, -phi))
-        comps = faraday_components(transformed)
-        worst = max(worst, abs(complex(np.sum(comps * comps)) - z) / max(1.0, abs(z)))
-    return worst
+    x = np.stack([plus.angular_matrix(0, j) for j in axes])
+    phis = np.asarray(phis, dtype=np.float64)[:, None, None]
+    transformed = exponential_flow(x, phis) @ faraday_tensor(fields) @ exponential_flow(x, -phis)
+    # The pseudo-inverse contraction of faraday_components takes one operator.
+    comps = np.stack([faraday_components(t) for t in transformed])
+    z = invariant_z(fields).z
+    # hypot(re, im) is the modulus abs() gives a Python complex; numpy's
+    # complex abs can differ from it in the last bit.
+    change = np.add.reduce(comps * comps, axis=-1) - z
+    return float((np.hypot(change.real, change.imag)
+                  / np.maximum(1.0, np.hypot(z.real, z.imag))).max())
 
 
-def closed_form_rk4_residual(fields: list[EMField], p0s, tau: float, steps: int) -> float:
+def closed_form_rk4_residual(fields: EMField, p0s, tau: float, steps: int) -> float:
     """Closed-form evolution against RK4 with ``steps`` steps at proper time tau."""
-    return max(_rel(evolve_closed_form(f, p0, tau), evolve_numeric(f, p0, tau, steps))
-               for f, p0 in zip(fields, p0s))
+    return _worst(evolve_closed_form(fields, p0s, tau), evolve_numeric(fields, p0s, tau, steps))
 
 
 def suite_em(rng: np.random.Generator, draws: int = 500) -> list[Check]:
     checks = []
     eye = np.eye(4)
 
-    fields = [_rfield(rng) for _ in range(draws)]
+    # Field k takes row k: E from the first three entries, B from the last.
+    u = rng.uniform(-1, 1, (draws, 6))
+    fields = EMField(u[:, :3], u[:, 3:])
     checks.append(Check("em.faraday_square_invariant", faraday_square_residual(fields), 1e-12))
     checks.append(Check("em.conjugate_commutes", conjugate_commutator_residual(fields), 1e-12))
     checks.append(Check("em.commuting_factorization",
@@ -580,28 +579,24 @@ def suite_em(rng: np.random.Generator, draws: int = 500) -> list[Check]:
     checks.append(Check("em.invariant_under_flows",
                         flow_invariance_residual(fields[:40], axes, phis), 1e-11))
 
-    worst = 0.0
-    for f in fields[:40]:
-        inv = invariant_z(f)
-        fc = faraday_tensor(f)
-        for tau in (0.7, 3.0):
-            wp = np.cosh(inv.w * tau) * eye + (tau * _sinhc(inv.w * tau)) * fc
-            wm = np.cosh(-inv.w * tau) * eye + (tau * _sinhc(-inv.w * tau)) * fc
-            worst = max(worst, float(np.abs(wp - wm).max()) / max(1.0, float(np.abs(wp).max())))
+    w = invariant_z(fields[:40]).w[:, None]
+    fc = faraday_tensor(fields[:40])[:, None]
+    taus = np.array([0.7, 3.0])
+    wp = (np.cosh(w * taus)[..., None, None] * eye
+          + (taus * _sinhc(w * taus))[..., None, None] * fc)
+    wm = (np.cosh(-w * taus)[..., None, None] * eye
+          + (taus * _sinhc(-w * taus))[..., None, None] * fc)
+    worst = (np.abs(wp - wm).max(axis=(-2, -1))
+             / np.maximum(1.0, np.abs(wp).max(axis=(-2, -1)))).max()
     checks.append(Check("em.branch_independence", worst, 1e-15))
 
-    worst = 0.0
-    for f in fields[:60]:
-        q = field_tensor(f)
-        ok = is_in_qo(q.matrix)
-        worst = max(worst, 0.0 if ok else 1.0, float(np.abs(q.matrix.imag).max()))
+    q = field_tensor(fields[:60])
+    worst = max(0.0 if is_in_qo(q.matrix) else 1.0, float(np.abs(q.matrix.imag).max()))
     checks.append(Check("em.field_tensor_in_algebra", worst, 1e-12))
 
-    worst = 0.0
     null = EMField([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    for tau in (0.5, 2.0, 7.0):
-        fc = faraday_tensor(null)
-        worst = max(worst, _rel(exp_faraday(null, tau), np.eye(4) + tau * fc))
+    taus = np.array([0.5, 2.0, 7.0])
+    worst = _worst(exp_faraday(null, taus), np.eye(4) + taus[:, None, None] * faraday_tensor(null))
     checks.append(Check("em.null_field_flow_linear", worst, 1e-12))
 
     worst = closed_form_rk4_residual(fields[:3], rng.uniform(-1, 1, (3, 4)), 1.0, 2000)

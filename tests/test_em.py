@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relphase import (ETA, EMField, Representation, basis, d_basis,
+from relphase import (DUAL_PAIRS, ETA, EMField, Representation, basis, d_basis,
                       evolution_generator, evolve_closed_form, evolve_numeric,
                       exp_faraday, exp_faraday_conjugate, exponential_flow,
                       faraday_components, faraday_conjugate, faraday_tensor,
                       field_tensor, invariant_z, is_in_qo, lorentz_force,
-                      mass_shell_residual, scalar_product)
-from relphase.em import shell_drift
+                      mass_shell_residual, qo_realize, scalar_product)
+from relphase.em import _sinhc, shell_drift
 from relphase.verify import (commuting_factor_residual, conjugate_commutator_residual,
                              faraday_square_residual, flow_invariance_residual,
                              shell_and_reality_residuals)
@@ -23,8 +25,9 @@ def rel(x, y):
 
 
 def random_fields(seed, n):
-    rng = np.random.default_rng(seed)
-    return [EMField(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)) for _ in range(n)]
+    """A stack of n fields; field k is E, B = rows k of two uniform draws."""
+    u = np.random.default_rng(seed).uniform(-1, 1, (n, 6))
+    return EMField(u[:, :3], u[:, 3:])
 
 
 class TestEMField:
@@ -37,6 +40,31 @@ class TestEMField:
             EMField([1, 2], [0, 0, 0])
         with pytest.raises(ValueError):
             EMField([1, 2, np.nan], [0, 0, 0])
+
+    def test_rejects_bad_stacks(self):
+        e = np.random.default_rng(40).uniform(-1, 1, (50, 3))
+        with pytest.raises(ValueError, match="3-vector"):
+            EMField(e[:, :2], e[:, :2])
+        with pytest.raises(ValueError, match="same shape"):
+            EMField(e, e[:49])
+        with pytest.raises(ValueError, match="same shape"):
+            EMField(e, e[0])
+        for name in ("e", "b"):
+            bad = e.copy()
+            bad[37, 1] = np.inf
+            with pytest.raises(ValueError, match=f"{name} components must be finite"):
+                EMField(bad, e) if name == "e" else EMField(e, bad)
+
+    def test_stack_is_read_only_copy(self):
+        e = np.random.default_rng(41).uniform(-1, 1, (4, 2, 3))
+        f = EMField(e, -e)
+        e[0, 0, 0] = 5.0
+        assert f.e[0, 0, 0] != 5.0
+        for v in (f.e, f.b, f[1:].e, f[:, None].b):
+            with pytest.raises(ValueError):
+                v[..., 0] = 0.0
+        assert f[1:].e.shape == (3, 2, 3) and f[:, None].b.shape == (4, 1, 2, 3)
+        np.testing.assert_array_equal(f[2, 1].e, e[2, 1])
 
 
 class TestFieldTensor:
@@ -290,7 +318,7 @@ class TestEvolution:
         fields = random_fields(33, 20)
         p0 = np.array([1.5, 0.3, -0.2, 0.1])
         taus = np.linspace(0.0, 10.0, 6)
-        shell, real = shell_and_reality_residuals(fields, [p0] * len(fields), taus)
+        shell, real = shell_and_reality_residuals(fields, np.tile(p0, (20, 1)), taus)
         assert real < 1e-11
         assert shell < 1e-11
         for f in fields:
@@ -310,3 +338,150 @@ class TestEvolution:
             kern = np.sinh(w * tau) / w
             got = np.cosh(w * tau) * np.eye(4) + kern * fc
             np.testing.assert_allclose(got, exp_faraday(f, tau), atol=1e-13)
+
+
+def contract_fields():
+    """2 000 random fields with null, pure-E, pure-B and zero fields mixed in.
+
+    The null fields are exact (a unit E with a perpendicular unit B) or
+    built from orthonormal pairs, so |w tau| < 1e-4 and the Taylor branch of
+    the kernel runs in the same stack as the sinh branch.  Pure-E fields
+    carry B = -0.0 to exercise signed zeros.
+    """
+    rng = np.random.default_rng(43)
+    e, b = rng.uniform(-1, 1, (2, 2000, 3))
+    e1 = rng.standard_normal((60, 3))
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    v = rng.standard_normal((60, 3))
+    e2 = v - np.sum(v * e1, axis=1, keepdims=True) * e1
+    e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
+    amp = rng.uniform(0.2, 1.0, (60, 1))
+    unit = np.eye(3)
+    special_e = np.concatenate([amp * e1, 0.7 * unit, -unit, 0 * unit, unit, np.zeros((1, 3))])
+    special_b = np.concatenate([amp * e2, 0 * unit, -0.0 * unit, -0.9 * unit, np.roll(unit, 1, 0),
+                                np.zeros((1, 3))])
+    order = rng.permutation(2000 + len(special_e))
+    return (EMField(np.concatenate([e, special_e])[order], np.concatenate([b, special_b])[order]),
+            rng.uniform(-1, 1, (2000 + len(special_e), 4)))
+
+
+def assert_same_bits(got, want):
+    """Equal entries, the sign of every zero included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if got.dtype.kind == "c":
+        got, want = np.stack([got.real, got.imag]), np.stack([want.real, want.imag])
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+CONTRACT_TAUS = np.array([0.0, 0.7, 3.0, -1.3])
+CONTRACT_FIELDS, CONTRACT_P0S = contract_fields()
+
+
+class TestFieldAxis:
+    """A stack of fields gives, entry by entry, the bits of the single calls."""
+
+    fields, p0s = CONTRACT_FIELDS, CONTRACT_P0S
+    singles = [CONTRACT_FIELDS[k] for k in range(len(CONTRACT_P0S))]
+
+    def test_stack_has_the_taylor_branch(self):
+        x = np.abs(invariant_z(self.fields).w[:, None] * CONTRACT_TAUS[1:])
+        assert np.count_nonzero(x < 1e-4) >= 60 * 3 and np.count_nonzero(x >= 1e-4) > 2000
+
+    def test_operators(self):
+        for fn in (faraday_tensor, faraday_conjugate, evolution_generator):
+            assert_same_bits(fn(self.fields), np.stack([fn(f) for f in self.singles]))
+        assert_same_bits(field_tensor(self.fields).matrix,
+                         np.stack([field_tensor(f).matrix for f in self.singles]))
+
+    def test_invariants(self):
+        inv = invariant_z(self.fields)
+        assert_same_bits(inv.z, np.array([invariant_z(f).z for f in self.singles]))
+        assert_same_bits(inv.w, np.array([invariant_z(f).w for f in self.singles]))
+        x = inv.w[:, None] * CONTRACT_TAUS
+        assert_same_bits(_sinhc(x), np.array([[_sinhc(v) for v in row] for row in x]))
+
+    def test_closed_form_over_fields_and_taus(self):
+        grid = exp_faraday(self.fields[:, None], CONTRACT_TAUS)
+        assert grid.shape == (len(self.singles), len(CONTRACT_TAUS), 4, 4)
+        assert_same_bits(grid, np.stack([[exp_faraday(f, float(t)) for t in CONTRACT_TAUS]
+                                         for f in self.singles]))
+        paired = evolve_closed_form(self.fields, self.p0s, 2.5)
+        assert_same_bits(paired, np.stack([evolve_closed_form(f, p0, 2.5)
+                                           for f, p0 in zip(self.singles, self.p0s)]))
+        rows = evolve_closed_form(self.fields[:, None], self.p0s[:, None], CONTRACT_TAUS)
+        for k, tau in enumerate(CONTRACT_TAUS):
+            assert_same_bits(rows[:, k], np.stack([evolve_closed_form(f, p0, float(tau))
+                                                   for f, p0 in zip(self.singles, self.p0s)]))
+
+    def test_rk4_over_fields_and_taus(self):
+        got = evolve_numeric(self.fields[:200, None], self.p0s[:200, None], CONTRACT_TAUS, 9)
+        assert got.shape == (200, len(CONTRACT_TAUS), 4)
+        assert_same_bits(got, np.stack([evolve_numeric(f, p0, CONTRACT_TAUS, 9)
+                                        for f, p0 in zip(self.singles, self.p0s[:200])]))
+
+    def test_single_inputs_keep_their_types(self):
+        f = self.singles[0]
+        inv = invariant_z(f)
+        assert type(inv.z) is complex and type(inv.w) is complex
+        assert isinstance(_sinhc(0.5 + 0.1j), complex) and isinstance(_sinhc(1e-6), complex)
+        assert faraday_tensor(f).shape == exp_faraday(f, 1.0).shape == (4, 4)
+        assert field_tensor(f).matrix.shape == (4, 4)
+        assert evolve_closed_form(f, self.p0s[0], 1.0).shape == (4,)
+        assert evolve_numeric(f, self.p0s[0], 1.0, 5).shape == (4,)
+        assert isinstance(mass_shell_residual(f, self.p0s[0], 1.0), float)
+
+
+def qo_realize_field_tensor(f):
+    """sum_j E^j D_{0j} + B^j Dperp_j through a coefficient tensor and qo_realize."""
+    coeffs = np.zeros((4, 4), dtype=np.complex128)
+    for j in (1, 2, 3):
+        coeffs[0, j] += f.e[j - 1] / 2.0
+        coeffs[j, 0] -= f.e[j - 1] / 2.0
+        k, l = DUAL_PAIRS[j]
+        coeffs[k, l] += f.b[j - 1] / 2.0
+        coeffs[l, k] -= f.b[j - 1] / 2.0
+    return qo_realize(coeffs)
+
+
+def test_field_tensor_equals_the_coefficient_tensor_path():
+    want = np.stack([qo_realize_field_tensor(f).matrix for f in TestFieldAxis.singles])
+    assert_same_bits(field_tensor(CONTRACT_FIELDS).matrix, want)
+
+
+components = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+three = st.lists(components, min_size=3, max_size=3)
+
+
+@given(three, three, components, st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_closed_form_is_finite_or_value_error(e, b, tau, p0):
+    # |E|, |B| and tau up to 1e300: a finite result or a ValueError, never
+    # inf or NaN and never another exception
+    f = EMField(e, b)
+    with np.errstate(all="ignore"):
+        for call in (lambda: exp_faraday(f, tau), lambda: exp_faraday_conjugate(f, tau),
+                     lambda: evolve_closed_form(f, p0, tau),
+                     lambda: mass_shell_residual(f, p0, tau)):
+            try:
+                out = call()
+            except ValueError as exc:
+                assert str(exc).startswith(("non-finite result at tau=", "imaginary residual"))
+                continue
+            assert np.all(np.isfinite(out))
+
+
+def test_overflow_names_the_first_non_finite_tau():
+    f = EMField([1, 0, 0], [0.05, 0, 0])
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match=r"^non-finite result at tau=800:"):
+            evolve_closed_form(f, [1, 0.1, 0, 0], 800.0)
+        with pytest.raises(ValueError, match=r"^non-finite result at tau=1600:"):
+            exp_faraday(f, 1600.0)
+        with pytest.raises(ValueError, match=r"^non-finite result at tau=1500:"):
+            evolve_closed_form(f, [1, 0, 0, 0], [0.0, 700.0, 1500.0, 1600.0])
+        # entries in C order: the 0.1 field stays finite, the unit field
+        # overflows at 1600 and 1500, and 1600 comes first
+        stack = EMField([[0.1, 0, 0], [1, 0, 0]], [[0, 0, 0], [0, 0, 0]])
+        with pytest.raises(ValueError, match=r"^non-finite result at tau=1600:"):
+            exp_faraday(stack[:, None], [10.0, 1600.0, 1500.0])

@@ -82,6 +82,16 @@ class TestMembership:
         assert is_in_qo(d_basis(0, 1))
         assert is_in_qo(1j * d_basis(2, 3))
 
+    def test_stack_is_in_algebra_when_every_operator_is(self):
+        stack = np.stack([d_basis(0, 1), 1e6 * d_basis(2, 3), 1j * d_basis(1, 3)])
+        assert is_in_qo(stack)
+        assert is_in_qo(stack.reshape(3, 1, 4, 4))
+        # each operator is judged relative to its own size
+        bumped = stack.copy()
+        bumped[2, 0, 0] = 1e-9
+        assert not is_in_qo(bumped)
+        assert not is_in_qo(np.stack([d_basis(0, 1), np.eye(4)]))
+
     def test_algebra_exponentiates_into_group(self):
         rng = np.random.default_rng(7)
         for _ in range(10):

@@ -4,13 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relphase import (DUAL_PAIRS, EMField, GradedElement, QoElement, Representation,
+from relphase import (DUAL_PAIRS, ETA, EMField, GradedElement, QoElement, Representation,
                       basis, commutator, conjugate, d_basis, d_hat, d_operator, d_pm,
-                      decompose, exponential_flow, graded_bracket, np_matrix, qo_basis,
-                      qo_from_operator, scalar_product, scalar_square,
+                      decompose, evolution_generator, evolve_closed_form, evolve_numeric,
+                      exp_faraday, exponential_flow, faraday_components, faraday_conjugate,
+                      faraday_tensor, field_tensor, graded_bracket, invariant_z, is_in_qo,
+                      np_matrix, qo_basis, qo_from_operator, scalar_product, scalar_square,
                       symplectic_bracket, tri_product, tri_product_coords, verify)
+from relphase.em import _sinhc
 from relphase.representations import np_block_residuals
-from relphase.verify import (SUITES, _draw, _rel, _rvec, _worst, run_all, suite_core,
+from relphase.verify import (SUITES, _draw, _rel, _rvec, _worst, run_all, suite_core, suite_em,
                              suite_triproduct)
 
 PINNED_SEED42 = Path(__file__).parent / "data" / "verify_seed42.json"
@@ -144,8 +147,64 @@ def test_batched_suites_reproduce_the_per_draw_loops():
         assert batched.bit_generator.state == per_draw.bit_generator.state
 
 
-
 PLUS = Representation("spin_half_plus")
+
+
+def loop_em(rng, draws):
+    """The per-field loops of suite_em, kept as its reference."""
+    eye = np.eye(4)
+    fields = [EMField(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)) for _ in range(draws)]
+    square = max(_rel(faraday_tensor(f) @ faraday_tensor(f), (invariant_z(f).z / 4.0) * eye)
+                 for f in fields)
+    commute = max(float(np.abs(commutator(faraday_tensor(f), faraday_conjugate(f))).max())
+                  for f in fields)
+    factor = max(_rel(exponential_flow(evolution_generator(f), tau),
+                      exponential_flow(faraday_conjugate(f), tau)
+                      @ exponential_flow(faraday_tensor(f), tau))
+                 for f in fields[:60] for tau in (0.5, 2.0, 10.0))
+    shell = real = 0.0
+    for f, p0 in zip(fields[:40], rng.uniform(-1, 1, (40, 4))):
+        for tau in np.linspace(0.0, 10.0, 9):
+            x = exp_faraday(f, float(tau))
+            p = np.conj(x) @ (x @ p0.astype(np.complex128))
+            scale = max(1.0, float(np.abs(p).max()))
+            real = max(real, float(np.abs(p.imag).max()) / scale)
+            shell = max(shell, abs((p.real @ ETA @ p.real) - (p0 @ ETA @ p0)) / scale ** 2)
+    flows = 0.0
+    for f in fields[:40]:
+        j, phi = int(rng.integers(1, 4)), float(rng.uniform(-1.5, 1.5))
+        z = invariant_z(f).z
+        x = PLUS.angular_matrix(0, j)
+        comps = faraday_components(exponential_flow(x, phi) @ faraday_tensor(f)
+                                   @ exponential_flow(x, -phi))
+        flows = max(flows, abs(complex(np.sum(comps * comps)) - z) / max(1.0, abs(z)))
+    branch = 0.0
+    for f in fields[:40]:
+        w, fc = invariant_z(f).w, faraday_tensor(f)
+        for tau in (0.7, 3.0):
+            wp = np.cosh(w * tau) * eye + (tau * _sinhc(w * tau)) * fc
+            wm = np.cosh(-w * tau) * eye + (tau * _sinhc(-w * tau)) * fc
+            branch = max(branch, float(np.abs(wp - wm).max()) / max(1.0, float(np.abs(wp).max())))
+    algebra = 0.0
+    for f in fields[:60]:
+        q = field_tensor(f)
+        algebra = max(algebra, 0.0 if is_in_qo(q.matrix) else 1.0,
+                      float(np.abs(q.matrix.imag).max()))
+    null = EMField([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    linear = max(_rel(exp_faraday(null, tau), eye + tau * faraday_tensor(null))
+                 for tau in (0.5, 2.0, 7.0))
+    rk4 = max(_rel(evolve_closed_form(f, p0, 1.0), evolve_numeric(f, p0, 1.0, 2000))
+              for f, p0 in zip(fields[:3], rng.uniform(-1, 1, (3, 4))))
+    return [square, commute, factor, shell, real, flows, branch, algebra, linear, rk4]
+
+
+def test_batched_em_suite_reproduces_the_per_field_loops():
+    # Same fields, same kernel bits: every residual is equal, and the
+    # generator is left in the same state.
+    for seed in (5, 11):
+        batched, per_field = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert [c.residual for c in suite_em(batched, draws=120)] == loop_em(per_field, 120)
+        assert batched.bit_generator.state == per_field.bit_generator.state
 
 
 class Skewed:
@@ -190,8 +249,8 @@ def metric_images(*signs):
     return Images(base=image)
 
 
-FIELDS = [EMField([0.6, -0.2, 0.1], [0.3, 0.5, -0.4]), EMField([0.1, 0.9, -0.3], [-0.7, 0.2, 0.5])]
-P0S = [np.array([1.0, 0.2, -0.1, 0.4]), np.array([1.5, 0.3, -0.2, 0.1])]
+FIELDS = EMField([[0.6, -0.2, 0.1], [0.1, 0.9, -0.3]], [[0.3, 0.5, -0.4], [-0.7, 0.2, 0.5]])
+P0S = np.array([[1.0, 0.2, -0.1, 0.4], [1.5, 0.3, -0.2, 0.1]])
 
 
 def perturb(monkeypatch, name, change):
@@ -283,7 +342,7 @@ def momentum_off_the_flow(mp):
 
 
 def complex_momentum(mp):
-    shell, real = verify.shell_and_reality_residuals(FIELDS, [1j * p for p in P0S], (0.0, 1.0))
+    shell, real = verify.shell_and_reality_residuals(FIELDS, 1j * P0S, (0.0, 1.0))
     return [(shell, 1e-11), (real, 1e-11)]
 
 
