@@ -146,13 +146,17 @@ def cmd_transform(args: argparse.Namespace) -> int:
         raise ConfigError(f"phi must be finite, got {args.phi}")
     rep = Representation(args.representation)
     v = phase_vector([parse_complex(c) for c in args.component])
-    # Overflow is detected on the result below, so numpy's warnings are noise.
+    overflow = ConfigError(f"non-finite result at phi={args.phi:.17g}: the flow overflows "
+                           "double precision; reduce phi or the components")
+    # Overflow is detected on the results, so numpy's warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        matrix = exponential_flow(rep.angular_matrix(*gen.indices) * gen.sign, args.phi)
+        try:
+            matrix = exponential_flow(rep.angular_matrix(*gen.indices) * gen.sign, args.phi)
+        except ValueError:
+            raise overflow from None
         out = matrix @ v
-    if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(out))):
-        raise ConfigError(f"non-finite result at phi={args.phi:.17g}: the flow overflows "
-                          "double precision; reduce phi or the components")
+    if not np.all(np.isfinite(out)):
+        raise overflow
 
     if args.format == "json":
         payload = json.dumps({

@@ -22,6 +22,17 @@ The graded algebra is L0 + L1 + L2 with L0 the quasi-orthogonal algebra,
 L1 the phase space and L2 the complex scalars.  Brackets: operator commutator
 on L0; [A, v] = A v between L0 and L1; the symplectic skew product between
 two vectors, landing in L2; every bracket involving L2 vanishes.
+
+Batch axes: elements may be stacks.  A ``QoElement`` holds operators of
+shape ``(..., 4, 4)``; a ``GradedElement`` holds ``l0.matrix`` of shape
+``(..., 4, 4)``, ``l1`` of shape ``(..., 4)`` and ``l2`` of shape ``(...)``,
+one element per leading index, broadcast against each other.
+``graded_bracket``, ``GradedElement.norm``, the arithmetic, ``qo_realize``
+and ``qo_from_operator`` work on stacks; the norm is taken per element.  A
+single element keeps its types: ``l2`` is a Python ``complex`` and
+``norm()`` a ``float``.  The products are stacked matrix products, so each
+entry of a stacked result has the bits of the single-element call.  The
+arrays an element holds are read-only copies.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import ETA, ArrayC, symplectic_bracket
+from .core import ETA, ArrayC, ArrayR, symplectic_bracket
 from .triproduct import d_basis
 
 #: Index pairs of the six independent algebra generators, in the order
@@ -48,7 +59,8 @@ def qo_basis() -> dict[tuple[int, int], ArrayC]:
 class QoElement:
     """Element of the quasi-orthogonal algebra, held as its realised operator.
 
-    matrix: the operator, summed over all ordered index pairs.
+    matrix: the operator, summed over all ordered index pairs; a stack of
+    operators has shape (..., 4, 4).
     coeffs: the antisymmetric 4x4 coefficient tensor x^{alpha beta}, derived
     from ``matrix`` on each access.
     """
@@ -88,28 +100,30 @@ class QoElement:
 
 
 def qo_realize(coeffs: ArrayLike, tol: float = 1e-12) -> QoElement:
-    """Realise an antisymmetric coefficient tensor as an algebra element.
+    """Realise an antisymmetric coefficient tensor, or a (..., 4, 4) stack of
+    them, as an algebra element.
 
-    Raises ValueError when the input tensor is not antisymmetric within tol.
+    Raises ValueError when an input tensor is not antisymmetric within tol.
     """
     x = np.asarray(coeffs, dtype=np.complex128)
-    if x.shape != (4, 4):
+    if x.shape[-2:] != (4, 4):
         raise ValueError(f"coefficient tensor must be 4x4, got shape {x.shape}")
-    asym = np.abs(x + x.T).max()
+    asym = np.abs(x + x.mT).max()
     if asym > tol:
         raise ValueError(f"coefficient tensor is not antisymmetric (residual {asym:.3e})")
-    x = 0.5 * (x - x.T)  # exact antisymmetry
+    x = 0.5 * (x - x.mT)  # exact antisymmetry
     return QoElement(2 * x @ ETA)
 
 
 def qo_from_operator(matrix: ArrayLike, tol: float = 1e-10) -> QoElement:
-    """Wrap an operator known to lie in the algebra as an element.
+    """Wrap an operator, or a (..., 4, 4) stack of operators, known to lie in
+    the algebra as an element.
 
-    Raises ValueError when the operator is outside the algebra within tol,
+    Raises ValueError when an operator is outside the algebra within tol,
     judged by :func:`is_in_qo`.
     """
     m = np.asarray(matrix, dtype=np.complex128)
-    if m.shape != (4, 4) or not is_in_qo(m, tol):
+    if m.shape[-2:] != (4, 4) or not is_in_qo(m, tol):
         raise ValueError("operator is not in the quasi-orthogonal algebra")
     return QoElement(m)
 
@@ -147,21 +161,24 @@ def commutator(a: ArrayLike, b: ArrayLike) -> ArrayC:
 
 @dataclass(frozen=True)
 class GradedElement:
-    """Element of the graded algebra L0 + L1 + L2.
+    """Element of the graded algebra L0 + L1 + L2, or a stack of elements.
 
-    l0: quasi-orthogonal operator part; l1: phase-space vector part;
-    l2: complex scalar part.  Addition is componentwise.
+    l0: quasi-orthogonal operator part, (..., 4, 4); l1: phase-space vector
+    part, (..., 4); l2: complex scalar part, (...), a Python ``complex`` for
+    a single element.  Addition is componentwise.
     """
 
     l0: QoElement
     l1: ArrayC
-    l2: complex
+    l2: complex | ArrayC
 
     def __post_init__(self) -> None:
         vec = np.array(self.l1, dtype=np.complex128, copy=True)
         vec.setflags(write=False)
         object.__setattr__(self, "l1", vec)
-        object.__setattr__(self, "l2", complex(self.l2))
+        scal = np.array(self.l2, dtype=np.complex128, copy=True)
+        scal.setflags(write=False)
+        object.__setattr__(self, "l2", complex(scal) if scal.ndim == 0 else scal)
 
     @staticmethod
     def zero() -> "GradedElement":
@@ -188,11 +205,16 @@ class GradedElement:
     def __neg__(self) -> "GradedElement":
         return GradedElement(-self.l0, -self.l1, -self.l2)
 
-    def norm(self) -> float:
-        """Max-entry size across the three grades; used for residual scaling."""
-        return max(float(np.abs(self.l0.matrix).max()),
-                   float(np.abs(self.l1).max()),
-                   abs(self.l2))
+    def norm(self) -> float | ArrayR:
+        """Max-entry size across the three grades, per element; used for
+        residual scaling.  A float for a single element."""
+        l2 = np.asarray(self.l2)
+        # hypot(re, im) is the modulus abs() gives a Python complex; numpy's
+        # complex abs can differ from it in the last bit.
+        size = np.maximum(np.maximum(np.abs(self.l0.matrix).max(axis=(-2, -1)),
+                                     np.abs(self.l1).max(axis=-1)),
+                          np.hypot(l2.real, l2.imag))
+        return float(size) if size.ndim == 0 else size
 
 
 def graded_bracket(x: GradedElement, y: GradedElement) -> GradedElement:
@@ -214,6 +236,6 @@ def graded_bracket(x: GradedElement, y: GradedElement) -> GradedElement:
     """
     # The commutator of two algebra elements stays in the algebra.
     op = QoElement(commutator(x.l0.matrix, y.l0.matrix))
-    vec = x.l0.matrix @ y.l1 - y.l0.matrix @ x.l1
+    vec = np.matvec(x.l0.matrix, y.l1) - np.matvec(y.l0.matrix, x.l1)
     scal = symplectic_bracket(x.l1, y.l1)
     return GradedElement(op, vec, scal)

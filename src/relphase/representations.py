@@ -44,6 +44,7 @@ consistency and covered by tests:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,7 @@ from scipy.linalg import expm
 
 from .core import ArrayC, basis, symplectic_bracket
 from .liealgebra import (QO_BASIS_PAIRS, GradedElement, QoElement, commutator,
-                         graded_bracket, qo_realize)
+                         graded_bracket)
 from .triproduct import d_basis
 
 # ---------------------------------------------------------------------------
@@ -125,16 +126,19 @@ def qo_dual(q: QoElement) -> QoElement:
     """Linear dual map on the algebra: boost planes to their rotation planes.
 
     On the basis: (0,j) -> dual pair of j, and the dual pair of j -> -(0,j);
-    applying it twice gives minus the identity.
+    applying it twice gives minus the identity.  On the operator it is a
+    signed permutation of the entries: with (k, l) the dual pair of j, entry
+    (k, l) of the result is entry (0, j) of q and entry (l, k) its negative,
+    and entries (0, j) and (j, 0) are minus entry (k, l) of q.  Every zero
+    comes out as +0.0.  Works on (..., 4, 4) stacks.
     """
-    x = q.coeffs
-    out = np.zeros((4, 4), dtype=np.complex128)
+    m = q.matrix
+    out = np.zeros_like(m)
     for j, (k, l) in DUAL_PAIRS.items():
-        out[k, l] += x[0, j]
-        out[l, k] -= x[0, j]
-        out[0, j] -= x[k, l]
-        out[j, 0] += x[k, l]
-    return qo_realize(out)
+        out[..., k, l], out[..., l, k] = m[..., 0, j], -m[..., 0, j]
+        out[..., 0, j] = out[..., j, 0] = -m[..., k, l]
+    # Adding 0.0 turns the -0.0 left by negation into +0.0.
+    return QoElement(out + 0.0)
 
 
 def d_pm(j: int, sign: int) -> ArrayC:
@@ -241,13 +245,14 @@ def half_graded_bracket(x: GradedElement, y: GradedElement) -> GradedElement:
 
     [A, v] = (A + conj(A)) v, so the complex-dependent rotation images act on
     translations exactly like their spin-1 counterparts.  Grade-0 and
-    grade-1-pair brackets are unchanged.
+    grade-1-pair brackets are unchanged.  Works on stacked elements like
+    :func:`relphase.liealgebra.graded_bracket`.
     """
     # The commutator of two algebra elements stays in the algebra.
     op = QoElement(commutator(x.l0.matrix, y.l0.matrix))
     a = x.l0.matrix + np.conj(x.l0.matrix)
     b = y.l0.matrix + np.conj(y.l0.matrix)
-    vec = a @ y.l1 - b @ x.l1
+    vec = np.matvec(a, y.l1) - np.matvec(b, x.l1)
     scal = symplectic_bracket(x.l1, y.l1)
     return GradedElement(op, vec, scal)
 
@@ -279,26 +284,51 @@ class Representation:
 # Exponential flows
 # ---------------------------------------------------------------------------
 
-def exponential_flow(x: ArrayLike, phi: float) -> ArrayC:
-    """Matrix exponential exp(phi * X) via scaling-and-squaring."""
+def _overflow(phi: ArrayLike) -> ValueError:
+    return ValueError(f"non-finite result at phi={float(phi):.17g}: the flow overflows "
+                      "double precision; reduce phi")
+
+
+def exponential_flow(x: ArrayLike, phi: ArrayLike) -> ArrayC:
+    """Matrix exponential exp(phi * X) via scaling-and-squaring.
+
+    ``x`` may be a stack (..., 4, 4) and ``phi`` an array that broadcasts
+    against it entry by entry (a rapidity per operator is ``phis[..., None,
+    None]``); scipy's ``expm`` exponentiates each operator of the stack.
+    Raises ValueError naming the rapidity of the first operator (C order)
+    whose exponential is not finite.
+    """
     x = np.asarray(x, dtype=np.complex128)
-    return expm(phi * x)
+    g = expm(phi * x)
+    finite = np.isfinite(g)
+    if not finite.all():
+        raise _overflow(np.broadcast_to(phi, g.shape)[~finite][0])
+    return g
 
 
 def boost_flow_closed(j: int, phi: float) -> ArrayC:
     """Closed form of exp(phi * d_basis(0,j)), valid because D^3 = D.
 
     Carries -sinh entries relative to the textbook boost display; see the
-    module docstring.
+    module docstring.  Raises ValueError when cosh(phi) or sinh(phi)
+    overflows.
     """
     d = d_basis(0, j)
-    return np.eye(4, dtype=np.complex128) + np.sinh(phi) * d + (np.cosh(phi) - 1.0) * (d @ d)
+    sinh, cosh = np.sinh(phi), np.cosh(phi)
+    if not (math.isfinite(sinh) and math.isfinite(cosh)):
+        raise _overflow(phi)
+    return np.eye(4, dtype=np.complex128) + sinh * d + (cosh - 1.0) * (d @ d)
 
 
 def rotation_flow_closed(k: int, l: int, phi: float) -> ArrayC:
-    """Closed form of exp(phi * d_basis(k,l)) for spatial k, l: D^3 = -D."""
+    """Closed form of exp(phi * d_basis(k,l)) for spatial k, l: D^3 = -D.
+
+    Raises ValueError when phi is not finite."""
     d = d_basis(k, l)
-    return np.eye(4, dtype=np.complex128) + np.sin(phi) * d + (1.0 - np.cos(phi)) * (d @ d)
+    sin, cos = np.sin(phi), np.cos(phi)
+    if not (math.isfinite(sin) and math.isfinite(cos)):
+        raise _overflow(phi)
+    return np.eye(4, dtype=np.complex128) + sin * d + (1.0 - cos) * (d @ d)
 
 
 def half_flow_closed(x: ArrayLike, phi: float) -> ArrayC:
@@ -307,6 +337,7 @@ def half_flow_closed(x: ArrayLike, phi: float) -> ArrayC:
     Uses X^2 = s I/4 with s = +1 (boosts) or s = -1 (rotations):
         exp(phi X) = cosh(phi/2) I + 2 sinh(phi/2) X      (s = +1)
         exp(phi X) = cos(phi/2) I + 2 sin(phi/2) X        (s = -1)
+    Raises ValueError when one of the two coefficients is not finite.
     """
     x = np.asarray(x, dtype=np.complex128)
     sq = x @ x
@@ -314,10 +345,14 @@ def half_flow_closed(x: ArrayLike, phi: float) -> ArrayC:
     if abs(sq - 0.25 * s * np.eye(4)).max() > 1e-12:
         raise ValueError("operator does not square to +/- I/4")
     if abs(s - 1.0) < 1e-12:
-        return np.cosh(phi / 2) * np.eye(4, dtype=np.complex128) + 2 * np.sinh(phi / 2) * x
-    if abs(s + 1.0) < 1e-12:
-        return np.cos(phi / 2) * np.eye(4, dtype=np.complex128) + 2 * np.sin(phi / 2) * x
-    raise ValueError("operator does not square to +/- I/4")
+        even, odd = np.cosh(phi / 2), 2 * np.sinh(phi / 2)
+    elif abs(s + 1.0) < 1e-12:
+        even, odd = np.cos(phi / 2), 2 * np.sin(phi / 2)
+    else:
+        raise ValueError("operator does not square to +/- I/4")
+    if not (math.isfinite(even) and math.isfinite(odd)):
+        raise _overflow(phi)
+    return even * np.eye(4, dtype=np.complex128) + odd * x
 
 
 # ---------------------------------------------------------------------------

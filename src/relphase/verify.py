@@ -67,18 +67,12 @@ class Check:
         return bool(self.residual <= self.tolerance * (scale / DEFAULT_TOLERANCE))
 
 
-def _rel(a, b) -> float:
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
-    return float(np.abs(a - b).max(initial=0.0)) / scale
-
-
 def _worst(a, b) -> float:
-    """Largest :func:`_rel` residual over draws along the leading axis.
+    """Largest scale-relative difference of a and b over draws along the
+    leading axis.
 
-    Each draw is reduced over its trailing axes, then the max is taken over
-    draws; the result has the bits of the max of per-draw ``_rel`` calls.
+    Each draw is reduced over its trailing axes: max |a - b| divided by
+    max(1, max |a|, max |b|).  The result is the max over draws, 0 for none.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -87,26 +81,50 @@ def _worst(a, b) -> float:
     return float((np.abs(a - b).max(axis=axes) / scale).max(initial=0.0))
 
 
-def _rvec(rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal(4) + 1j * rng.standard_normal(4)
+def _split(x: np.ndarray, *widths: int) -> list[np.ndarray]:
+    """Complex arrays from the columns of the real block ``x``: width w takes
+    w columns of real parts, then w of imaginary parts."""
+    out, k = [], 0
+    for w in widths:
+        out.append(x[:, k:k + w] + 1j * x[:, k + w:k + 2 * w])
+        k += 2 * w
+    return out
 
 
 def _draw(rng: np.random.Generator, draws: int, *widths: int) -> list[np.ndarray]:
     """Complex inputs of ``draws`` independent draws from one block of normals.
 
     Per draw, width w takes 2w normals: w real parts, then w imaginary parts,
-    the order in which :func:`_rvec` (w = 4) or a scalar factor drawn as
-    ``rng.standard_normal() + 1j * rng.standard_normal()`` (w = 1) take
-    them.  Returns one ``(draws, w)`` array per width.  The generator fills
-    the block in the order a per-draw loop of those calls would read it, so
-    the inputs and the generator state left behind are the same.
+    the order in which ``rng.standard_normal(w) + 1j * rng.standard_normal(w)``
+    takes them (for w = 1, a scalar factor drawn as ``rng.standard_normal() +
+    1j * rng.standard_normal()``).  Returns one ``(draws, w)`` array per
+    width.  The generator fills the block in the order a per-draw loop of
+    those calls would read it, so the inputs and the generator state left
+    behind are the same.
     """
-    x = rng.standard_normal((draws, 2 * sum(widths)))
-    out, k = [], 0
-    for w in widths:
-        out.append(x[:, k:k + w] + 1j * x[:, k + w:k + 2 * w])
-        k += 2 * w
-    return out
+    return _split(rng.standard_normal((draws, 2 * sum(widths))), *widths)
+
+
+def _graded_draws(rng: np.random.Generator, draws: int, count: int,
+                  real_ops: bool = False) -> list[GradedElement]:
+    """``count`` stacked graded elements of ``draws`` draws each, from one
+    block of normals.
+
+    Per draw, element after element, each takes as :func:`_draw` the widths
+    16 (a coefficient tensor c, row major), 4 (the vector part) and 1 (the
+    scalar part): 42 normals.  With ``real_ops`` the tensor takes only its 16
+    real parts: 26 normals.  The grade-0 part realises c - c^T.
+    """
+    width = 26 if real_ops else 42
+    elements = []
+    for x in np.split(rng.standard_normal((draws, count * width)), count, axis=1):
+        if real_ops:
+            coeffs, (vec, scal) = x[:, :16].astype(np.complex128), _split(x[:, 16:], 4, 1)
+        else:
+            coeffs, vec, scal = _split(x, 16, 4, 1)
+        coeffs = coeffs.reshape(draws, 4, 4)
+        elements.append(GradedElement(qo_realize(coeffs - coeffs.mT), vec, scal[:, 0]))
+    return elements
 
 
 _ANGULAR = list(QO_BASIS_PAIRS)
@@ -198,29 +216,28 @@ def suite_triproduct(rng: np.random.Generator, draws: int = 500) -> list[Check]:
 # liealgebra
 # ---------------------------------------------------------------------------
 
-def _random_qo(rng: np.random.Generator, real_coeffs: bool = False) -> QoElement:
-    coeffs = rng.standard_normal((4, 4)).astype(np.complex128)
-    if not real_coeffs:
-        coeffs = coeffs + 1j * rng.standard_normal((4, 4))
-    return qo_realize(coeffs - coeffs.T)
+# The 6 x 6 tables over the basis generators: pair (m, n) indexes the rows,
+# pair (a, b) the columns.
+_A, _B = np.array(_ANGULAR).T
+_M, _N = _A[:, None], _B[:, None]
 
 
-def _random_graded(rng: np.random.Generator, real_ops: bool = False) -> GradedElement:
-    return GradedElement(_random_qo(rng, real_coeffs=real_ops), _rvec(rng),
-                         complex(rng.standard_normal() + 1j * rng.standard_normal()))
+def _eta(i, j) -> np.ndarray:
+    """eta_{ij} for index arrays i and j, with two trailing unit axes to scale
+    (..., 4, 4) operators."""
+    return ETA[i, j][..., None, None]
 
 
 def bracket_table_residual(dmat: dict[tuple[int, int], np.ndarray]) -> float:
     """Largest deviation of [D_mn, D_ab] over the six basis operators ``dmat``
     from the structure constants of the algebra."""
-    worst = 0.0
-    for (m, n) in _ANGULAR:
-        for (a, b) in _ANGULAR:
-            lhs = commutator(dmat[(m, n)], dmat[(a, b)])
-            rhs = (ETA[n, a] * d_basis(m, b) - ETA[m, a] * d_basis(n, b)
-                   + ETA[n, b] * d_basis(a, m) - ETA[m, b] * d_basis(a, n))
-            worst = max(worst, _rel(lhs, rhs))
-    return worst
+    ops = np.stack([dmat[pair] for pair in _ANGULAR])
+    lhs = commutator(ops[:, None], ops)
+    d = np.stack([[d_basis(i, j) for j in range(4)] for i in range(4)])
+    m, n, a, b = _M, _N, _A, _B
+    rhs = (_eta(n, a) * d[m, b] - _eta(m, a) * d[n, b]
+           + _eta(n, b) * d[a, m] - _eta(m, b) * d[a, n])
+    return _worst(lhs.reshape(36, 4, 4), rhs.reshape(36, 4, 4))
 
 
 def qo_dimension(generators: list[np.ndarray]) -> tuple[int, int, float]:
@@ -245,14 +262,11 @@ def qo_dimension(generators: list[np.ndarray]) -> tuple[int, int, float]:
             float(np.abs(proj - null_basis).max()))
 
 
-def jacobi_residual(bracket, triples) -> float:
-    """Largest cyclic sum of ``bracket`` over (x, y, z) triples of graded
-    elements, relative to max(1, |x| |y| |z|)."""
-    worst = 0.0
-    for x, y, z in triples:
-        s = bracket(bracket(x, y), z) + bracket(bracket(y, z), x) + bracket(bracket(z, x), y)
-        worst = max(worst, s.norm() / max(1.0, x.norm() * y.norm() * z.norm()))
-    return worst
+def jacobi_residual(bracket, x: GradedElement, y: GradedElement, z: GradedElement) -> float:
+    """Largest cyclic sum of ``bracket`` over stacked graded elements x, y, z,
+    each relative to max(1, |x| |y| |z|)."""
+    s = bracket(bracket(x, y), z) + bracket(bracket(y, z), x) + bracket(bracket(z, x), y)
+    return float(np.max(s.norm() / np.maximum(1.0, x.norm() * y.norm() * z.norm()), initial=0.0))
 
 
 def suite_liealgebra(rng: np.random.Generator) -> list[Check]:
@@ -265,27 +279,27 @@ def suite_liealgebra(rng: np.random.Generator) -> list[Check]:
     rank, dim, span = qo_dimension([dmat[p] for p in _ANGULAR])
     checks.append(Check("qo.dimension_six", float(abs(rank - 6) + abs(dim - 6)) + span, 1e-12))
 
-    worst = 0.0
-    for _ in range(100):
-        x, y = _random_graded(rng), _random_graded(rng)
-        s = graded_bracket(x, y) + graded_bracket(y, x)
-        worst = max(worst, s.norm() / max(1.0, x.norm() * y.norm()))
+    x, y = _graded_draws(rng, 100, 2)
+    s = graded_bracket(x, y) + graded_bracket(y, x)
+    worst = float((s.norm() / np.maximum(1.0, x.norm() * y.norm())).max())
     checks.append(Check("graded.antisymmetry", worst, 1e-10))
 
     # Jacobi on the real form: grade-0 parts with real coefficients.  With
     # fully complex grade-0 parts the mixed identity provably fails (the
     # grade-2 pairing is real-valued); see the graded_bracket docstring.
-    triples = [tuple(_random_graded(rng, real_ops=True) for _ in range(3)) for _ in range(100)]
-    checks.append(Check("graded.jacobi_real_form", jacobi_residual(graded_bracket, triples), 1e-10))
+    checks.append(Check("graded.jacobi_real_form",
+                        jacobi_residual(graded_bracket,
+                                        *_graded_draws(rng, 100, 3, real_ops=True)), 1e-10))
 
-    worst = 0.0
-    for _ in range(20):
-        q = _random_qo(rng)
-        for t in (0.1, 1.0, 2.5):
-            g = exponential_flow(q.matrix, t)
-            resid = np.abs(g.T @ ETA @ g - ETA).max()
-            worst = max(worst, float(resid) / max(1.0, float(np.abs(g).max()) ** 2))
-    checks.append(Check("qo.exponential_in_group", worst, 1e-12))
+    (coeffs,) = _draw(rng, 20, 16)
+    coeffs = coeffs.reshape(20, 4, 4)
+    q = qo_realize(coeffs - coeffs.mT)
+    g = exponential_flow(q.matrix[:, None], np.array([0.1, 1.0, 2.5])[:, None, None])
+    resid = np.abs(g.mT @ ETA @ g - ETA).max(axis=(-2, -1))
+    # float_power squares through libm's pow, as Python's float ** 2 does;
+    # x * x can differ from it in the last bit.
+    scale = np.maximum(1.0, np.float_power(np.abs(g).max(axis=(-2, -1)), 2))
+    checks.append(Check("qo.exponential_in_group", float((resid / scale).max()), 1e-12))
 
     return checks
 
@@ -294,35 +308,37 @@ def suite_liealgebra(rng: np.random.Generator) -> list[Check]:
 # representations
 # ---------------------------------------------------------------------------
 
+_GENERATORS = ([PoincareGenerator.translation(mu) for mu in range(4)]
+               + [PoincareGenerator.angular(*pair) for pair in _ANGULAR])
+
+
 def _poincare_checks(rep: Representation, tag: str) -> list[Check]:
+    """The Poincare bracket table of ``rep``: one bracket of the stacked
+    images of P0..P3 and the six angular generators with themselves."""
     checks = []
+    images = [rep(g) for g in _GENERATORS]
+    ops = np.stack([e.l0.matrix for e in images])
+    vecs = np.stack([e.l1 for e in images])
+    scals = np.array([e.l2 for e in images])
+    br = rep.bracket(GradedElement(QoElement(ops[:, None]), vecs[:, None], scals[:, None]),
+                     GradedElement(QoElement(ops), vecs, scals))
 
-    worst = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            br = rep.bracket(rep(PoincareGenerator.translation(mu)),
-                             rep(PoincareGenerator.translation(nu)))
-            worst = max(worst, br.norm())
-    checks.append(Check(f"{tag}.translation_brackets_vanish", worst, 1e-13))
+    checks.append(Check(f"{tag}.translation_brackets_vanish",
+                        float(br.norm()[:4, :4].max()), 1e-13))
 
-    worst = 0.0
-    for (alpha, beta) in _ANGULAR:
-        x = rep(PoincareGenerator.angular(alpha, beta))
-        for mu in range(4):
-            br = rep.bracket(x, rep(PoincareGenerator.translation(mu)))
-            expected = (ETA[mu, beta] * basis(alpha) - ETA[mu, alpha] * basis(beta))
-            worst = max(worst, _rel(br.l1, expected))
-            worst = max(worst, float(np.abs(br.l0.matrix).max()), abs(br.l2))
+    eye = np.eye(4, dtype=np.complex128)
+    mu = np.arange(4)
+    expected = ETA[mu, _N][..., None] * eye[_M] - ETA[mu, _M][..., None] * eye[_N]
+    worst = max(_worst(br.l1[4:, :4].reshape(24, 4), expected.reshape(24, 4)),
+                float(np.abs(br.l0.matrix[4:, :4]).max()),
+                float(np.hypot(br.l2[4:, :4].real, br.l2[4:, :4].imag).max()))
     checks.append(Check(f"{tag}.angular_translation_brackets", worst, 1e-13))
 
-    worst = 0.0
-    for (m, n) in _ANGULAR:
-        for (a, b) in _ANGULAR:
-            br = rep.bracket(rep(PoincareGenerator.angular(m, n)),
-                             rep(PoincareGenerator.angular(a, b)))
-            expected = (ETA[m, b] * _ang_mat(rep, n, a) + ETA[n, a] * _ang_mat(rep, m, b)
-                        - ETA[m, a] * _ang_mat(rep, n, b) - ETA[n, b] * _ang_mat(rep, m, a))
-            worst = max(worst, _rel(br.l0.matrix, expected))
+    table = np.stack([[_ang_mat(rep, i, j) for j in range(4)] for i in range(4)])
+    m, n, a, b = _M, _N, _A, _B
+    expected = (_eta(m, b) * table[n, a] + _eta(n, a) * table[m, b]
+                - _eta(m, a) * table[n, b] - _eta(n, b) * table[m, a])
+    worst = _worst(br.l0.matrix[4:, 4:].reshape(36, 4, 4), expected.reshape(36, 4, 4))
     checks.append(Check(f"{tag}.angular_angular_brackets", worst, 1e-13))
 
     return checks
@@ -334,6 +350,11 @@ def _ang_mat(rep: Representation, alpha: int, beta: int) -> np.ndarray:
     return rep.angular_matrix(alpha, beta)
 
 
+def _angular_stack(rep: Representation) -> np.ndarray:
+    """The six angular images of ``rep`` in the order of QO_BASIS_PAIRS."""
+    return np.stack([rep.angular_matrix(*pair) for pair in _ANGULAR])
+
+
 def explicit_commutator_residual(rep: Representation) -> float:
     """The four explicitly verifiable commutators of the angular images.
 
@@ -342,15 +363,16 @@ def explicit_commutator_residual(rep: Representation) -> float:
     table (the relation :func:`_poincare_checks` checks exhaustively).
     """
     m = rep.angular_matrix
-    worst = max(_rel(commutator(m(2, 3), m(1, 2)), -m(3, 1)),
-                _rel(commutator(m(0, 1), m(3, 1)), m(0, 3)),
-                _rel(commutator(m(0, 1), m(0, 3)), m(3, 1)))
+    worst = _worst(commutator(np.stack([m(2, 3), m(0, 1), m(0, 1)]),
+                              np.stack([m(1, 2), m(3, 1), m(0, 3)])),
+                   np.stack([-m(3, 1), m(0, 3), m(3, 1)]))
     return max(worst, float(np.abs(commutator(m(0, 1), m(2, 3))).max()))
 
 
 def tripotency_residual(mats: list[np.ndarray]) -> float:
     """Largest deviation of T^3 from T over the operators ``mats``."""
-    return max(_rel(t @ t @ t, t) for t in mats)
+    t = np.stack(mats)
+    return _worst(t @ t @ t, t)
 
 
 def car_residual(mats: list[np.ndarray]) -> float:
@@ -385,14 +407,15 @@ def half_angle_period_residual(half: np.ndarray, whole: np.ndarray) -> float:
 def boost_closed_form_residual(phis, flows) -> float:
     """``flows`` against the closed-form boost along axis 1 at each rapidity
     of ``phis``, and their entries against cosh and sinh in size."""
-    worst = 0.0
-    for phi, flow in zip(phis, flows):
-        worst = max(worst, _rel(boost_flow_closed(1, phi), flow))
-        expected_abs = np.eye(4)
-        expected_abs[0, 0] = expected_abs[1, 1] = np.cosh(phi)
-        expected_abs[0, 1] = expected_abs[1, 0] = np.sinh(phi)
-        worst = max(worst, _rel(np.abs(flow), expected_abs))
-    return worst
+    closed, sizes = [], []
+    for phi in phis:
+        closed.append(boost_flow_closed(1, phi))
+        size = np.eye(4)
+        size[0, 0] = size[1, 1] = np.cosh(phi)
+        size[0, 1] = size[1, 0] = np.sinh(phi)
+        sizes.append(size)
+    flows = np.asarray(flows)
+    return max(_worst(np.array(closed), flows), _worst(np.abs(flows), np.array(sizes)))
 
 
 def suite_representations(rng: np.random.Generator) -> list[Check]:
@@ -415,50 +438,42 @@ def suite_representations(rng: np.random.Generator) -> list[Check]:
     checks.append(Check("rep.plus.generator_squares", generator_squares_residual(plus), 1e-14))
 
     # Jacobi for the spin-1/2 bracket on its own image, where the conjugate
-    # pairs commute and grade-0-plus-conjugate parts are real.
+    # pairs commute and grade-0-plus-conjugate parts are real.  Each draw
+    # takes three elements: boost coefficients, a vector and a scalar.
     boosts = [plus.angular_matrix(0, j) for j in (1, 2, 3)]
-
-    def img_elem() -> GradedElement:
-        c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        op = qo_from_operator(c[0] * boosts[0] + c[1] * boosts[1] + c[2] * boosts[2])
-        return GradedElement(op, _rvec(rng),
-                             complex(rng.standard_normal() + 1j * rng.standard_normal()))
-
-    triples = [(img_elem(), img_elem(), img_elem()) for _ in range(60)]
+    parts = _draw(rng, 60, *(3, 4, 1) * 3)
+    triple = []
+    for c, vec, scal in zip(parts[0::3], parts[1::3], parts[2::3]):
+        c = c[..., None, None]
+        op = qo_from_operator(c[:, 0] * boosts[0] + c[:, 1] * boosts[1] + c[:, 2] * boosts[2])
+        triple.append(GradedElement(op, vec, scal[:, 0]))
     checks.append(Check("rep.half_bracket_jacobi_on_image",
-                        jacobi_residual(half_graded_bracket, triples), 1e-10))
+                        jacobi_residual(half_graded_bracket, *triple), 1e-10))
 
-    worst = 0.0
+    # Every angular image of the three maps at +phi and -phi: (18, 2, 3, 4, 4).
     eye = np.eye(4)
-    for rep in (spin1, plus, minus):
-        for pair in _ANGULAR:
-            x = rep.angular_matrix(*pair)
-            for phi in (0.3, 1.0, 5.0):
-                gp = exponential_flow(x, phi)
-                gm = exponential_flow(x, -phi)
-                scale = max(1.0, float(np.abs(gp).max()) * float(np.abs(gm).max()))
-                worst = max(worst, float(np.abs(gp @ gm - eye).max()) / scale)
+    x = np.concatenate([_angular_stack(rep) for rep in (spin1, plus, minus)])
+    phis = np.array([0.3, 1.0, 5.0])
+    g = exponential_flow(x[:, None, None], np.stack([phis, -phis])[..., None, None])
+    gp, gm = g[:, 0], g[:, 1]
+    scale = np.maximum(1.0, np.abs(gp).max(axis=(-2, -1)) * np.abs(gm).max(axis=(-2, -1)))
+    worst = float((np.abs(gp @ gm - eye).max(axis=(-2, -1)) / scale).max())
     checks.append(Check("rep.flow_inverse", worst, 1e-12))
 
-    worst = 0.0
-    for pair in _ANGULAR:
-        g = exponential_flow(spin1.angular_matrix(*pair), 0.8)
-        vr = rng.standard_normal(4)
-        worst = max(worst, float(np.abs((g @ vr).imag).max()))
-        worst = max(worst, float(np.abs((g @ (1j * vr)).real).max()))
+    g = exponential_flow(_angular_stack(spin1), 0.8)
+    vr = rng.standard_normal((len(_ANGULAR), 4))
+    worst = float(max(np.abs(np.matvec(g, vr).imag).max(),
+                      np.abs(np.matvec(g, 1j * vr).real).max()))
     checks.append(Check("rep.spin1.flow_preserves_real_subspaces", worst, 1e-13))
 
-    worst = 0.0
-    for pair in _ANGULAR:
-        worst = max(worst, float(np.abs(minus.angular_matrix(*pair)
-                                        - np.conj(plus.angular_matrix(*pair))).max()))
+    worst = float(np.abs(_angular_stack(minus) - np.conj(_angular_stack(plus))).max())
     checks.append(Check("rep.minus_is_conjugate", worst, 1e-15))
 
     tetrad = np_matrix()
     worst = float(np.abs(tetrad.matrix @ tetrad.inverse - eye).max())
     worst = max(worst, float(np.abs(tetrad.inverse @ tetrad.matrix - eye).max()))
-    v = _rvec(rng)
-    worst = max(worst, _rel(tetrad.from_np_coords(tetrad.to_np_coords(v)), v))
+    (v,) = _draw(rng, 1, 4)
+    worst = max(worst, _worst(tetrad.from_np_coords(tetrad.to_np_coords(v[0]))[None], v))
     checks.append(Check("rep.np_round_trip", worst, 1e-15))
 
     worst = max(max(res) for kind, tetrad in (("spin_half_plus", np_matrix()),
@@ -470,19 +485,20 @@ def suite_representations(rng: np.random.Generator) -> list[Check]:
     checks.append(Check("rep.half_angle_periods", worst, 1e-11))
 
     phis = (0.5, 1.0, 2.0)
-    flows = [exponential_flow(d_basis(0, 1), phi) for phi in phis]
+    flows = exponential_flow(d_basis(0, 1), np.array(phis)[:, None, None])
     checks.append(Check("rep.boost_closed_form", boost_closed_form_residual(phis, flows), 1e-12))
 
-    worst = 0.0
-    for j in (1, 2, 3):
-        for phi in (0.3, 1.0, 2.2):
-            xb = plus.angular_matrix(0, j)
-            worst = max(worst, _rel(half_flow_closed(xb, phi), exponential_flow(xb, phi)))
-            xr = plus.angular_matrix(*DUAL_PAIRS[j])
-            worst = max(worst, _rel(half_flow_closed(xr, phi), exponential_flow(xr, phi)))
-            worst = max(worst, _rel(rotation_flow_closed(*DUAL_PAIRS[j], phi),
-                                    exponential_flow(d_basis(*DUAL_PAIRS[j]), phi)))
-    checks.append(Check("rep.half_flow_closed_forms", worst, 1e-12))
+    # Per axis j: the spin-1/2 boost and rotation images and the spin-1
+    # rotation, each at every phi: (3 axes, 3 phis, 3 generators, 4, 4).
+    phis = (0.3, 1.0, 2.2)
+    x = np.array([[plus.angular_matrix(0, j), plus.angular_matrix(*DUAL_PAIRS[j]),
+                   d_basis(*DUAL_PAIRS[j])] for j in (1, 2, 3)])
+    flows = exponential_flow(x[:, None], np.array(phis)[:, None, None, None])
+    closed = np.array([[[half_flow_closed(xb, phi), half_flow_closed(xr, phi),
+                         rotation_flow_closed(*DUAL_PAIRS[j], phi)] for phi in phis]
+                       for j, (xb, xr, _) in zip((1, 2, 3), x)])
+    checks.append(Check("rep.half_flow_closed_forms",
+                        _worst(closed.reshape(-1, 4, 4), flows.reshape(-1, 4, 4)), 1e-12))
 
     return checks
 

@@ -1,18 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relphase import (PAULI, PoincareGenerator, Representation, basis,
+from relphase import (PAULI, PoincareGenerator, QoElement, Representation, basis,
                       boost_flow_closed, commutator, d_basis, d_perp, d_pm,
                       exponential_flow, half_flow_closed, half_graded_bracket,
                       np_block_pattern, np_matrix, np_matrix_conjugate,
                       parse_generator, pi_half, pi_spin1, qo_dual,
-                      qo_from_operator, rotation_flow_closed, scalar_product,
-                      to_np_basis)
+                      qo_from_operator, qo_realize, rotation_flow_closed,
+                      scalar_product, to_np_basis)
 from relphase.liealgebra import QO_BASIS_PAIRS
 from relphase.representations import DUAL_PAIRS, np_block_residuals
 from relphase.verify import (_poincare_checks, car_residual, explicit_commutator_residual,
                              generator_squares_residual, half_angle_period_residual,
                              tripotency_residual)
+
+def coefficient_tensor_dual(q):
+    """qo_dual through the coefficient tensor and qo_realize, its old path."""
+    x = q.coeffs
+    out = np.zeros((4, 4), dtype=np.complex128)
+    for j, (k, l) in DUAL_PAIRS.items():
+        out[k, l] += x[0, j]
+        out[l, k] -= x[0, j]
+        out[0, j] -= x[k, l]
+        out[j, 0] += x[k, l]
+    return qo_realize(out)
+
 
 SPIN1 = Representation("spin1")
 PLUS = Representation("spin_half_plus")
@@ -68,6 +82,35 @@ class TestDualPlane:
         # rotation plane: dual of d_basis(2,3) is -d_basis(0,1)
         q23 = qo_from_operator(d_basis(2, 3))
         np.testing.assert_allclose(qo_dual(q23).matrix, -d_basis(0, 1), atol=1e-14)
+
+    def test_dual_equals_the_coefficient_tensor_path(self):
+        # Bit for bit, sign bits included: the old path leaves every zero as
+        # +0.0, and so does the signed permutation.
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((1000, 4, 4)) + 1j * rng.standard_normal((1000, 4, 4))
+        x[:300] = x[:300].real  # real elements: zero imaginary parts
+        x[300:400, 0, 2] = 0.0  # exact zeros among the entries
+        x[400:500, 1, 2] = -1.0 + 0j
+        stack = qo_realize(x - x.mT)
+        singles = [qo_realize(c) for c in x - x.mT]
+        singles += [qo_from_operator(d_basis(*pair)) for pair in QO_BASIS_PAIRS]
+        singles += [qo_from_operator(1j * d_basis(*pair)) for pair in QO_BASIS_PAIRS]
+        for q in singles:
+            new, old = qo_dual(q).matrix, coefficient_tensor_dual(q).matrix
+            np.testing.assert_array_equal(new, old)
+            np.testing.assert_array_equal(np.signbit(new.view(float)), np.signbit(old.view(float)))
+        np.testing.assert_array_equal(qo_dual(stack).matrix,
+                                      np.stack([qo_dual(q).matrix for q in singles[:1000]]))
+
+    def test_dual_is_a_signed_permutation(self):
+        m = np.arange(1, 17, dtype=complex).reshape(4, 4)
+        dual = qo_dual(QoElement(m)).matrix
+        entries = np.abs(dual[dual != 0]).real
+        assert sorted(entries) == [2, 2, 3, 3, 4, 4, 7, 7, 12, 12, 14, 14]
+        for j, (k, l) in DUAL_PAIRS.items():
+            assert dual[k, l] == m[0, j] and dual[l, k] == -m[0, j]
+            assert dual[0, j] == -m[k, l] and dual[j, 0] == -m[k, l]
+        np.testing.assert_array_equal(np.diag(dual), np.zeros(4))
 
     def test_dual_annihilates_own_boost(self):
         for j in (1, 2, 3):
@@ -335,3 +378,56 @@ class TestNullTetrad:
                 a_minus = to_np_basis(MINUS.angular_matrix(*pair), conj_t)
                 a_plus = to_np_basis(PLUS.angular_matrix(*pair))
                 np.testing.assert_allclose(a_minus, np.conj(a_plus), atol=1e-14)
+
+
+ALL_ANGULAR = [(rep, pair) for rep in (SPIN1, PLUS, MINUS) for pair in ORDERED_PAIRS]
+
+
+class TestNonFiniteFlows:
+    def test_overflow_raises(self):
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match=r"^non-finite result at phi=1000:"):
+                exponential_flow(d_basis(0, 1), 1e3)
+            with pytest.raises(ValueError, match=r"^non-finite result at phi=1000:"):
+                boost_flow_closed(1, 1e3)
+            with pytest.raises(ValueError, match=r"^non-finite result at phi=-2000:"):
+                half_flow_closed(PLUS.angular_matrix(0, 2), -2e3)
+            with pytest.raises(ValueError, match=r"^non-finite result at phi=inf:"):
+                rotation_flow_closed(1, 2, np.inf)
+            with pytest.raises(ValueError, match=r"^non-finite result at phi=nan:"):
+                half_flow_closed(PLUS.angular_matrix(2, 3), np.nan)
+
+    def test_stack_names_the_first_overflowing_phi(self):
+        # entries in C order: the rotation stays finite, the boost overflows
+        # at 2000 and 1000, and 2000 comes first
+        x = np.stack([d_basis(1, 2), d_basis(0, 1)])[:, None]
+        phis = np.array([1.0, 2e3, 1e3])[:, None, None]
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match=r"^non-finite result at phi=2000:"):
+                exponential_flow(x, phis)
+        g = exponential_flow(x, phis[:1])
+        np.testing.assert_array_equal(g[1, 0], exponential_flow(d_basis(0, 1), 1.0))
+
+    @given(case=st.sampled_from(ALL_ANGULAR),
+           phi=st.floats(min_value=-1e300, max_value=1e300, allow_nan=False))
+    @settings(max_examples=100, deadline=None)
+    def test_flows_are_finite_or_value_error(self, case, phi):
+        # rapidities up to 1e300: a finite result or a ValueError, never inf
+        # or NaN and never another exception
+        rep, (alpha, beta) = case
+        x = rep.angular_matrix(alpha, beta)
+        calls = [lambda: exponential_flow(x, phi)]
+        if rep is not SPIN1:
+            calls.append(lambda: half_flow_closed(x, phi))
+        elif alpha == 0 or beta == 0:
+            calls.append(lambda: boost_flow_closed(alpha + beta, phi))
+        else:
+            calls.append(lambda: rotation_flow_closed(alpha, beta, phi))
+        with np.errstate(all="ignore"):
+            for call in calls:
+                try:
+                    out = call()
+                except ValueError as exc:
+                    assert str(exc).startswith("non-finite result at phi=")
+                    continue
+                assert np.all(np.isfinite(out))

@@ -4,19 +4,36 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relphase import (DUAL_PAIRS, ETA, EMField, GradedElement, QoElement, Representation,
-                      basis, commutator, conjugate, d_basis, d_hat, d_operator, d_pm,
-                      decompose, evolution_generator, evolve_closed_form, evolve_numeric,
-                      exp_faraday, exponential_flow, faraday_components, faraday_conjugate,
-                      faraday_tensor, field_tensor, graded_bracket, invariant_z, is_in_qo,
-                      np_matrix, qo_basis, qo_from_operator, scalar_product, scalar_square,
+from relphase import (DUAL_PAIRS, ETA, EMField, GradedElement, PoincareGenerator, QoElement,
+                      Representation, basis, boost_flow_closed, commutator, conjugate,
+                      d_basis, d_hat, d_operator, d_pm, decompose, evolution_generator,
+                      evolve_closed_form, evolve_numeric, exp_faraday, exponential_flow,
+                      faraday_components, faraday_conjugate, faraday_tensor, field_tensor,
+                      graded_bracket, half_flow_closed, half_graded_bracket, invariant_z,
+                      is_in_qo, np_matrix, np_matrix_conjugate, qo_basis, qo_from_operator,
+                      qo_realize, rotation_flow_closed, scalar_product, scalar_square,
                       symplectic_bracket, tri_product, tri_product_coords, verify)
 from relphase.em import _sinhc
+from relphase.liealgebra import QO_BASIS_PAIRS
 from relphase.representations import np_block_residuals
-from relphase.verify import (SUITES, _draw, _rel, _rvec, _worst, run_all, suite_core, suite_em,
+from relphase.verify import (SUITES, _draw, _worst, car_residual, generator_squares_residual,
+                             half_angle_period_residual, qo_dimension, run_all, suite_core,
+                             suite_em, suite_liealgebra, suite_representations,
                              suite_triproduct)
 
 PINNED_SEED42 = Path(__file__).parent / "data" / "verify_seed42.json"
+
+
+def _rvec(rng):
+    return rng.standard_normal(4) + 1j * rng.standard_normal(4)
+
+
+def _rel(a, b):
+    """Largest difference of one draw relative to max(1, its operand sizes)."""
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    scale = max(1.0, float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
+    return float(np.abs(a - b).max(initial=0.0)) / scale
 
 
 def test_every_suite_passes_on_seed_306_9():
@@ -207,6 +224,185 @@ def test_batched_em_suite_reproduces_the_per_field_loops():
         assert batched.bit_generator.state == per_field.bit_generator.state
 
 
+def _random_qo(rng, real_coeffs=False):
+    coeffs = rng.standard_normal((4, 4)).astype(np.complex128)
+    if not real_coeffs:
+        coeffs = coeffs + 1j * rng.standard_normal((4, 4))
+    return qo_realize(coeffs - coeffs.T)
+
+
+def _random_graded(rng, real_ops=False):
+    return GradedElement(_random_qo(rng, real_coeffs=real_ops), _rvec(rng), _scalar_draw(rng))
+
+
+def loop_jacobi(bracket, triples):
+    worst = 0.0
+    for x, y, z in triples:
+        s = bracket(bracket(x, y), z) + bracket(bracket(y, z), x) + bracket(bracket(z, x), y)
+        worst = max(worst, s.norm() / max(1.0, x.norm() * y.norm() * z.norm()))
+    return worst
+
+
+ANGULAR = list(QO_BASIS_PAIRS)
+
+
+def loop_liealgebra(rng):
+    """The per-draw loops of suite_liealgebra, kept as its reference."""
+    dmat = qo_basis()
+    table = 0.0
+    for (m, n) in ANGULAR:
+        for (a, b) in ANGULAR:
+            lhs = commutator(dmat[(m, n)], dmat[(a, b)])
+            rhs = (ETA[n, a] * d_basis(m, b) - ETA[m, a] * d_basis(n, b)
+                   + ETA[n, b] * d_basis(a, m) - ETA[m, b] * d_basis(a, n))
+            table = max(table, _rel(lhs, rhs))
+    rank, dim, span = qo_dimension([dmat[p] for p in ANGULAR])
+    antisymmetry = 0.0
+    for _ in range(100):
+        x, y = _random_graded(rng), _random_graded(rng)
+        s = graded_bracket(x, y) + graded_bracket(y, x)
+        antisymmetry = max(antisymmetry, s.norm() / max(1.0, x.norm() * y.norm()))
+    triples = [tuple(_random_graded(rng, real_ops=True) for _ in range(3)) for _ in range(100)]
+    jacobi = loop_jacobi(graded_bracket, triples)
+    group = 0.0
+    for _ in range(20):
+        q = _random_qo(rng)
+        for t in (0.1, 1.0, 2.5):
+            g = exponential_flow(q.matrix, t)
+            resid = np.abs(g.T @ ETA @ g - ETA).max()
+            group = max(group, float(resid) / max(1.0, float(np.abs(g).max()) ** 2))
+    return [table, float(abs(rank - 6) + abs(dim - 6)) + span, antisymmetry, jacobi, group]
+
+
+def loop_poincare(rep):
+    def ang(alpha, beta):
+        return np.zeros((4, 4)) if alpha == beta else rep.angular_matrix(alpha, beta)
+
+    translations = 0.0
+    for mu in range(4):
+        for nu in range(4):
+            br = rep.bracket(rep(PoincareGenerator.translation(mu)),
+                             rep(PoincareGenerator.translation(nu)))
+            translations = max(translations, br.norm())
+    mixed = 0.0
+    for (alpha, beta) in ANGULAR:
+        x = rep(PoincareGenerator.angular(alpha, beta))
+        for mu in range(4):
+            br = rep.bracket(x, rep(PoincareGenerator.translation(mu)))
+            expected = (ETA[mu, beta] * basis(alpha) - ETA[mu, alpha] * basis(beta))
+            mixed = max(mixed, _rel(br.l1, expected), float(np.abs(br.l0.matrix).max()),
+                        abs(br.l2))
+    angular = 0.0
+    for (m, n) in ANGULAR:
+        for (a, b) in ANGULAR:
+            br = rep.bracket(rep(PoincareGenerator.angular(m, n)),
+                             rep(PoincareGenerator.angular(a, b)))
+            expected = (ETA[m, b] * ang(n, a) + ETA[n, a] * ang(m, b)
+                        - ETA[m, a] * ang(n, b) - ETA[n, b] * ang(m, a))
+            angular = max(angular, _rel(br.l0.matrix, expected))
+    return [translations, mixed, angular]
+
+
+def loop_representations(rng):
+    """The per-draw loops of suite_representations, kept as its reference."""
+    spin1, plus, minus = (Representation(k) for k in ("spin1", "spin_half_plus",
+                                                       "spin_half_minus"))
+    out = [r for rep in (spin1, plus, minus) for r in loop_poincare(rep)]
+    m = plus.angular_matrix
+    explicit = max(_rel(commutator(m(2, 3), m(1, 2)), -m(3, 1)),
+                   _rel(commutator(m(0, 1), m(3, 1)), m(0, 3)),
+                   _rel(commutator(m(0, 1), m(0, 3)), m(3, 1)),
+                   float(np.abs(commutator(m(0, 1), m(2, 3))).max()))
+    tripotents = ([d_basis(0, j) for j in (1, 2, 3)]
+                  + [d_pm(j, s) for j in (1, 2, 3) for s in (+1, -1)]
+                  + [1j * d_basis(*pair) for pair in DUAL_PAIRS.values()])
+    out += [explicit, max(_rel(t @ t @ t, t) for t in tripotents),
+            max(car_residual([d_pm(j, s) for j in (1, 2, 3)]) for s in (+1, -1)),
+            generator_squares_residual(plus)]
+
+    boosts = [plus.angular_matrix(0, j) for j in (1, 2, 3)]
+
+    def img_elem():
+        c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        op = qo_from_operator(c[0] * boosts[0] + c[1] * boosts[1] + c[2] * boosts[2])
+        return GradedElement(op, _rvec(rng), _scalar_draw(rng))
+
+    triples = [(img_elem(), img_elem(), img_elem()) for _ in range(60)]
+    out.append(loop_jacobi(half_graded_bracket, triples))
+
+    inverse = 0.0
+    eye = np.eye(4)
+    for rep in (spin1, plus, minus):
+        for pair in ANGULAR:
+            x = rep.angular_matrix(*pair)
+            for phi in (0.3, 1.0, 5.0):
+                gp, gm = exponential_flow(x, phi), exponential_flow(x, -phi)
+                scale = max(1.0, float(np.abs(gp).max()) * float(np.abs(gm).max()))
+                inverse = max(inverse, float(np.abs(gp @ gm - eye).max()) / scale)
+    real = 0.0
+    for pair in ANGULAR:
+        g = exponential_flow(spin1.angular_matrix(*pair), 0.8)
+        vr = rng.standard_normal(4)
+        real = max(real, float(np.abs((g @ vr).imag).max()),
+                   float(np.abs((g @ (1j * vr)).real).max()))
+    conjugate_gap = max(float(np.abs(minus.angular_matrix(*pair)
+                                     - np.conj(plus.angular_matrix(*pair))).max())
+                        for pair in ANGULAR)
+    tetrad = np_matrix()
+    round_trip = max(float(np.abs(tetrad.matrix @ tetrad.inverse - eye).max()),
+                     float(np.abs(tetrad.inverse @ tetrad.matrix - eye).max()))
+    v = _rvec(rng)
+    round_trip = max(round_trip, _rel(tetrad.from_np_coords(tetrad.to_np_coords(v)), v))
+    blocks = max(max(res) for kind, t in (("spin_half_plus", np_matrix()),
+                                          ("spin_half_minus", np_matrix_conjugate()))
+                 for *_, res in np_block_residuals(kind, t))
+    out += [inverse, real, conjugate_gap, round_trip, blocks,
+            half_angle_period_residual(plus.angular_matrix(1, 2), d_basis(1, 2))]
+
+    boost = 0.0
+    for phi in (0.5, 1.0, 2.0):
+        flow = exponential_flow(d_basis(0, 1), phi)
+        boost = max(boost, _rel(boost_flow_closed(1, phi), flow))
+        expected_abs = np.eye(4)
+        expected_abs[0, 0] = expected_abs[1, 1] = np.cosh(phi)
+        expected_abs[0, 1] = expected_abs[1, 0] = np.sinh(phi)
+        boost = max(boost, _rel(np.abs(flow), expected_abs))
+    closed = 0.0
+    for j in (1, 2, 3):
+        for phi in (0.3, 1.0, 2.2):
+            for x in (plus.angular_matrix(0, j), plus.angular_matrix(*DUAL_PAIRS[j])):
+                closed = max(closed, _rel(half_flow_closed(x, phi), exponential_flow(x, phi)))
+            closed = max(closed, _rel(rotation_flow_closed(*DUAL_PAIRS[j], phi),
+                                      exponential_flow(d_basis(*DUAL_PAIRS[j]), phi)))
+    return out + [boost, closed]
+
+
+def test_batched_graded_suites_reproduce_the_per_draw_loops():
+    # Same draws, same kernel bits: every residual is equal, and the
+    # generator is left in the same state.
+    for seed in (13, 21):
+        batched, per_draw = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert [c.residual for c in suite_liealgebra(batched)] == loop_liealgebra(per_draw)
+        assert batched.bit_generator.state == per_draw.bit_generator.state
+        assert [c.residual for c in suite_representations(batched)] == \
+            loop_representations(per_draw)
+        assert batched.bit_generator.state == per_draw.bit_generator.state
+
+
+def test_known_mass_shell_false_failure_at_pass_7109_209():
+    # A far benchmark pass on which em.mass_shell_conserved fails although the
+    # flow is right: at field 29 and tau = 8.75, |x|^2 |p0| is about 2.7e4
+    # while |p| is about 1.54, so rounding is amplified by a cancellation the
+    # max(1, |p|)^2 scale does not see.  The exact residual also pins the
+    # draw stream of every suite before em.  See ROADMAP.md.
+    rng = np.random.default_rng([7109, 209])
+    checks = [c for _, fn in SUITES for c in fn(rng)]
+    assert [c.id for c in checks if not c.passed()] == ["em.mass_shell_conserved"]
+    shell = next(c for c in checks if c.id == "em.mass_shell_conserved")
+    assert shell.residual == 1.3570856363571298e-11
+    assert shell.tolerance == 1e-11
+
+
 class Skewed:
     """The plus map with deliberate errors: its angular operators times
     ``sign`` and given the vector part ``vec``, its translations given the
@@ -321,7 +517,7 @@ def imaginary_operator_jacobi(mp):
     # an imaginary grade-0 part breaks the mixed identity of graded_bracket
     a = GradedElement.from_operator(qo_from_operator(1j * d_basis(0, 1)))
     triple = (a, GradedElement.from_vector(basis(0)), GradedElement.from_vector(basis(1)))
-    return [(verify.jacobi_residual(graded_bracket, [triple]), 1e-10)]
+    return [(verify.jacobi_residual(graded_bracket, *triple), 1e-10)]
 
 
 def perturbed_faraday_square(mp):
