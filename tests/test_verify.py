@@ -16,7 +16,7 @@ from relphase import (DUAL_PAIRS, ETA, EMField, GradedElement, PoincareGenerator
 from relphase.em import _sinhc
 from relphase.liealgebra import QO_BASIS_PAIRS
 from relphase.representations import np_block_residuals
-from relphase.verify import (SUITES, _draw, _worst, car_residual, generator_squares_residual,
+from relphase.verify import (SUITES, _draw, _graded_draws, _worst, car_residual, generator_squares_residual,
                              half_angle_period_residual, qo_dimension, run_all, suite_core,
                              suite_em, suite_liealgebra, suite_representations,
                              suite_triproduct)
@@ -387,6 +387,29 @@ def test_batched_graded_suites_reproduce_the_per_draw_loops():
         assert [c.residual for c in suite_representations(batched)] == \
             loop_representations(per_draw)
         assert batched.bit_generator.state == per_draw.bit_generator.state
+
+
+def test_graded_draws_match_per_draw_elements():
+    # The antisymmetry residual is exactly 0 on any draws, so the reference
+    # loops cannot see the inputs of that check; compare the elements.
+    for real_ops in (False, True):
+        batched, per_draw = np.random.default_rng(9), np.random.default_rng(9)
+        stacks = _graded_draws(batched, 5, 3, real_ops=real_ops)
+        for k in range(5):
+            for stack in stacks:
+                single = _random_graded(per_draw, real_ops=real_ops)
+                np.testing.assert_array_equal(stack.l0.matrix[k], single.l0.matrix)
+                np.testing.assert_array_equal(stack.l1[k], single.l1)
+                assert stack.l2[k] == single.l2
+        assert batched.bit_generator.state == per_draw.bit_generator.state
+
+
+def test_batched_poincare_checks_reproduce_the_loops_on_wrong_images():
+    # On the true images most entries of the bracket table are exactly 0;
+    # skewed images give every check a non-zero residual to compare.
+    for rep in (Skewed(sign=-1), Skewed(op=d_basis(0, 1)), Skewed(vec=1j * basis(0)),
+                Skewed(sign=1j, vec=basis(2), op=d_basis(1, 2))):
+        assert [c.residual for c in verify._poincare_checks(rep, "x")] == loop_poincare(rep)
 
 
 def test_known_mass_shell_false_failure_at_pass_7109_209():
