@@ -11,13 +11,18 @@ Subcommands:
 
 Common flags: ``--tolerance`` (scales every check's stated tolerance; the
 default 1e-12 judges each check exactly at the tolerance it is defined
-with), ``--seed`` (drives all randomized suites), ``--format`` (json or csv)
-and ``--output`` (file path, default stdout).
+with) and ``--seed`` (drives all randomized suites).
+
+Output: every command builds one result and writes it in one place.
+``--format json`` (the default) writes it as one indented JSON document,
+``--format csv`` as a header row and one row per entry, with the same
+values; ``--output PATH`` writes it to PATH instead of stdout ('-' or unset
+is stdout).  A command that fails writes nothing.
 
 Report payloads contain no timestamps: a fixed seed and flag set reproduces
 them byte for byte.  Wall-clock timings go to stderr.  Exit status: 0 when
 all checks pass, 1 on a verification failure, 2 on a usage or configuration
-error.
+error, an unwritable ``--output`` included.
 
 Complex numbers are serialized as ``re+imi`` strings in JSON and as split
 re/im columns in CSV; floats are written with 17 significant digits so that
@@ -72,28 +77,46 @@ def parse_complex(text: str) -> complex:
     return complex(0.0, float(body))  # pure imaginary like "2i"
 
 
-def _vector_strings(v) -> list[str]:
-    return [format_complex(z) for z in np.asarray(v, dtype=np.complex128)]
-
-
 def _matrix_strings(m) -> list[list[str]]:
-    m = np.asarray(m, dtype=np.complex128)
-    return [[format_complex(z) for z in row] for row in m]
-
-
-def _write_payload(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write output file {path!r}: {exc}") from exc
+    return [list(map(format_complex, row)) for row in m]
 
 
 class ConfigError(Exception):
     pass
+
+
+def _cell(x):
+    """A CSV cell: floats with 17 significant digits, booleans as true/false."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return format_float(x) if isinstance(x, float) else x
+
+
+def _emit(args: argparse.Namespace, doc, header: list[str], rows, status: int,
+          allow_nan: bool = True) -> int:
+    """Write ``doc`` as JSON, or ``header`` and ``rows`` as CSV, to stdout or
+    ``--output``, and return ``status``.
+
+    The text is built before the file is opened, so a document that cannot
+    be written (NaN with ``allow_nan=False``) leaves no file behind.
+    """
+    if args.format == "json":
+        text = json.dumps(doc, indent=2, allow_nan=allow_nan) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows([_cell(x) for x in row] for row in rows)
+        text = buf.getvalue()
+    if args.output in (None, "-"):
+        sys.stdout.write(text)
+        return status
+    try:
+        with open(args.output, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {args.output!r}: {exc}") from exc
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -101,37 +124,26 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    reports = []
+    reports, rows = [], []
     all_pass = True
     t0 = time.perf_counter()
     for name, checks in run_all(args.seed):
         elapsed = time.perf_counter() - t0
-        suite_pass = all(c.passed(args.tolerance) for c in checks)
+        results = [(c.id, c.residual, c.passed(args.tolerance)) for c in checks]
+        suite_pass = all(ok for *_, ok in results)
         all_pass = all_pass and suite_pass
         reports.append({
             "suite": name,
-            "checks": [{"id": c.id, "residual": c.residual, "pass": c.passed(args.tolerance)}
-                       for c in checks],
+            "checks": [{"id": cid, "residual": r, "pass": ok} for cid, r, ok in results],
             "pass": suite_pass,
         })
+        rows += [[name, *result] for result in results]
         worst = max((c.residual for c in checks), default=0.0)
         print(f"[verify] {name}: {len(checks)} checks, max residual {worst:.3e}, "
               f"{'PASS' if suite_pass else 'FAIL'} ({elapsed:.3f}s)", file=sys.stderr)
         t0 = time.perf_counter()
-
-    if args.format == "json":
-        payload = json.dumps(reports, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["suite", "check", "residual", "pass"])
-        for rep in reports:
-            for c in rep["checks"]:
-                writer.writerow([rep["suite"], c["id"], format_float(c["residual"]),
-                                 "true" if c["pass"] else "false"])
-        payload = buf.getvalue()
-    _write_payload(payload, args.output)
-    return 0 if all_pass else VERIFY_ERROR
+    return _emit(args, reports, ["suite", "check", "residual", "pass"], rows,
+                 0 if all_pass else VERIFY_ERROR)
 
 
 # ---------------------------------------------------------------------------
@@ -158,30 +170,18 @@ def cmd_transform(args: argparse.Namespace) -> int:
     if not np.all(np.isfinite(out)):
         raise overflow
 
-    if args.format == "json":
-        payload = json.dumps({
-            "representation": args.representation,
-            "generator": gen.label,
-            "phi": args.phi,
-            "input": _vector_strings(v),
-            "matrix": _matrix_strings(matrix),
-            "output": _vector_strings(out),
-        }, indent=2, allow_nan=False) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["section", "row", "col", "re", "im"])
-        for i, z in enumerate(v):
-            writer.writerow(["input", i, "", format_float(z.real), format_float(z.imag)])
-        for i in range(4):
-            for j in range(4):
-                writer.writerow(["matrix", i, j,
-                                 format_float(matrix[i, j].real), format_float(matrix[i, j].imag)])
-        for i, z in enumerate(out):
-            writer.writerow(["output", i, "", format_float(z.real), format_float(z.imag)])
-        payload = buf.getvalue()
-    _write_payload(payload, args.output)
-    return 0
+    doc = {
+        "representation": args.representation,
+        "generator": gen.label,
+        "phi": args.phi,
+        "input": list(map(format_complex, v)),
+        "matrix": _matrix_strings(matrix),
+        "output": list(map(format_complex, out)),
+    }
+    rows = ([["input", i, "", z.real, z.imag] for i, z in enumerate(v)]
+            + [["matrix", i, j, z.real, z.imag] for (i, j), z in np.ndenumerate(matrix)]
+            + [["output", i, "", z.real, z.imag] for i, z in enumerate(out)])
+    return _emit(args, doc, ["section", "row", "col", "re", "im"], rows, 0, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -199,52 +199,34 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         raise ConfigError("momentum components must be finite")
 
     taus = np.linspace(0.0, args.tau_max, args.samples)
-    rows = []
+    header = ["tau", "p0", "p1", "p2", "p3"]
+    # One row per sample: tau, p, and with --compare p_num, dev, shell_residual.
     # Overflow is detected on the results, so numpy's warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        p_all = evolve_closed_form(field, p0, taus)
-        if args.compare:
-            p_num = evolve_numeric(field, p0, taus, args.rk4_steps)
-        for k, tau in enumerate(taus):
-            tau = float(tau)
-            p = p_all[k]
-            row = {"tau": tau, "p": [float(x) for x in p]}
-            values = row["p"]
-            if args.compare:
-                row["p_num"] = [float(x) for x in p_num[k]]
-                row["dev"] = float(np.abs(p - p_num[k]).max()) / max(1.0, float(np.abs(p).max()))
-                row["shell_residual"] = shell_drift(p0, p)
-                values = values + row["p_num"] + [row["dev"], row["shell_residual"]]
-            if not all(math.isfinite(v) for v in values):
-                raise ConfigError(f"non-finite result at tau={tau:.17g}: the momentum "
-                                  "overflows double precision; reduce tau-max or the field")
-            rows.append(row)
-
-    if args.format == "json":
-        payload = json.dumps({
-            "field": {"e": list(map(float, field.e)), "b": list(map(float, field.b))},
-            "p0": [float(x) for x in p0],
-            "tau_max": args.tau_max,
-            "samples": args.samples,
-            "compare": bool(args.compare),
-            "rows": rows,
-        }, indent=2, allow_nan=False) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        header = ["tau", "p0", "p1", "p2", "p3"]
+        p = evolve_closed_form(field, p0, taus)
+        table = np.column_stack([taus, p])
         if args.compare:
             header += ["p0_num", "p1_num", "p2_num", "p3_num", "dev", "shell_residual"]
-        writer.writerow(header)
-        for row in rows:
-            cells = [format_float(row["tau"])] + [format_float(x) for x in row["p"]]
-            if args.compare:
-                cells += [format_float(x) for x in row["p_num"]]
-                cells += [format_float(row["dev"]), format_float(row["shell_residual"])]
-            writer.writerow(cells)
-        payload = buf.getvalue()
-    _write_payload(payload, args.output)
-    return 0
+            p_num = evolve_numeric(field, p0, taus, args.rk4_steps)
+            dev = np.abs(p - p_num).max(axis=1) / np.maximum(1.0, np.abs(p).max(axis=1))
+            shell = [shell_drift(p0, row) for row in p]
+            table = np.column_stack([table, p_num, dev, shell])
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        raise ConfigError(f"non-finite result at tau={taus[bad][0]:.17g}: the momentum "
+                          "overflows double precision; reduce tau-max or the field")
+
+    rows = table.tolist()
+    keys = ["tau", "p"] + (["p_num", "dev", "shell_residual"] if args.compare else [])
+    doc = {
+        "field": {"e": list(map(float, field.e)), "b": list(map(float, field.b))},
+        "p0": [float(x) for x in p0],
+        "tau_max": args.tau_max,
+        "samples": args.samples,
+        "compare": bool(args.compare),
+        "rows": [dict(zip(keys, (r[0], r[1:5], r[5:9], *r[9:]))) for r in rows],
+    }
+    return _emit(args, doc, header, rows, 0, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -255,46 +237,33 @@ def cmd_np_dump(args: argparse.Namespace) -> int:
     kind = args.representation
     tetrad = np_matrix() if kind == "spin_half_plus" else np_matrix_conjugate()
 
-    generators = []
-    blocks = np_block_residuals(kind, tetrad)
-    for j, boost, mat, (off, r1, r2) in blocks:
+    generators, rows = [], []
+    for j, boost, mat, (off, r1, r2) in np_block_residuals(kind, tetrad):
         pair = (0, j) if boost else DUAL_PAIRS[j]
+        label, gen_kind = f"M{pair[0]}{pair[1]}", "boost" if boost else "rotation"
         generators.append({
-            "label": f"M{pair[0]}{pair[1]}",
+            "label": label,
             "axis": j,
-            "kind": "boost" if boost else "rotation",
+            "kind": gen_kind,
             "matrix": _matrix_strings(mat),
             "off_block_residual": off,
             "first_block_residual": r1,
             "second_block_residual": r2,
         })
-    worst = max(max(res) for *_, res in blocks)
+        rows.append([label, j, gen_kind, off, r1, r2, max(off, r1, r2) <= args.tolerance])
+    worst = max(max(row[3:6]) for row in rows)
 
     passed = worst <= args.tolerance
-    if args.format == "json":
-        payload = json.dumps({
-            "representation": kind,
-            "tetrad": list(tetrad.labels),
-            "generators": generators,
-            "max_residual": worst,
-            "pass": passed,
-        }, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["generator", "axis", "kind", "off_block_residual",
-                         "first_block_residual", "second_block_residual", "pass"])
-        for g in generators:
-            g_pass = max(g["off_block_residual"], g["first_block_residual"],
-                         g["second_block_residual"]) <= args.tolerance
-            writer.writerow([g["label"], g["axis"], g["kind"],
-                             format_float(g["off_block_residual"]),
-                             format_float(g["first_block_residual"]),
-                             format_float(g["second_block_residual"]),
-                             "true" if g_pass else "false"])
-        payload = buf.getvalue()
-    _write_payload(payload, args.output)
-    return 0 if passed else VERIFY_ERROR
+    doc = {
+        "representation": kind,
+        "tetrad": list(tetrad.labels),
+        "generators": generators,
+        "max_residual": worst,
+        "pass": passed,
+    }
+    return _emit(args, doc, ["generator", "axis", "kind", "off_block_residual",
+                             "first_block_residual", "second_block_residual", "pass"],
+                 rows, 0 if passed else VERIFY_ERROR)
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     try:
         return COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

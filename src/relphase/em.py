@@ -119,9 +119,10 @@ class FieldInvariant:
 
 _BOOST_PLUS = np.stack([Representation("spin_half_plus").angular_matrix(0, j) for j in (1, 2, 3)])
 _BOOST_PLUS.setflags(write=False)
-# Gram matrix of the three boost images, inverted once for component extraction.
-_BOOST_STACK = _BOOST_PLUS.reshape(3, 16)
-_BOOST_PINV = np.linalg.pinv(_BOOST_STACK)
+# Column j holds the entries of X_j^T, so a row of the 16 entries of F times
+# this matrix gives tr(X_j F) = F^j (the boost images obey tr(X_j X_k) =
+# delta_jk).  C-contiguous, so a single operator and a stack contract alike.
+_BOOST_TRACE = np.ascontiguousarray(_BOOST_PLUS.mT.reshape(3, 16).T)
 # Boost generators D_{0j} and their dual rotations Dperp_j, j = 1, 2, 3, as
 # rows of 16 real entries.
 _BOOST_ROWS = np.stack([d_basis(0, j) for j in (1, 2, 3)]).real.reshape(3, 16)
@@ -175,16 +176,17 @@ def evolution_generator(f: EMField) -> ArrayR:
 
 
 def faraday_components(x: ArrayLike, tol: float = 1e-10) -> ArrayC:
-    """Recover the complex components F^j from sum_j F^j X_j.
+    """Recover the complex components F^j = tr(X_j F) from F = sum_j F^j X_j.
 
-    Raises ValueError when the operator is not in the span of the three
-    boost images within tol (relative to its size).
+    ``x`` is one operator or a ``(..., 4, 4)`` stack; the result has shape
+    ``(..., 3)``, each entry bit for bit the single call's.  Raises
+    ValueError when an operator is not in the span of the three boost
+    images within tol (relative to its size).
     """
     m = np.asarray(x, dtype=np.complex128)
-    c = _BOOST_PINV.T @ m.reshape(16)
-    recon = (c @ _BOOST_STACK).reshape(4, 4)
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(recon - m).max() > tol * scale:
+    c = (m.reshape(m.shape[:-2] + (1, 16)) @ _BOOST_TRACE)[..., 0, :]
+    gap = np.abs(_faraday(c) - m).max(axis=(-2, -1))
+    if (gap > tol * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))).any():
         raise ValueError("operator is not a combination of the boost images")
     return c
 
@@ -244,13 +246,17 @@ def _check_finite(values: ArrayC, tau: ArrayLike, trailing: int, what: str) -> N
                          "overflows double precision; reduce tau or the field")
 
 
+def _closed_flow(w: ArrayLike, tau: ArrayLike, op: ArrayC) -> ArrayC:
+    """cosh(w tau) I + tau sinhc(w tau) op: exp(tau op) for an operator with
+    op^2 = w^2 I, whichever root w is given."""
+    x = w * tau
+    return np.cosh(x)[..., None, None] * _EYE_C + (tau * _sinhc(x))[..., None, None] * op
+
+
 def _exp_faraday(f: EMField, tau: ArrayLike) -> ArrayC:
     """exp(tau * Faraday tensor) without the finiteness check."""
-    tau = np.asarray(tau, dtype=np.float64)[()]
     fc = f.faraday_vector
-    x = _half_root(fc)[1] * tau
-    k = tau * _sinhc(x)
-    return np.cosh(x)[..., None, None] * _EYE_C + k[..., None, None] * _faraday(fc)
+    return _closed_flow(_half_root(fc)[1], np.asarray(tau, dtype=np.float64)[()], _faraday(fc))
 
 
 def exp_faraday(f: EMField, tau: ArrayLike) -> ArrayC:

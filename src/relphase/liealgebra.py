@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import ETA, ArrayC, ArrayR, symplectic_bracket
+from .core import _ETA_C, ETA, ArrayC, ArrayR, symplectic_bracket
 from .triproduct import d_basis
 
 #: Index pairs of the six independent algebra generators, in the order
@@ -128,16 +128,25 @@ def qo_from_operator(matrix: ArrayLike, tol: float = 1e-10) -> QoElement:
     return QoElement(m)
 
 
+def _group_residual(g: ArrayLike) -> ArrayR:
+    """Largest entry of g^T eta g - eta relative to max(1, |g|^2), per
+    operator of a ``(..., 4, 4)`` stack."""
+    g = np.asarray(g, dtype=np.complex128)
+    # The complex metric saves the casts numpy would make of the real one.
+    resid = np.abs(g.mT @ _ETA_C @ g - _ETA_C).max(axis=(-2, -1))
+    # max(1, |g|)^2 is max(1, |g|^2).  float_power squares through libm's
+    # pow, as Python's float ** 2 does; x * x can differ from it in the last bit.
+    return resid / np.float_power(np.abs(g).max(axis=(-2, -1), initial=1.0), 2)
+
+
 def is_quasi_orthogonal(g: ArrayLike, tol: float = 1e-12) -> bool:
     """True when g preserves the scalar product: g^T eta g = eta.
 
     Checked on all 16 basis pairs at once; the residual is normalised by the
     squared size of g so large flows are judged relative to their own scale.
+    ``g`` may be a stack ``(..., 4, 4)``: then True when every map passes.
     """
-    g = np.asarray(g, dtype=np.complex128)
-    resid = np.abs(g.T @ ETA @ g - ETA).max()
-    scale = max(1.0, float(np.abs(g).max()) ** 2)
-    return bool(resid <= tol * scale)
+    return bool((_group_residual(g) <= tol).all())
 
 
 def is_in_qo(x: ArrayLike, tol: float = 1e-12) -> bool:

@@ -34,12 +34,12 @@ import numpy as np
 
 from .core import (ETA, basis, conjugate, decompose, scalar_product,
                    scalar_square, symplectic_bracket)
-from .em import (EMField, _sinhc, evolution_generator, evolve_closed_form,
+from .em import (EMField, _closed_flow, evolution_generator, evolve_closed_form,
                  evolve_numeric, exp_faraday, faraday_components,
                  faraday_conjugate, faraday_tensor, field_tensor, invariant_z)
-from .liealgebra import (QO_BASIS_PAIRS, GradedElement, QoElement, commutator,
-                         graded_bracket, is_in_qo, qo_basis, qo_from_operator,
-                         qo_realize)
+from .liealgebra import (QO_BASIS_PAIRS, GradedElement, QoElement, _group_residual,
+                         commutator, graded_bracket, is_in_qo, qo_basis,
+                         qo_from_operator, qo_realize)
 from .representations import (DUAL_PAIRS, PoincareGenerator, Representation,
                               boost_flow_closed, d_pm, exponential_flow,
                               half_flow_closed, half_graded_bracket,
@@ -295,11 +295,7 @@ def suite_liealgebra(rng: np.random.Generator) -> list[Check]:
     coeffs = coeffs.reshape(20, 4, 4)
     q = qo_realize(coeffs - coeffs.mT)
     g = exponential_flow(q.matrix[:, None], np.array([0.1, 1.0, 2.5])[:, None, None])
-    resid = np.abs(g.mT @ ETA @ g - ETA).max(axis=(-2, -1))
-    # float_power squares through libm's pow, as Python's float ** 2 does;
-    # x * x can differ from it in the last bit.
-    scale = np.maximum(1.0, np.float_power(np.abs(g).max(axis=(-2, -1)), 2))
-    checks.append(Check("qo.exponential_in_group", float((resid / scale).max()), 1e-12))
+    checks.append(Check("qo.exponential_in_group", float(_group_residual(g).max()), 1e-12))
 
     return checks
 
@@ -540,15 +536,21 @@ def _minkowski_square(p):
 def shell_and_reality_residuals(fields: EMField, p0s, taus) -> tuple[float, float]:
     """Mass-shell drift and imaginary part of conj(X) X p0, X = exp_faraday(f, tau).
 
-    Field k starts from the real momentum p0s[k]; both residuals are relative
-    to max(1, |p|) (the drift to its square), maximised over fields and taus.
+    Field k starts from the real momentum p0s[k]; residuals are maximised
+    over fields and taus.  The products in conj(X) X p0 have the size
+    T = |X|^2 |p0| (max entries) and may cancel down to |p|, leaving
+    rounding of size T: with S = max(1, |p|), the imaginary part is
+    relative to max(S, T) and the drift to S max(S, T).
     """
     p0s = np.asarray(p0s)
     x = exp_faraday(fields[:, None], np.asarray(taus, dtype=np.float64))
     p = (np.conj(x) @ (x @ p0s.astype(np.complex128)[:, None, :, None]))[..., 0]
-    scale = np.maximum(1.0, np.abs(p).max(axis=-1))
+    s = np.maximum(1.0, np.abs(p).max(axis=-1))
+    # float_power squares through libm's pow, as Python's float ** 2 does.
+    t = np.float_power(np.abs(x).max(axis=(-2, -1)), 2) * np.abs(p0s).max(axis=-1)[:, None]
+    scale = np.maximum(s, t)
     real = float((np.abs(p.imag).max(axis=-1) / scale).max())
-    shell = np.abs(_minkowski_square(p.real) - _minkowski_square(p0s)[:, None]) / scale ** 2
+    shell = np.abs(_minkowski_square(p.real) - _minkowski_square(p0s)[:, None]) / (s * scale)
     return float(shell.max()), real
 
 
@@ -559,8 +561,7 @@ def flow_invariance_residual(fields: EMField, axes, phis) -> float:
     x = np.stack([plus.angular_matrix(0, j) for j in axes])
     phis = np.asarray(phis, dtype=np.float64)[:, None, None]
     transformed = exponential_flow(x, phis) @ faraday_tensor(fields) @ exponential_flow(x, -phis)
-    # The pseudo-inverse contraction of faraday_components takes one operator.
-    comps = np.stack([faraday_components(t) for t in transformed])
+    comps = faraday_components(transformed)
     z = invariant_z(fields).z
     # hypot(re, im) is the modulus abs() gives a Python complex; numpy's
     # complex abs can differ from it in the last bit.
@@ -576,7 +577,6 @@ def closed_form_rk4_residual(fields: EMField, p0s, tau: float, steps: int) -> fl
 
 def suite_em(rng: np.random.Generator, draws: int = 500) -> list[Check]:
     checks = []
-    eye = np.eye(4)
 
     # Field k takes row k: E from the first three entries, B from the last.
     u = rng.uniform(-1, 1, (draws, 6))
@@ -595,13 +595,11 @@ def suite_em(rng: np.random.Generator, draws: int = 500) -> list[Check]:
     checks.append(Check("em.invariant_under_flows",
                         flow_invariance_residual(fields[:40], axes, phis), 1e-11))
 
+    # The closed-form kernel of exp_faraday with either root of w^2 = z/4.
     w = invariant_z(fields[:40]).w[:, None]
     fc = faraday_tensor(fields[:40])[:, None]
     taus = np.array([0.7, 3.0])
-    wp = (np.cosh(w * taus)[..., None, None] * eye
-          + (taus * _sinhc(w * taus))[..., None, None] * fc)
-    wm = (np.cosh(-w * taus)[..., None, None] * eye
-          + (taus * _sinhc(-w * taus))[..., None, None] * fc)
+    wp, wm = _closed_flow(w, taus, fc), _closed_flow(-w, taus, fc)
     worst = (np.abs(wp - wm).max(axis=(-2, -1))
              / np.maximum(1.0, np.abs(wp).max(axis=(-2, -1)))).max()
     checks.append(Check("em.branch_independence", worst, 1e-15))

@@ -19,6 +19,7 @@ from relphase.representations import REPRESENTATION_KINDS
 
 DATA = Path(__file__).parent / "data"
 PINNED_EVOLVE = DATA / "evolve_compare_pinned.json"
+PINNED_OUTPUT = DATA / "cli_pinned.json"
 
 
 def strict_json(text):
@@ -406,6 +407,21 @@ class TestNpDumpCommand:
             mp = np.array([[parse_complex(z) for z in row] for row in gp["matrix"]])
             mm = np.array([[parse_complex(z) for z in row] for row in gm["matrix"]])
             np.testing.assert_allclose(mm, np.conj(mp), atol=1e-14)
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_transform_and_evolve_match_pinned_bytes(self, fmt, tmp_path):
+        # The fixture holds the output of `relphase --format FMT transform|evolve
+        # ...` from before the commands shared one output path: transforms of
+        # all three kinds with a swapped label (M10) and negative phi (the
+        # spin-1 M23 flow at phi = -1.7 has a -0.0 entry), and evolve without
+        # --compare.  Files and stdout must carry the same bytes.
+        out = tmp_path / "out"
+        for case in json.loads(PINNED_OUTPUT.read_text()):
+            assert main(["--format", fmt, "--output", str(out), *case["argv"]]) == 0
+            assert out.read_bytes() == case[fmt].encode(), case["argv"]
+            assert run_quiet(["--format", fmt, *case["argv"]])[:2] == (0, case[fmt])
 
 
 class TestProcessInvocation:

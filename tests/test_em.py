@@ -420,6 +420,16 @@ class TestFieldAxis:
         assert_same_bits(got, np.stack([evolve_numeric(f, p0, CONTRACT_TAUS, 9)
                                         for f, p0 in zip(self.singles, self.p0s[:200])]))
 
+    def test_faraday_components_of_a_stack(self):
+        x = PLUS.angular_matrix(0, 2)
+        ops = exponential_flow(x, 0.8) @ faraday_tensor(self.fields) @ exponential_flow(x, -0.8)
+        assert_same_bits(faraday_components(ops), np.stack([faraday_components(m) for m in ops]))
+        assert faraday_components(ops[0]).shape == (3,)
+        bad = ops.copy()
+        bad[1000] += 1e-6 * np.eye(4)
+        with pytest.raises(ValueError):
+            faraday_components(bad)
+
     def test_single_inputs_keep_their_types(self):
         f = self.singles[0]
         inv = invariant_z(f)
