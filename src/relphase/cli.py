@@ -22,7 +22,7 @@ is stdout).  A command that fails writes nothing.
 Report payloads contain no timestamps: a fixed seed and flag set reproduces
 them byte for byte.  Wall-clock timings go to stderr.  Exit status: 0 when
 all checks pass, 1 on a verification failure, 2 on a usage or configuration
-error, an unwritable ``--output`` included.
+error, an unwritable ``--output`` or stdout (a closed pipe) included.
 
 Complex numbers are serialized as ``re+imi`` strings in JSON and as split
 re/im columns in CSV; floats are written with 17 significant digits so that
@@ -36,15 +36,16 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 import time
 
 import numpy as np
 
-from .core import phase_vector
+from .core import _first_nonfinite, phase_vector
 from .em import EMField, evolve_closed_form, evolve_numeric, shell_drift
-from .representations import (DUAL_PAIRS, REPRESENTATION_KINDS, Representation,
+from .representations import (DUAL_PAIRS, REPRESENTATION_KINDS, Representation, _finite_flow,
                               exponential_flow, np_block_residuals, np_matrix,
                               np_matrix_conjugate, parse_generator)
 from .verify import DEFAULT_TOLERANCE, run_all
@@ -108,14 +109,21 @@ def _emit(args: argparse.Namespace, doc, header: list[str], rows, status: int,
         writer.writerow(header)
         writer.writerows([_cell(x) for x in row] for row in rows)
         text = buf.getvalue()
-    if args.output in (None, "-"):
-        sys.stdout.write(text)
-        return status
+    to_stdout = args.output in (None, "-")
     try:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
+        if to_stdout:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(args.output, "w", newline="") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write output file {args.output!r}: {exc}") from exc
+        if to_stdout:
+            # A closed pipe: point fd 1 at the null device, so that the
+            # flush at interpreter exit does not fail a second time.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        where = "to stdout" if to_stdout else f"output file {args.output!r}"
+        raise ConfigError(f"cannot write {where}: {exc}") from exc
     return status
 
 
@@ -158,17 +166,14 @@ def cmd_transform(args: argparse.Namespace) -> int:
         raise ConfigError(f"phi must be finite, got {args.phi}")
     rep = Representation(args.representation)
     v = phase_vector([parse_complex(c) for c in args.component])
-    overflow = ConfigError(f"non-finite result at phi={args.phi:.17g}: the flow overflows "
-                           "double precision; reduce phi or the components")
     # Overflow is detected on the results, so numpy's warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             matrix = exponential_flow(rep.angular_matrix(*gen.indices) * gen.sign, args.phi)
-        except ValueError:
-            raise overflow from None
-        out = matrix @ v
-    if not np.all(np.isfinite(out)):
-        raise overflow
+            out = _finite_flow(matrix @ v, args.phi)
+        except ValueError as exc:
+            # The flow's message; the image of a large vector can overflow too.
+            raise ConfigError(f"{exc} or the components") from None
 
     doc = {
         "representation": args.representation,
@@ -211,9 +216,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             dev = np.abs(p - p_num).max(axis=1) / np.maximum(1.0, np.abs(p).max(axis=1))
             shell = [shell_drift(p0, row) for row in p]
             table = np.column_stack([table, p_num, dev, shell])
-    bad = ~np.isfinite(table).all(axis=1)
-    if bad.any():
-        raise ConfigError(f"non-finite result at tau={taus[bad][0]:.17g}: the momentum "
+    if (bad := _first_nonfinite(table, taus, 1)) is not None:
+        raise ConfigError(f"non-finite result at tau={bad:.17g}: the momentum "
                           "overflows double precision; reduce tau-max or the field")
 
     rows = table.tolist()

@@ -80,6 +80,22 @@ def phase_operator(matrix: ArrayLike) -> ArrayC:
     return m
 
 
+def _first_nonfinite(values: ArrayLike, param: ArrayLike, trailing: int = 0) -> float | None:
+    """The entry of ``param`` at the first non-finite entry of ``values`` in C
+    order, or None when every entry is finite.
+
+    ``values`` has the axes of ``param`` (broadcast) followed by ``trailing``
+    axes of one result: flows at rapidities ``phis[..., None, None]`` take
+    ``trailing=0``, 4x4 flows at proper times of shape ``(T,)`` take 2.
+    """
+    finite = np.isfinite(values)
+    # Cheaper than finite.all() on the small arrays of the scalar calls.
+    if np.count_nonzero(finite) == finite.size:
+        return None
+    params = np.reshape(param, np.shape(param) + (1,) * trailing)
+    return float(np.broadcast_to(params, finite.shape)[~finite][0])
+
+
 def scalar_product(a: ArrayLike, b: ArrayLike) -> complex | ArrayC:
     """Bilinear Minkowski scalar product <a|b> = eta_{mu nu} a^mu b^nu.
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import ETA, ArrayC, ArrayR
+from .core import ETA, ArrayC, ArrayR, _first_nonfinite
 from .liealgebra import QoElement
 from .representations import DUAL_PAIRS, Representation
 from .triproduct import d_basis
@@ -233,17 +233,9 @@ def _sinhc(x: ArrayLike) -> complex | ArrayC:
         return np.where(small, taylor, np.sinh(x) / x)[()]
 
 
-def _check_finite(values: ArrayC, tau: ArrayLike, trailing: int, what: str) -> None:
-    """Raise ValueError naming the proper time of the first non-finite entry.
-
-    ``values`` has the broadcast axes of the fields and ``tau``, then
-    ``trailing`` axes of one result; entries are taken in C order.
-    """
-    if not np.isfinite(values).all():
-        bad = ~np.isfinite(values)
-        taus = np.broadcast_to(np.reshape(tau, np.shape(tau) + (1,) * trailing), values.shape)
-        raise ValueError(f"non-finite result at tau={float(taus[bad][0]):.17g}: the {what} "
-                         "overflows double precision; reduce tau or the field")
+def _overflow(tau: float, what: str) -> ValueError:
+    return ValueError(f"non-finite result at tau={tau:.17g}: the {what} overflows "
+                      "double precision; reduce tau or the field")
 
 
 def _closed_flow(w: ArrayLike, tau: ArrayLike, op: ArrayC) -> ArrayC:
@@ -268,7 +260,8 @@ def exp_faraday(f: EMField, tau: ArrayLike) -> ArrayC:
     root is irrelevant.  Raises ValueError when an entry overflows.
     """
     x = _exp_faraday(f, tau)
-    _check_finite(x, tau, 2, "flow")
+    if (bad := _first_nonfinite(x, tau, 2)) is not None:
+        raise _overflow(bad, "flow")
     return x
 
 
@@ -296,7 +289,8 @@ def evolve_closed_form(f: EMField, p0: ArrayLike, tau: ArrayLike,
         raise ValueError("evolve_closed_form expects a real four-momentum")
     x = _exp_faraday(f, tau)
     p = (np.conj(x) @ (x @ p0.real[..., None]))[..., 0]
-    _check_finite(p, tau, 1, "momentum")
+    if (bad := _first_nonfinite(p, tau, 1)) is not None:
+        raise _overflow(bad, "momentum")
     # |p| is only needed when a residual is above the absolute tolerance.
     if np.abs(p.imag).max() > imag_tol:
         imag = np.abs(p.imag).max(axis=-1)

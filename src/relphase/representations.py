@@ -51,7 +51,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 from scipy.linalg import expm
 
-from .core import ArrayC, basis, symplectic_bracket
+from .core import ArrayC, _first_nonfinite, basis, symplectic_bracket
 from .liealgebra import (QO_BASIS_PAIRS, GradedElement, QoElement, commutator,
                          graded_bracket)
 from .triproduct import d_basis
@@ -284,9 +284,13 @@ class Representation:
 # Exponential flows
 # ---------------------------------------------------------------------------
 
-def _overflow(phi: ArrayLike) -> ValueError:
-    return ValueError(f"non-finite result at phi={float(phi):.17g}: the flow overflows "
-                      "double precision; reduce phi")
+def _finite_flow(g: ArrayC, phi: ArrayLike) -> ArrayC:
+    """Return the flow ``g``, or raise ValueError naming the rapidity of its
+    first non-finite entry (C order)."""
+    if (bad := _first_nonfinite(g, phi)) is not None:
+        raise ValueError(f"non-finite result at phi={bad:.17g}: the flow overflows "
+                         "double precision; reduce phi")
+    return g
 
 
 def exponential_flow(x: ArrayLike, phi: ArrayLike) -> ArrayC:
@@ -298,12 +302,19 @@ def exponential_flow(x: ArrayLike, phi: ArrayLike) -> ArrayC:
     Raises ValueError naming the rapidity of the first operator (C order)
     whose exponential is not finite.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    g = expm(phi * x)
-    finite = np.isfinite(g)
-    if not finite.all():
-        raise _overflow(np.broadcast_to(phi, g.shape)[~finite][0])
-    return g
+    return _finite_flow(expm(phi * np.asarray(x, dtype=np.complex128)), phi)
+
+
+def _cubic_flow(d: ArrayC, odd: float, even: float, phi: float) -> ArrayC:
+    """I + odd D + even D^2: exp(phi D) for D^3 = +/-D with the matching
+    coefficients.
+
+    D is a basis generator, with entries 0 and +/-1 and D^2 entries 0 and
+    1, so the result is finite exactly when both coefficients are; checking
+    them is cheaper than checking the result.
+    """
+    g = np.eye(4, dtype=np.complex128) + odd * d + even * (d @ d)
+    return g if math.isfinite(odd) and math.isfinite(even) else _finite_flow(g, phi)
 
 
 def boost_flow_closed(j: int, phi: float) -> ArrayC:
@@ -313,22 +324,16 @@ def boost_flow_closed(j: int, phi: float) -> ArrayC:
     module docstring.  Raises ValueError when cosh(phi) or sinh(phi)
     overflows.
     """
-    d = d_basis(0, j)
     sinh, cosh = np.sinh(phi), np.cosh(phi)
-    if not (math.isfinite(sinh) and math.isfinite(cosh)):
-        raise _overflow(phi)
-    return np.eye(4, dtype=np.complex128) + sinh * d + (cosh - 1.0) * (d @ d)
+    return _cubic_flow(d_basis(0, j), sinh, cosh - 1.0, phi)
 
 
 def rotation_flow_closed(k: int, l: int, phi: float) -> ArrayC:
     """Closed form of exp(phi * d_basis(k,l)) for spatial k, l: D^3 = -D.
 
     Raises ValueError when phi is not finite."""
-    d = d_basis(k, l)
     sin, cos = np.sin(phi), np.cos(phi)
-    if not (math.isfinite(sin) and math.isfinite(cos)):
-        raise _overflow(phi)
-    return np.eye(4, dtype=np.complex128) + sin * d + (1.0 - cos) * (d @ d)
+    return _cubic_flow(d_basis(k, l), sin, 1.0 - cos, phi)
 
 
 def half_flow_closed(x: ArrayLike, phi: float) -> ArrayC:
@@ -337,22 +342,18 @@ def half_flow_closed(x: ArrayLike, phi: float) -> ArrayC:
     Uses X^2 = s I/4 with s = +1 (boosts) or s = -1 (rotations):
         exp(phi X) = cosh(phi/2) I + 2 sinh(phi/2) X      (s = +1)
         exp(phi X) = cos(phi/2) I + 2 sin(phi/2) X        (s = -1)
-    Raises ValueError when one of the two coefficients is not finite.
+    Raises ValueError when the result is not finite: X may have large
+    entries, so finite coefficients do not make a finite result.
     """
     x = np.asarray(x, dtype=np.complex128)
     sq = x @ x
     s = sq[0, 0] / 0.25
-    if abs(sq - 0.25 * s * np.eye(4)).max() > 1e-12:
+    boost = abs(s - 1.0) < 1e-12
+    if not (boost or abs(s + 1.0) < 1e-12) or abs(sq - 0.25 * s * np.eye(4)).max() > 1e-12:
         raise ValueError("operator does not square to +/- I/4")
-    if abs(s - 1.0) < 1e-12:
-        even, odd = np.cosh(phi / 2), 2 * np.sinh(phi / 2)
-    elif abs(s + 1.0) < 1e-12:
-        even, odd = np.cos(phi / 2), 2 * np.sin(phi / 2)
-    else:
-        raise ValueError("operator does not square to +/- I/4")
-    if not (math.isfinite(even) and math.isfinite(odd)):
-        raise _overflow(phi)
-    return even * np.eye(4, dtype=np.complex128) + odd * x
+    even, odd = ((np.cosh(phi / 2), 2 * np.sinh(phi / 2)) if boost
+                 else (np.cos(phi / 2), 2 * np.sin(phi / 2)))
+    return _finite_flow(even * np.eye(4, dtype=np.complex128) + odd * x, phi)
 
 
 # ---------------------------------------------------------------------------

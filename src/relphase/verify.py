@@ -17,8 +17,8 @@ proportionally.
 
 Each invariant is computed once.  An invariant that is also checked outside
 this module has a residual function here that takes its inputs as arguments
-(fields, momenta, proper times, element triples, a representation) and
-returns the residual; the Pauli-block residuals are computed by
+(fields, momenta, proper times, rapidities, real vectors, element triples, a
+representation, a tetrad) and returns the residual; the Pauli-block residuals are computed by
 :func:`relphase.representations.np_block_residuals`.  The suites only draw
 the inputs and wrap each result in a :class:`Check`; the acceptance
 criteria, the unit tests and ``relphase np-dump`` call the same functions
@@ -40,7 +40,7 @@ from .em import (EMField, _closed_flow, evolution_generator, evolve_closed_form,
 from .liealgebra import (QO_BASIS_PAIRS, GradedElement, QoElement, _group_residual,
                          commutator, graded_bracket, is_in_qo, qo_basis,
                          qo_from_operator, qo_realize)
-from .representations import (DUAL_PAIRS, PoincareGenerator, Representation,
+from .representations import (DUAL_PAIRS, NPBasis, PoincareGenerator, Representation,
                               boost_flow_closed, d_pm, exponential_flow,
                               half_flow_closed, half_graded_bracket,
                               np_block_residuals, np_matrix,
@@ -402,16 +402,50 @@ def half_angle_period_residual(half: np.ndarray, whole: np.ndarray) -> float:
 
 def boost_closed_form_residual(phis, flows) -> float:
     """``flows`` against the closed-form boost along axis 1 at each rapidity
-    of ``phis``, and their entries against cosh and sinh in size."""
-    closed, sizes = [], []
+    of ``phis``, and against the pattern of cosh(phi) and -sinh(phi) entries
+    (the library's orientation; see :mod:`relphase.representations`)."""
+    closed, patterns = [], []
     for phi in phis:
         closed.append(boost_flow_closed(1, phi))
-        size = np.eye(4)
-        size[0, 0] = size[1, 1] = np.cosh(phi)
-        size[0, 1] = size[1, 0] = np.sinh(phi)
-        sizes.append(size)
+        pattern = np.eye(4)
+        pattern[0, 0] = pattern[1, 1] = np.cosh(phi)
+        pattern[0, 1] = pattern[1, 0] = -np.sinh(phi)
+        patterns.append(pattern)
     flows = np.asarray(flows)
-    return max(_worst(np.array(closed), flows), _worst(np.abs(flows), np.array(sizes)))
+    return max(_worst(np.array(closed), flows), _worst(flows, np.array(patterns)))
+
+
+def closed_flows_residual(phis) -> float:
+    """The closed-form flows against ``expm`` at every rapidity of ``phis``:
+    per axis j, the spin-1/2 boost and rotation images (``half_flow_closed``)
+    and the spin-1 rotation (``rotation_flow_closed``)."""
+    half = Representation("spin_half_plus").angular_matrix
+    x = np.array([[half(0, j), half(*pair), d_basis(*pair)] for j, pair in DUAL_PAIRS.items()])
+    flows = exponential_flow(x[:, None], np.array(phis)[:, None, None, None])
+    closed = np.array([[[half_flow_closed(xb, phi), half_flow_closed(xr, phi),
+                         rotation_flow_closed(*pair, phi)] for phi in phis]
+                       for (xb, xr, _), pair in zip(x, DUAL_PAIRS.values())])
+    return _worst(closed.reshape(-1, 4, 4), flows.reshape(-1, 4, 4))
+
+
+def real_subspace_residual(phi: float, vr) -> float:
+    """Largest imaginary part of exp(phi D) v, D the six spin-1 angular
+    images and v the real vector ``vr[k]`` of the k-th (in the order of
+    QO_BASIS_PAIRS).
+
+    This also bounds the real part of exp(phi D) iv, the image of a pure
+    position: Re(G iv) = -Im(G v) for any matrix G.
+    """
+    g = exponential_flow(_angular_stack(Representation("spin1")), phi)
+    return float(np.abs(np.matvec(g, vr).imag).max())
+
+
+def np_round_trip_residual(tetrad: NPBasis, v) -> float:
+    """Unitarity of the tetrad (max-abs) and the scale-relative change of the
+    vector ``v`` under the round trip through tetrad coordinates."""
+    m, inv = tetrad.matrix, tetrad.inverse
+    return max(float(np.abs(np.stack([m @ inv, inv @ m]) - np.eye(4)).max()),
+               _worst(tetrad.from_np_coords(tetrad.to_np_coords(v))[None], np.asarray(v)[None]))
 
 
 def suite_representations(rng: np.random.Generator) -> list[Check]:
@@ -456,21 +490,15 @@ def suite_representations(rng: np.random.Generator) -> list[Check]:
     worst = float((np.abs(gp @ gm - eye).max(axis=(-2, -1)) / scale).max())
     checks.append(Check("rep.flow_inverse", worst, 1e-12))
 
-    g = exponential_flow(_angular_stack(spin1), 0.8)
     vr = rng.standard_normal((len(_ANGULAR), 4))
-    worst = float(max(np.abs(np.matvec(g, vr).imag).max(),
-                      np.abs(np.matvec(g, 1j * vr).real).max()))
-    checks.append(Check("rep.spin1.flow_preserves_real_subspaces", worst, 1e-13))
+    checks.append(Check("rep.spin1.flow_preserves_real_subspaces",
+                        real_subspace_residual(0.8, vr), 1e-13))
 
     worst = float(np.abs(_angular_stack(minus) - np.conj(_angular_stack(plus))).max())
     checks.append(Check("rep.minus_is_conjugate", worst, 1e-15))
 
-    tetrad = np_matrix()
-    worst = float(np.abs(tetrad.matrix @ tetrad.inverse - eye).max())
-    worst = max(worst, float(np.abs(tetrad.inverse @ tetrad.matrix - eye).max()))
     (v,) = _draw(rng, 1, 4)
-    worst = max(worst, _worst(tetrad.from_np_coords(tetrad.to_np_coords(v[0]))[None], v))
-    checks.append(Check("rep.np_round_trip", worst, 1e-15))
+    checks.append(Check("rep.np_round_trip", np_round_trip_residual(np_matrix(), v[0]), 1e-15))
 
     worst = max(max(res) for kind, tetrad in (("spin_half_plus", np_matrix()),
                                               ("spin_half_minus", np_matrix_conjugate()))
@@ -484,17 +512,8 @@ def suite_representations(rng: np.random.Generator) -> list[Check]:
     flows = exponential_flow(d_basis(0, 1), np.array(phis)[:, None, None])
     checks.append(Check("rep.boost_closed_form", boost_closed_form_residual(phis, flows), 1e-12))
 
-    # Per axis j: the spin-1/2 boost and rotation images and the spin-1
-    # rotation, each at every phi: (3 axes, 3 phis, 3 generators, 4, 4).
-    phis = (0.3, 1.0, 2.2)
-    x = np.array([[plus.angular_matrix(0, j), plus.angular_matrix(*DUAL_PAIRS[j]),
-                   d_basis(*DUAL_PAIRS[j])] for j in (1, 2, 3)])
-    flows = exponential_flow(x[:, None], np.array(phis)[:, None, None, None])
-    closed = np.array([[[half_flow_closed(xb, phi), half_flow_closed(xr, phi),
-                         rotation_flow_closed(*DUAL_PAIRS[j], phi)] for phi in phis]
-                       for j, (xb, xr, _) in zip((1, 2, 3), x)])
-    checks.append(Check("rep.half_flow_closed_forms",
-                        _worst(closed.reshape(-1, 4, 4), flows.reshape(-1, 4, 4)), 1e-12))
+    worst = closed_flows_residual((0.3, 1.0, 2.2))
+    checks.append(Check("rep.half_flow_closed_forms", worst, 1e-12))
 
     return checks
 
@@ -570,6 +589,13 @@ def flow_invariance_residual(fields: EMField, axes, phis) -> float:
                   / np.maximum(1.0, np.hypot(z.real, z.imag))).max())
 
 
+def null_flow_residual(field: EMField, taus) -> float:
+    """exp_faraday of a null field against its truncated series I + tau Fc
+    at every proper time of ``taus``."""
+    taus = np.asarray(taus, dtype=np.float64)
+    return _worst(exp_faraday(field, taus), np.eye(4) + taus[:, None, None] * faraday_tensor(field))
+
+
 def closed_form_rk4_residual(fields: EMField, p0s, tau: float, steps: int) -> float:
     """Closed-form evolution against RK4 with ``steps`` steps at proper time tau."""
     return _worst(evolve_closed_form(fields, p0s, tau), evolve_numeric(fields, p0s, tau, steps))
@@ -608,9 +634,7 @@ def suite_em(rng: np.random.Generator, draws: int = 500) -> list[Check]:
     worst = max(0.0 if is_in_qo(q.matrix) else 1.0, float(np.abs(q.matrix.imag).max()))
     checks.append(Check("em.field_tensor_in_algebra", worst, 1e-12))
 
-    null = EMField([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    taus = np.array([0.5, 2.0, 7.0])
-    worst = _worst(exp_faraday(null, taus), np.eye(4) + taus[:, None, None] * faraday_tensor(null))
+    worst = null_flow_residual(EMField([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), (0.5, 2.0, 7.0))
     checks.append(Check("em.null_field_flow_linear", worst, 1e-12))
 
     worst = closed_form_rk4_residual(fields[:3], rng.uniform(-1, 1, (3, 4)), 1.0, 2000)

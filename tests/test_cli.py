@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -28,10 +29,9 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def run_cli(args, tmp_path=None):
-    proc = subprocess.run([sys.executable, "-m", "relphase.cli", *args],
-                          capture_output=True, text=True)
-    return proc
+def run_cli(args, stdout=subprocess.PIPE):
+    return subprocess.run([sys.executable, "-m", "relphase.cli", *args],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
 
 
 class TestComplexFormat:
@@ -324,6 +324,13 @@ class TestEvolveCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: non-finite result at tau=1500")
 
+    def test_rk4_overflow_names_the_first_tau(self, capsys):
+        # under a pure B field the closed form stays bounded; RK4 with steps
+        # of 5e75 does not
+        assert main(["evolve", *"0 0 0 0 0 1 2 1 0 0 1e80 3".split(), "--compare"]) == 2
+        assert capsys.readouterr().err == ("error: non-finite result at tau=5e+79: the momentum "
+                                           "overflows double precision; reduce tau-max or the field\n")
+
     def test_large_finite_momentum_is_reported(self, capsys):
         # |p| ~ 5e303: finite, so the rows come out finite and parse strictly
         assert main(["evolve", "1", "0", "0", "0", "0", "0", "1", "0", "0", "0",
@@ -429,6 +436,16 @@ class TestProcessInvocation:
         proc = run_cli(["--format", "csv", "np-dump", "spin_half_plus"])
         assert proc.returncode == 0
         assert proc.stdout.startswith("generator,axis,kind,")
+
+    def test_closed_stdout_pipe_is_config_error(self):
+        # The read end is closed before the child starts, so every write
+        # fails with EPIPE; a `| true` pipeline would be racy.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "w") as stdout:
+            proc = run_cli(["--format", "csv", "np-dump", "spin_half_plus"], stdout=stdout)
+        assert (proc.returncode, proc.stderr) == (2, "error: cannot write to stdout: [Errno 32] "
+                                                     "Broken pipe\n")
 
     def test_usage_error_exit_code(self):
         proc = run_cli(["transform", "spin1", "BAD", "1.0", "1", "0", "0", "0"])

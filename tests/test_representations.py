@@ -12,9 +12,10 @@ from relphase import (PAULI, PoincareGenerator, QoElement, Representation, basis
                       scalar_product, to_np_basis)
 from relphase.liealgebra import QO_BASIS_PAIRS
 from relphase.representations import DUAL_PAIRS, np_block_residuals
-from relphase.verify import (_poincare_checks, car_residual, explicit_commutator_residual,
+from relphase.verify import (_poincare_checks, boost_closed_form_residual, car_residual,
+                             closed_flows_residual, explicit_commutator_residual,
                              generator_squares_residual, half_angle_period_residual,
-                             tripotency_residual)
+                             np_round_trip_residual, real_subspace_residual, tripotency_residual)
 
 def coefficient_tensor_dual(q):
     """qo_dual through the coefficient tensor and qo_realize, its old path."""
@@ -282,42 +283,31 @@ class TestFlows:
         np.testing.assert_allclose(exponential_flow(d_basis(0, 1), 0.0), np.eye(4))
 
     def test_boost_entries(self):
-        for phi in (0.5, 1.0, 2.0):
-            g = exponential_flow(d_basis(0, 1), phi)
-            np.testing.assert_allclose(g, boost_flow_closed(1, phi), atol=1e-12)
-            assert g[0, 0] == pytest.approx(np.cosh(phi))
-            assert g[0, 1] == pytest.approx(-np.sinh(phi))
-            assert g[2, 2] == pytest.approx(1.0)
+        # Entries are at most cosh(2) < 4, so 2.5e-13 scale-relative bounds
+        # every difference from the closed form and from the signed
+        # cosh/-sinh pattern by 1e-12.
+        phis = (0.5, 1.0, 2.0)
+        flows = exponential_flow(d_basis(0, 1), np.array(phis)[:, None, None])
+        assert boost_closed_form_residual(phis, flows) <= 2.5e-13
 
     def test_spin1_rotation_quarter_turn(self):
         g = exponential_flow(d_basis(1, 2), np.pi / 2)
         np.testing.assert_allclose(g @ basis(1), basis(2), atol=1e-15)
 
+    # The flows' entries are below 2 at these rapidities, so 5e-14
+    # scale-relative bounds every entry's difference by 1e-13.
     def test_rotation_closed_form(self):
-        for phi in (0.3, 2.0):
-            np.testing.assert_allclose(rotation_flow_closed(2, 3, phi),
-                                       exponential_flow(d_basis(2, 3), phi),
-                                       atol=1e-13)
+        assert closed_flows_residual((0.3, 2.0)) <= 5e-14
 
     def test_half_flow_closed_forms(self):
-        for j in (1, 2, 3):
-            for phi in (0.4, 1.7):
-                xb = PLUS.angular_matrix(0, j)
-                np.testing.assert_allclose(half_flow_closed(xb, phi),
-                                           exponential_flow(xb, phi), atol=1e-13)
-                xr = PLUS.angular_matrix(*DUAL_PAIRS[j])
-                np.testing.assert_allclose(half_flow_closed(xr, phi),
-                                           exponential_flow(xr, phi), atol=1e-13)
+        assert closed_flows_residual((0.4, 1.7)) <= 5e-14
 
     def test_half_angle_periods(self):
         assert half_angle_period_residual(PLUS.angular_matrix(1, 2), d_basis(1, 2)) < 1e-11
 
     def test_spin1_flow_preserves_real_subspace(self):
-        rng = np.random.default_rng(12)
-        for pair in QO_BASIS_PAIRS:
-            g = exponential_flow(d_basis(*pair), 0.9)
-            v = rng.standard_normal(4)
-            assert np.abs((g @ v).imag).max() < 1e-13
+        vr = np.random.default_rng(12).standard_normal((len(QO_BASIS_PAIRS), 4))
+        assert real_subspace_residual(0.9, vr) < 1e-13
 
 
 class TestNullTetrad:
@@ -335,11 +325,7 @@ class TestNullTetrad:
         assert scalar_product(l, l) == pytest.approx(0.0)
 
     def test_round_trip(self):
-        t = np_matrix()
-        v = np.array([1 + 2j, -0.5, 3j, 0.25])
-        np.testing.assert_allclose(t.from_np_coords(t.to_np_coords(v)), v,
-                                   atol=1e-15)
-        np.testing.assert_allclose(to_np_basis(np.eye(4)), np.eye(4), atol=1e-15)
+        assert np_round_trip_residual(np_matrix(), np.array([1 + 2j, -0.5, 3j, 0.25])) <= 1e-15
 
     def test_boost_3_block_values(self):
         # frozen from the explicit basis change: diag(-1/2, 1/2, 1/2, -1/2)
@@ -396,6 +382,16 @@ class TestNonFiniteFlows:
                 rotation_flow_closed(1, 2, np.inf)
             with pytest.raises(ValueError, match=r"^non-finite result at phi=nan:"):
                 half_flow_closed(PLUS.angular_matrix(2, 3), np.nan)
+
+    def test_half_flow_checks_its_input_and_result(self):
+        # I squares to 4 (I/4); diag(1/2, 0, 0, 0) to no multiple of I
+        for x in (np.eye(4), np.diag([0.5, 0.0, 0.0, 0.0])):
+            with pytest.raises(ValueError, match="does not square to"):
+                half_flow_closed(x, 1.0)
+        # X^2 = I/4 and finite coefficients, but the entry 1e300 overflows
+        x = np.diag([0.5, -0.5, 0.5, -0.5]) + np.diag([1e300, 0.0, 0.0], k=1)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^non-finite result at phi=50:"):
+            half_flow_closed(x, 50.0)
 
     def test_stack_names_the_first_overflowing_phi(self):
         # entries in C order: the rotation stays finite, the boost overflows

@@ -15,7 +15,7 @@ from relphase import (DUAL_PAIRS, ETA, EMField, GradedElement, PoincareGenerator
                       symplectic_bracket, tri_product, tri_product_coords, verify)
 from relphase.em import _sinhc
 from relphase.liealgebra import QO_BASIS_PAIRS
-from relphase.representations import np_block_residuals
+from relphase.representations import NPBasis, np_block_residuals
 from relphase.verify import (SUITES, _draw, _graded_draws, _worst, car_residual, generator_squares_residual,
                              half_angle_period_residual, qo_dimension, run_all, suite_core,
                              suite_em, suite_liealgebra, suite_representations,
@@ -345,8 +345,7 @@ def loop_representations(rng):
     for pair in ANGULAR:
         g = exponential_flow(spin1.angular_matrix(*pair), 0.8)
         vr = rng.standard_normal(4)
-        real = max(real, float(np.abs((g @ vr).imag).max()),
-                   float(np.abs((g @ (1j * vr)).real).max()))
+        real = max(real, float(np.abs((g @ vr).imag).max()))
     conjugate_gap = max(float(np.abs(minus.angular_matrix(*pair)
                                      - np.conj(plus.angular_matrix(*pair))).max())
                         for pair in ANGULAR)
@@ -519,9 +518,9 @@ def boost_flows_of_opposite_rapidity(mp):
     return [(verify.boost_closed_form_residual(phis, flows), 1e-12)]
 
 
-def wrong_closed_boost(mp):
-    # flows equal to a wrong closed form: only the cosh/sinh sizes catch it
-    perturb(mp, "boost_flow_closed", lambda g: 2.0 * g)
+def wrong_closed_boost(mp, change=lambda g: 2.0 * g):
+    # flows equal to a wrong closed form: only the cosh/-sinh pattern catches it
+    perturb(mp, "boost_flow_closed", change)
     phis = (0.5, 1.0)
     flows = [verify.boost_flow_closed(1, phi) for phi in phis]
     return [(verify.boost_closed_form_residual(phis, flows), 1e-12)]
@@ -583,6 +582,27 @@ def two_rk4_steps(mp):
     return [(verify.closed_form_rk4_residual(FIELDS, P0S, 2.0, 2), 1e-8)]
 
 
+def closed_form_at_minus_phi(mp, name, square=None):
+    # verify's closed form ``name`` at -phi, for the generators X with
+    # X^2 = square * I/4 (for all when square is None)
+    original = getattr(verify, name)
+    flipped = (lambda x, phi: (x @ x)[0, 0] == square / 4) if square else (lambda *a: True)
+    mp.setattr(verify, name, lambda *a: original(*a[:-1], -a[-1] if flipped(*a) else a[-1]))
+    return [(verify.closed_flows_residual((0.5, 1.0)), 1e-12)]
+
+
+def imaginary_flow(mp):
+    perturb(mp, "exponential_flow", lambda g: g + 1e-3j * np.eye(4))
+    return [(verify.real_subspace_residual(0.8, np.ones((6, 4))), 1e-13)]
+
+
+def tetrad_not_unitary(mp):
+    # mbar doubled, with the conjugate transpose as the inverse: the round
+    # trip of l (column 0) stays exact, so only the unitarity term sees it
+    m = np_matrix().matrix * [1, 1, 1, 2]
+    return [(verify.np_round_trip_residual(NPBasis(m, np.conj(m.T), ()), m[:, 0]), 1e-15)]
+
+
 WRONG_INPUTS = {
     # One case per term of each shared residual.  A case that isolates a
     # term leaves the other terms at zero, so dropping that term fails it.
@@ -612,6 +632,8 @@ WRONG_INPUTS = {
     "period_double": wrong_double_turn,
     "boost_flow": boost_flows_of_opposite_rapidity,
     "boost_sizes": wrong_closed_boost,
+    # +sinh off the diagonal: the closed form at -phi
+    "boost_sign": lambda mp: wrong_closed_boost(mp, lambda g: 2 * np.diag(np.diag(g)) - g),
     "np_blocks": np_blocks_minus_in_plus_tetrad,
     "bracket_table": flipped_table_entry,
     "dimension": duplicated_generator,
@@ -622,6 +644,13 @@ WRONG_INPUTS = {
     "shell_and_reality": complex_momentum,
     "flow_invariance": perturbed_components,
     "closed_form_rk4": two_rk4_steps,
+    "closed_half_boost": lambda mp: closed_form_at_minus_phi(mp, "half_flow_closed", 1),
+    "closed_half_rotation": lambda mp: closed_form_at_minus_phi(mp, "half_flow_closed", -1),
+    "closed_spin1_rotation": lambda mp: closed_form_at_minus_phi(mp, "rotation_flow_closed"),
+    "real_subspaces": imaginary_flow,
+    # a field that is not null: its flow has the term z tau^2 / 8 I
+    "null_flow": lambda mp: [(verify.null_flow_residual(FIELDS[0], (0.5, 2.0)), 1e-12)],
+    "np_round_trip": tetrad_not_unitary,
 }
 
 
