@@ -207,15 +207,19 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     header = ["tau", "p0", "p1", "p2", "p3"]
     # One row per sample: tau, p, and with --compare p_num, dev, shell_residual.
     # Overflow is detected on the results, so numpy's warnings are noise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = evolve_closed_form(field, p0, taus)
-        table = np.column_stack([taus, p])
-        if args.compare:
-            header += ["p0_num", "p1_num", "p2_num", "p3_num", "dev", "shell_residual"]
-            p_num = evolve_numeric(field, p0, taus, args.rk4_steps)
-            dev = np.abs(p - p_num).max(axis=1) / np.maximum(1.0, np.abs(p).max(axis=1))
-            shell = [shell_drift(p0, row) for row in p]
-            table = np.column_stack([table, p_num, dev, shell])
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = evolve_closed_form(field, p0, taus)
+            table = np.column_stack([taus, p])
+            if args.compare:
+                header += ["p0_num", "p1_num", "p2_num", "p3_num", "dev", "shell_residual"]
+                p_num = evolve_numeric(field, p0, taus, args.rk4_steps)
+                dev = np.abs(p - p_num).max(axis=1) / np.maximum(1.0, np.abs(p).max(axis=1))
+                shell = [shell_drift(p0, row) for row in p]
+                table = np.column_stack([table, p_num, dev, shell])
+    except ValueError as exc:
+        # The library's overflow error names tau; this command sets it by tau-max.
+        raise ConfigError(str(exc).replace("reduce tau ", "reduce tau-max ")) from None
     if (bad := _first_nonfinite(table, taus, 1)) is not None:
         raise ConfigError(f"non-finite result at tau={bad:.17g}: the momentum "
                           "overflows double precision; reduce tau-max or the field")

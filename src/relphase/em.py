@@ -36,9 +36,10 @@ result of the single call on that entry, and single inputs keep their
 types: a :class:`FieldInvariant` of ``complex``, ``(4, 4)`` operators,
 ``(4,)`` momenta.
 
-A closed-form result that overflows double precision is an error:
-:func:`exp_faraday` and :func:`evolve_closed_form` raise ValueError naming
-the first proper time whose result is not finite, never return inf or NaN.
+A result that overflows double precision is an error:
+:func:`exp_faraday`, :func:`evolve_closed_form` and :func:`evolve_numeric`
+raise ValueError naming the first proper time whose result is not finite,
+never return inf or NaN.
 
 The independent oracle is :func:`evolve_numeric`, classical fixed-step RK4
 built from the evolution generator A alone.  For this linear equation one
@@ -317,6 +318,8 @@ def evolve_numeric(f: EMField, p0: ArrayLike, tau: ArrayLike, steps: int) -> Arr
     p <- p + D p with the increment matrix
     D = hA (I + hA/2 (I + hA/3 (I + hA/4))), A the evolution generator;
     the stack of D is formed once and all entries are stepped together.
+    Raises ValueError naming the first tau (C order) whose integrated
+    momentum is not finite.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -332,6 +335,8 @@ def evolve_numeric(f: EMField, p0: ArrayLike, tau: ArrayLike, steps: int) -> Arr
     q = p[..., None]
     for _ in range(steps):
         q = q + d @ q
+    if (bad := _first_nonfinite(q[..., 0], taus, 1)) is not None:
+        raise _overflow(bad, "momentum")
     return q[..., 0]
 
 

@@ -49,7 +49,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy.linalg import expm
 
 from .core import ArrayC, _first_nonfinite, basis, symplectic_bracket
 from .liealgebra import (QO_BASIS_PAIRS, GradedElement, QoElement, commutator,
@@ -293,15 +292,32 @@ def _finite_flow(g: ArrayC, phi: ArrayLike) -> ArrayC:
     return g
 
 
+def __getattr__(name: str):
+    """Bind scipy's ``expm`` as the module attribute ``expm`` on first use.
+
+    Only the oracle :func:`exponential_flow` needs scipy, and importing it
+    costs more than the rest of relphase together, so it is not loaded when
+    this module is.
+    """
+    if name != "expm":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.linalg import expm
+
+    globals()["expm"] = expm
+    return expm
+
+
 def exponential_flow(x: ArrayLike, phi: ArrayLike) -> ArrayC:
     """Matrix exponential exp(phi * X) via scaling-and-squaring.
 
     ``x`` may be a stack (..., 4, 4) and ``phi`` an array that broadcasts
     against it entry by entry (a rapidity per operator is ``phis[..., None,
     None]``); scipy's ``expm`` exponentiates each operator of the stack.
-    Raises ValueError naming the rapidity of the first operator (C order)
-    whose exponential is not finite.
+    The first call imports scipy.  Raises ValueError naming the rapidity of
+    the first operator (C order) whose exponential is not finite.
     """
+    # The module attribute, read at each call, so that a rebinding is seen.
+    expm = globals().get("expm") or __getattr__("expm")
     return _finite_flow(expm(phi * np.asarray(x, dtype=np.complex128)), phi)
 
 

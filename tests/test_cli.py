@@ -432,6 +432,20 @@ class TestPinnedOutput:
 
 
 class TestProcessInvocation:
+    @pytest.mark.parametrize("code, loads", [
+        ("import relphase", False),
+        ("assert main(['evolve', *'1 0 0 0 0 0 1 0 0 0 2.0 9'.split(), '--compare']) == 0", False),
+        ("assert main(['np-dump', 'spin_half_plus']) == 0", False),
+        ("relphase.exponential_flow(relphase.d_basis(0, 1), 0.5)", True),
+    ], ids=["import", "evolve", "np-dump", "exponential_flow"])
+    def test_only_the_expm_oracle_loads_scipy(self, code, loads):
+        # importing scipy costs more than the rest of a command's start-up
+        prelude = "import sys\nimport relphase\nfrom relphase.cli import main\n"
+        proc = subprocess.run([sys.executable, "-c", f"{prelude}{code}\nprint('scipy' in sys.modules)"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(loads)
+
     def test_module_entry_point(self):
         proc = run_cli(["--format", "csv", "np-dump", "spin_half_plus"])
         assert proc.returncode == 0

@@ -492,3 +492,9 @@ def test_overflow_names_the_first_non_finite_tau():
         stack = EMField([[0.1, 0, 0], [1, 0, 0]], [[0, 0, 0], [0, 0, 0]])
         with pytest.raises(ValueError, match=r"^non-finite result at tau=1600:"):
             exp_faraday(stack[:, None], [10.0, 1600.0, 1500.0])
+        # the RK4 oracle names the first overflowing tau the same way
+        pure_e = EMField([1, 0, 0], [0, 0, 0])
+        with pytest.raises(ValueError, match=r"^non-finite result at tau=2000:"):
+            evolve_numeric(pure_e, [1, 0, 0, 0], 2000.0, 100)
+        with pytest.raises(ValueError, match=r"^non-finite result at tau=3000:"):
+            evolve_numeric(pure_e, [1, 0, 0, 0], [10.0, 3000.0, 2000.0], 100)

@@ -201,6 +201,7 @@ class TestQoElementArithmetic:
         q2 = qo_from_operator(d_basis(2, 3))
         s = q1 + 2j * q2
         np.testing.assert_allclose(s.matrix, d_basis(0, 1) + 2j * d_basis(2, 3))
+        np.testing.assert_allclose((q1 - q2).matrix, d_basis(0, 1) - d_basis(2, 3))
 
     def test_immutability(self):
         q = qo_from_operator(d_basis(0, 1))
@@ -267,7 +268,7 @@ class TestGradedStacks:
         rng = np.random.default_rng(34)
         x = single(random_elements(rng, 2), 0)
         for e in (x, graded_bracket(x, x), half_graded_bracket(x, x), x + x, -x,
-                  GradedElement.zero(), GradedElement.from_scalar(2.0)):
+                  x - x, GradedElement.zero(), GradedElement.from_scalar(2.0)):
             assert type(e.l2) is complex
             assert type(e.norm()) is float
             assert e.l0.matrix.shape == (4, 4) and e.l1.shape == (4,)

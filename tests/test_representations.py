@@ -13,8 +13,7 @@ from relphase import (PAULI, PoincareGenerator, QoElement, Representation, basis
 from relphase.liealgebra import QO_BASIS_PAIRS
 from relphase.representations import DUAL_PAIRS, np_block_residuals
 from relphase.verify import (_poincare_checks, boost_closed_form_residual, car_residual,
-                             closed_flows_residual, explicit_commutator_residual,
-                             generator_squares_residual, half_angle_period_residual,
+                             closed_flows_residual, generator_squares_residual,
                              np_round_trip_residual, real_subspace_residual, tripotency_residual)
 
 def coefficient_tensor_dual(q):
@@ -50,6 +49,7 @@ class TestPoincareGenerator:
     def test_parse(self):
         assert parse_generator("M01") == PoincareGenerator.angular(0, 1)
         assert parse_generator("P3") == PoincareGenerator.translation(3)
+        assert [parse_generator(s).is_boost() for s in ("M10", "M31", "P0")] == [True, False, False]
         with pytest.raises(ValueError):
             parse_generator("Q7")
 
@@ -128,10 +128,6 @@ class TestTripotents:
             for s in (+1, -1):
                 assert car_residual([d_pm(j, s)]) < 1e-14
 
-    def test_anticommutation(self):
-        for s in (+1, -1):
-            assert car_residual([d_pm(j, s) for j in (1, 2, 3)]) < 1e-14
-
     def test_opposite_signs_commute(self):
         for j in (1, 2, 3):
             for k in (1, 2, 3):
@@ -166,10 +162,6 @@ class TestSpinHalf:
 
     def test_generator_squares(self):
         assert generator_squares_residual(PLUS) < 1e-14
-
-    def test_explicit_commutators(self):
-        # Entries are at most 1/2 in size, so the scale of the residual is exactly 1.
-        assert explicit_commutator_residual(PLUS) < 1e-14
 
 
 def reference_image(kind, alpha, beta):
@@ -301,9 +293,6 @@ class TestFlows:
 
     def test_half_flow_closed_forms(self):
         assert closed_flows_residual((0.4, 1.7)) <= 5e-14
-
-    def test_half_angle_periods(self):
-        assert half_angle_period_residual(PLUS.angular_matrix(1, 2), d_basis(1, 2)) < 1e-11
 
     def test_spin1_flow_preserves_real_subspace(self):
         vr = np.random.default_rng(12).standard_normal((len(QO_BASIS_PAIRS), 4))
