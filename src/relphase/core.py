@@ -23,6 +23,19 @@ vectors give a Python ``complex`` (``scalar_product``, ``scalar_square``) or
 contractions are stacked matrix products, so every entry of a batched result
 has the same bits as the single-vector call on that entry.
 
+Overflow, one rule for the library: a function of an unbounded parameter
+(a rapidity phi, a proper time tau, a step count) raises ValueError
+starting ``non-finite result at`` and naming the first parameter whose
+result is not finite; it never returns inf or NaN.  The ``em`` functions
+(``exp_faraday``, ``evolve_closed_form``, ``evolve_numeric``) raise without
+a numpy warning.  The closed flows ``boost_flow_closed``,
+``rotation_flow_closed`` and ``half_flow_closed`` let numpy's RuntimeWarnings
+on an overflow through first, because silencing them would cost about a
+tenth of a call.
+Polynomial kernels (``invariant_z``, ``tri_product``, ``d_operator``,
+``lorentz_force``) follow numpy: an overflow gives inf or NaN with a
+RuntimeWarning.
+
 All operations are pure functions over immutable values and are safe to use
 from multiple threads.
 """

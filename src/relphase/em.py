@@ -39,7 +39,11 @@ types: a :class:`FieldInvariant` of ``complex``, ``(4, 4)`` operators,
 A result that overflows double precision is an error:
 :func:`exp_faraday`, :func:`evolve_closed_form` and :func:`evolve_numeric`
 raise ValueError naming the first proper time whose result is not finite,
-never return inf or NaN.
+never return inf or NaN.  They silence numpy's overflow and invalid-value
+warnings on the computation whose result they check, so the ValueError is
+the only signal.  :func:`invariant_z` and :func:`lorentz_force` are
+polynomial kernels: they follow numpy and return inf or NaN with a
+RuntimeWarning.
 
 The independent oracle is :func:`evolve_numeric`, classical fixed-step RK4
 built from the evolution generator A alone.  For this linear equation one
@@ -51,12 +55,13 @@ costs one pass of ``steps`` stacked products, not entries x steps.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import ETA, ArrayC, ArrayR, _first_nonfinite
+from .core import _UNIT, ETA, ArrayC, ArrayR, _first_nonfinite
 from .liealgebra import QoElement
 from .representations import DUAL_PAIRS, Representation
 from .triproduct import d_basis
@@ -64,10 +69,6 @@ from .triproduct import d_basis
 # Kernel sinh(x)/x switches to its Taylor expansion below this |x| to avoid
 # cancellation near null fields.
 _SINHC_THRESHOLD = 1e-4
-
-_EYE_C = np.eye(4, dtype=np.complex128)
-_EYE_C.setflags(write=False)
-
 
 @dataclass(frozen=True)
 class EMField:
@@ -196,6 +197,7 @@ def lorentz_force(field_op: ArrayLike, p: ArrayLike) -> ArrayC:
     """Force on a four-momentum: the field operator applied to p.
 
     For any algebra element the result is scalar-product orthogonal to p.
+    Follows numpy on overflow: inf or NaN entries with a RuntimeWarning.
     """
     return np.asarray(field_op, dtype=np.complex128) @ np.asarray(p, dtype=np.complex128)
 
@@ -207,7 +209,10 @@ def _half_root(fc: ArrayC) -> tuple[ArrayC, ArrayC]:
 
 
 def invariant_z(f: EMField) -> FieldInvariant:
-    """Complex invariant z = sum_j (E^j + i B^j)^2 and its half-root w."""
+    """Complex invariant z = sum_j (E^j + i B^j)^2 and its half-root w.
+
+    Follows numpy on overflow: z and w are inf or NaN, with a RuntimeWarning.
+    """
     z, w = _half_root(f.faraday_vector)
     if np.ndim(z) == 0:
         return FieldInvariant(z=complex(z), w=complex(w))
@@ -243,7 +248,7 @@ def _closed_flow(w: ArrayLike, tau: ArrayLike, op: ArrayC) -> ArrayC:
     """cosh(w tau) I + tau sinhc(w tau) op: exp(tau op) for an operator with
     op^2 = w^2 I, whichever root w is given."""
     x = w * tau
-    return np.cosh(x)[..., None, None] * _EYE_C + (tau * _sinhc(x))[..., None, None] * op
+    return np.cosh(x)[..., None, None] * _UNIT + (tau * _sinhc(x))[..., None, None] * op
 
 
 def _exp_faraday(f: EMField, tau: ArrayLike) -> ArrayC:
@@ -260,7 +265,8 @@ def exp_faraday(f: EMField, tau: ArrayLike) -> ArrayC:
     degenerates to I + tau * tensor.  Even in w, so the branch of the square
     root is irrelevant.  Raises ValueError when an entry overflows.
     """
-    x = _exp_faraday(f, tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _exp_faraday(f, tau)
     if (bad := _first_nonfinite(x, tau, 2)) is not None:
         raise _overflow(bad, "flow")
     return x
@@ -288,8 +294,9 @@ def evolve_closed_form(f: EMField, p0: ArrayLike, tau: ArrayLike,
         raise ValueError(f"momentum must have 4 components, got shape {p0.shape}")
     if np.abs(p0.imag).max() > imag_tol:
         raise ValueError("evolve_closed_form expects a real four-momentum")
-    x = _exp_faraday(f, tau)
-    p = (np.conj(x) @ (x @ p0.real[..., None]))[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _exp_faraday(f, tau)
+        p = (np.conj(x) @ (x @ p0.real[..., None]))[..., 0]
     if (bad := _first_nonfinite(p, tau, 1)) is not None:
         raise _overflow(bad, "momentum")
     # |p| is only needed when a residual is above the absolute tolerance.
@@ -330,11 +337,18 @@ def evolve_numeric(f: EMField, p0: ArrayLike, tau: ArrayLike, steps: int) -> Arr
     if p.shape[-1:] != (4,):
         raise ValueError(f"momentum must have 4 components, got shape {p.shape}")
     eye = np.eye(4)
-    x = (taus[..., None, None] / steps) * evolution_generator(f)
-    d = x @ (eye + (x / 2.0) @ (eye + (x / 3.0) @ (eye + x / 4.0)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = (taus[..., None, None] / steps) * evolution_generator(f)
+        d = x @ (eye + (x / 2.0) @ (eye + (x / 3.0) @ (eye + x / 4.0)))
+        # A step multiplies max|q| by at most the largest row sum of |I + D|.
+        bits = (steps * np.log2(np.abs(eye + d).sum(axis=-1).max())
+                + np.log2(np.abs(p).max(initial=1.0)))
+    # numpy's ufuncs run slower inside np.errstate, and the steps are most of
+    # the cost, so they leave it when the bound shows that no step overflows.
     q = p[..., None]
-    for _ in range(steps):
-        q = q + d @ q
+    with contextlib.nullcontext() if bits < 1000 else np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            q = q + d @ q
     if (bad := _first_nonfinite(q[..., 0], taus, 1)) is not None:
         raise _overflow(bad, "momentum")
     return q[..., 0]

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import ArrayC, _first_nonfinite, basis, symplectic_bracket
+from .core import _UNIT, ArrayC, _first_nonfinite, basis, symplectic_bracket
 from .liealgebra import (QO_BASIS_PAIRS, GradedElement, QoElement, commutator,
                          graded_bracket)
 from .triproduct import d_basis
@@ -321,15 +321,41 @@ def exponential_flow(x: ArrayLike, phi: ArrayLike) -> ArrayC:
     return _finite_flow(expm(phi * np.asarray(x, dtype=np.complex128)), phi)
 
 
-def _cubic_flow(d: ArrayC, odd: float, even: float, phi: float) -> ArrayC:
-    """I + odd D + even D^2: exp(phi D) for D^3 = +/-D with the matching
-    coefficients.
+def _cubic_table() -> dict[tuple[int, int], tuple[ArrayC, ArrayC]]:
+    """Read-only (D, D^2) of d_basis(alpha, beta) for all sixteen index pairs.
 
-    D is a basis generator, with entries 0 and +/-1 and D^2 entries 0 and
-    1, so the result is finite exactly when both coefficients are; checking
-    them is cheaper than checking the result.
+    A pair with alpha == beta has D = 0 and gives the identity flow.
     """
-    g = np.eye(4, dtype=np.complex128) + odd * d + even * (d @ d)
+    table = {}
+    for alpha in range(4):
+        for beta in range(4):
+            d = d_basis(alpha, beta)
+            d2 = d @ d
+            d.setflags(write=False)
+            d2.setflags(write=False)
+            table[(alpha, beta)] = (d, d2)
+    return table
+
+
+_CUBIC = _cubic_table()
+
+
+def _cubic_flow(alpha: int, beta: int, odd: float, even: float, phi: float) -> ArrayC:
+    """I + odd D + even D^2 with D = d_basis(alpha, beta): exp(phi D) for
+    D^3 = +/-D with the matching coefficients.
+
+    D and D^2 come from a table built at import, so a call makes no
+    generator.  Indices outside 0..3 raise d_basis's ValueError.  D has
+    entries 0 and +/-1 and D^2 entries 0 and 1, so the result is finite
+    exactly when both coefficients are; checking them is cheaper than
+    checking the result.
+    """
+    try:
+        d, d2 = _CUBIC[(alpha, beta)]
+    except KeyError:
+        d_basis(alpha, beta)  # raises the ValueError for indices outside 0..3
+        raise
+    g = _UNIT + odd * d + even * d2
     return g if math.isfinite(odd) and math.isfinite(even) else _finite_flow(g, phi)
 
 
@@ -337,19 +363,23 @@ def boost_flow_closed(j: int, phi: float) -> ArrayC:
     """Closed form of exp(phi * d_basis(0,j)), valid because D^3 = D.
 
     Carries -sinh entries relative to the textbook boost display; see the
-    module docstring.  Raises ValueError when cosh(phi) or sinh(phi)
-    overflows.
+    module docstring.  Returns a new writable array.  Raises ValueError when
+    j is outside 0..3 (j = 0 gives the identity) or when cosh(phi) or
+    sinh(phi) is not finite; an overflow emits numpy's RuntimeWarnings
+    first.
     """
     sinh, cosh = np.sinh(phi), np.cosh(phi)
-    return _cubic_flow(d_basis(0, j), sinh, cosh - 1.0, phi)
+    return _cubic_flow(0, j, sinh, cosh - 1.0, phi)
 
 
 def rotation_flow_closed(k: int, l: int, phi: float) -> ArrayC:
     """Closed form of exp(phi * d_basis(k,l)) for spatial k, l: D^3 = -D.
 
-    Raises ValueError when phi is not finite."""
+    Returns a new writable array.  Raises ValueError when k or l is outside
+    0..3 (k = l gives the identity) or when phi is not finite; phi = +/-inf
+    emits numpy's RuntimeWarnings first."""
     sin, cos = np.sin(phi), np.cos(phi)
-    return _cubic_flow(d_basis(k, l), sin, 1.0 - cos, phi)
+    return _cubic_flow(k, l, sin, 1.0 - cos, phi)
 
 
 def half_flow_closed(x: ArrayLike, phi: float) -> ArrayC:
@@ -358,18 +388,21 @@ def half_flow_closed(x: ArrayLike, phi: float) -> ArrayC:
     Uses X^2 = s I/4 with s = +1 (boosts) or s = -1 (rotations):
         exp(phi X) = cosh(phi/2) I + 2 sinh(phi/2) X      (s = +1)
         exp(phi X) = cos(phi/2) I + 2 sin(phi/2) X        (s = -1)
-    Raises ValueError when the result is not finite: X may have large
-    entries, so finite coefficients do not make a finite result.
+    Returns a new writable array.  Raises ValueError when X^2 is not
+    +/- I/4 within 1e-12, and when the result is not finite (an overflow
+    emits numpy's RuntimeWarnings first): X may have large entries, so
+    finite coefficients do not make a finite result.
     """
     x = np.asarray(x, dtype=np.complex128)
     sq = x @ x
-    s = sq[0, 0] / 0.25
+    # A Python complex: the sign test costs less than on numpy scalars.
+    s = complex(sq[0, 0]) / 0.25
     boost = abs(s - 1.0) < 1e-12
-    if not (boost or abs(s + 1.0) < 1e-12) or abs(sq - 0.25 * s * np.eye(4)).max() > 1e-12:
+    if not (boost or abs(s + 1.0) < 1e-12) or abs(sq - 0.25 * s * _UNIT).max() > 1e-12:
         raise ValueError("operator does not square to +/- I/4")
     even, odd = ((np.cosh(phi / 2), 2 * np.sinh(phi / 2)) if boost
                  else (np.cos(phi / 2), 2 * np.sin(phi / 2)))
-    return _finite_flow(even * np.eye(4, dtype=np.complex128) + odd * x, phi)
+    return _finite_flow(even * _UNIT + odd * x, phi)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,10 @@ from .core import _ETA_C, _UNIT, ETA, ArrayC, _bilinear
 
 
 def tri_product(a: ArrayLike, b: ArrayLike, c: ArrayLike) -> ArrayC:
-    """{a,b,c} = <a|b>c - <c|a>b + <b|c>a."""
+    """{a,b,c} = <a|b>c - <c|a>b + <b|c>a.
+
+    Follows numpy on overflow: inf or NaN entries with a RuntimeWarning.
+    """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     c = np.asarray(c, dtype=np.complex128)
@@ -56,7 +59,10 @@ def tri_product_coords(a: ArrayLike, b: ArrayLike, c: ArrayLike) -> ArrayC:
 
 
 def d_operator(a: ArrayLike, b: ArrayLike) -> ArrayC:
-    """Matrix of c -> {a,b,c}."""
+    """Matrix of c -> {a,b,c}.
+
+    Follows numpy on overflow: inf or NaN entries with a RuntimeWarning.
+    """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     # {a,b,c} = <a|b> c - <c|a> b + <b|c> a, column gamma = image of u_gamma

@@ -207,6 +207,7 @@ big_floats = st.floats(min_value=-1e300, max_value=1e300)
 
 
 class TestEvolveProperties:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(e=st.lists(big_floats, min_size=3, max_size=3),
            b=st.lists(big_floats, min_size=3, max_size=3),
            p0=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
@@ -314,6 +315,7 @@ class TestEvolveCommand:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("extra", [[], ["--compare"]])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_is_usage_error(self, fmt, extra, tmp_path, capsys):
         out = tmp_path / f"e.{fmt}"
         assert main(["--format", fmt, "--output", str(out), "evolve",
@@ -324,6 +326,7 @@ class TestEvolveCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: non-finite result at tau=1500")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rk4_overflow_names_the_first_tau(self, capsys):
         # under a pure B field the closed form stays bounded; RK4 with steps
         # of 5e75 does not

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -498,3 +500,26 @@ def test_overflow_names_the_first_non_finite_tau():
             evolve_numeric(pure_e, [1, 0, 0, 0], 2000.0, 100)
         with pytest.raises(ValueError, match=r"^non-finite result at tau=3000:"):
             evolve_numeric(pure_e, [1, 0, 0, 0], [10.0, 3000.0, 2000.0], 100)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: evolve_numeric(f, [1, 0, 0, 0], 2000.0, 100),
+    lambda f: exp_faraday(f, 2000.0),
+    lambda f: evolve_closed_form(f, [1, 0, 0, 0], 2000.0),
+], ids=["evolve_numeric", "exp_faraday", "evolve_closed_form"])
+def test_overflow_raises_without_warnings(call):
+    # the ValueError is the only signal: no numpy RuntimeWarning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^non-finite result at tau=2000:"):
+            call(EMField([1, 0, 0], [0, 0, 0]))
+
+
+@pytest.mark.parametrize("tau", [690.0, 700.0])
+def test_large_finite_rk4_is_silent(tau):
+    # 2 000 steps at tau 690 grow |q| by under 2^1000, so they run outside
+    # np.errstate; at tau 700 the bound is above it.  Neither warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = evolve_numeric(EMField([1, 0, 0], [0, 0, 0]), [1, 0, 0, 0], tau, 2000)
+    assert np.isfinite(p).all() and p[0] > 1e299

@@ -11,7 +11,7 @@ from relphase import (PAULI, PoincareGenerator, QoElement, Representation, basis
                       qo_from_operator, qo_realize, rotation_flow_closed,
                       scalar_product, to_np_basis)
 from relphase.liealgebra import QO_BASIS_PAIRS
-from relphase.representations import DUAL_PAIRS, np_block_residuals
+from relphase.representations import _CUBIC, DUAL_PAIRS, np_block_residuals
 from relphase.verify import (_poincare_checks, boost_closed_form_residual, car_residual,
                              closed_flows_residual, generator_squares_residual,
                              np_round_trip_residual, real_subspace_residual, tripotency_residual)
@@ -416,3 +416,97 @@ class TestNonFiniteFlows:
                     assert str(exc).startswith("non-finite result at phi=")
                     continue
                 assert np.all(np.isfinite(out))
+
+
+# Closed flows written as before the (D, D^2) tables: a fresh identity, D from
+# d_basis and D @ D at every call.  Each returns the flow or the message of
+# the ValueError it raised.
+def _reference_result(g, phi):
+    if np.isfinite(g).all():
+        return g
+    return (f"non-finite result at phi={phi:.17g}: the flow overflows double "
+            "precision; reduce phi")
+
+
+def reference_cubic_flow(d, odd, even, phi):
+    return _reference_result(np.eye(4, dtype=np.complex128) + odd * d + even * (d @ d), phi)
+
+
+def reference_boost_flow(j, phi):
+    return reference_cubic_flow(d_basis(0, j), np.sinh(phi), np.cosh(phi) - 1.0, phi)
+
+
+def reference_rotation_flow(k, l, phi):
+    return reference_cubic_flow(d_basis(k, l), np.sin(phi), 1.0 - np.cos(phi), phi)
+
+
+def reference_half_flow(x, phi):
+    s = (x @ x)[0, 0] / 0.25
+    even, odd = ((np.cosh(phi / 2), 2 * np.sinh(phi / 2)) if abs(s - 1.0) < 1e-12
+                 else (np.cos(phi / 2), 2 * np.sin(phi / 2)))
+    return _reference_result(even * np.eye(4, dtype=np.complex128) + odd * x, phi)
+
+
+INDEX_PAIRS = [(a, b) for a in range(4) for b in range(4)]
+# 0, tiny, ordinary and large rapidities, both sides of the spin-1 boost's
+# overflow (cosh and sinh) and of the spin-1/2 boost's (2 sinh(phi/2), then
+# cosh(phi/2)), and the non-finite ones.
+FLOW_PHIS = [0.0, 1e-300, 0.7, 30.0, 710.4758600739439, 710.475860073944,
+             1419.565425786768, 1419.5654257867682, 1420.0, 1422.0, np.inf]
+FLOW_PHIS = FLOW_PHIS + [-phi for phi in FLOW_PHIS] + [np.nan]
+
+
+class TestClosedFlowContract:
+    @pytest.mark.parametrize("phi", FLOW_PHIS)
+    def test_bits_match_the_per_call_formula(self, phi):
+        # every pair of all three kinds, as uint64 views; where the formula
+        # is not finite, the same ValueError
+        calls = [(boost_flow_closed, (j,), reference_boost_flow) for j in range(4)]
+        calls += [(rotation_flow_closed, pair, reference_rotation_flow) for pair in INDEX_PAIRS]
+        calls += [(half_flow_closed, (rep.angular_matrix(*pair),), reference_half_flow)
+                  for rep in (PLUS, MINUS) for pair in ORDERED_PAIRS]
+        with np.errstate(all="ignore"):
+            for flow, args, reference in calls:
+                want = reference(*args, phi)
+                if isinstance(want, str):
+                    with pytest.raises(ValueError) as exc:
+                        flow(*args, phi)
+                    assert str(exc.value) == want
+                else:
+                    np.testing.assert_array_equal(flow(*args, phi).view(np.uint64),
+                                                  want.view(np.uint64))
+
+    @pytest.mark.parametrize("pair", [(0, 4), (0, -1), (4, 1), (2, -1)])
+    def test_bad_indices_raise_d_basis_error(self, pair):
+        # the message of d_basis, not a KeyError from the table
+        message = rf"^basis indices must be in 0\.\.3, got \({pair[0]}, {pair[1]}\)$"
+        with pytest.raises(ValueError, match=message):
+            rotation_flow_closed(*pair, 0.5)
+        if pair[0] == 0:
+            with pytest.raises(ValueError, match=message):
+                boost_flow_closed(pair[1], 0.5)
+
+    def test_equal_indices_give_the_identity(self):
+        np.testing.assert_array_equal(boost_flow_closed(0, 0.7), np.eye(4))
+        for k in range(4):
+            np.testing.assert_array_equal(rotation_flow_closed(k, k, 0.7), np.eye(4))
+
+    def test_results_are_fresh_writable_arrays(self):
+        calls = [lambda: boost_flow_closed(1, 0.3), lambda: rotation_flow_closed(2, 3, 0.3),
+                 lambda: half_flow_closed(PLUS.angular_matrix(0, 2), 0.3),
+                 lambda: boost_flow_closed(0, 0.0)]
+        for call in calls:
+            first, before = call(), call()
+            assert first.flags.writeable
+            first[...] = 7.0
+            np.testing.assert_array_equal(call(), before)
+
+    def test_generator_tables_are_read_only(self):
+        assert sorted(_CUBIC) == INDEX_PAIRS
+        for pair, (d, d2) in _CUBIC.items():
+            np.testing.assert_array_equal(d, d_basis(*pair))
+            np.testing.assert_array_equal(d2, d_basis(*pair) @ d_basis(*pair))
+            for arr in (d, d2):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 7.0
