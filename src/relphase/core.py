@@ -26,7 +26,8 @@ has the same bits as the single-vector call on that entry.
 Overflow, one rule for the library: a function of an unbounded parameter
 (a rapidity phi, a proper time tau, a step count) raises ValueError
 starting ``non-finite result at`` and naming the first parameter whose
-result is not finite; it never returns inf or NaN.  The ``em`` functions
+result is not finite; it never returns inf or NaN.  ``_require_finite``
+writes that message for every module.  The ``em`` functions
 (``exp_faraday``, ``evolve_closed_form``, ``evolve_numeric``) raise without
 a numpy warning.  The closed flows ``boost_flow_closed``,
 ``rotation_flow_closed`` and ``half_flow_closed`` let numpy's RuntimeWarnings
@@ -107,6 +108,18 @@ def _first_nonfinite(values: ArrayLike, param: ArrayLike, trailing: int = 0) -> 
         return None
     params = np.reshape(param, np.shape(param) + (1,) * trailing)
     return float(np.broadcast_to(params, finite.shape)[~finite][0])
+
+
+def _require_finite(values: ArrayLike, param: ArrayLike, name: str, what: str, hint: str,
+                    trailing: int = 0) -> ArrayLike:
+    """Return ``values``, or raise the library's overflow ValueError: ``non-finite
+    result at <name>=<bad>: the <what> overflows double precision; reduce
+    <hint>``, with ``bad`` the entry of ``param`` that :func:`_first_nonfinite`
+    names."""
+    if (bad := _first_nonfinite(values, param, trailing)) is not None:
+        raise ValueError(f"non-finite result at {name}={bad:.17g}: the {what} overflows "
+                         f"double precision; reduce {hint}")
+    return values
 
 
 def scalar_product(a: ArrayLike, b: ArrayLike) -> complex | ArrayC:

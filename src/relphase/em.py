@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import _UNIT, ETA, ArrayC, ArrayR, _first_nonfinite
+from .core import _UNIT, ETA, ArrayC, ArrayR, _require_finite
 from .liealgebra import QoElement
 from .representations import DUAL_PAIRS, Representation
 from .triproduct import d_basis
@@ -239,11 +239,6 @@ def _sinhc(x: ArrayLike) -> complex | ArrayC:
         return np.where(small, taylor, np.sinh(x) / x)[()]
 
 
-def _overflow(tau: float, what: str) -> ValueError:
-    return ValueError(f"non-finite result at tau={tau:.17g}: the {what} overflows "
-                      "double precision; reduce tau or the field")
-
-
 def _closed_flow(w: ArrayLike, tau: ArrayLike, op: ArrayC) -> ArrayC:
     """cosh(w tau) I + tau sinhc(w tau) op: exp(tau op) for an operator with
     op^2 = w^2 I, whichever root w is given."""
@@ -267,9 +262,7 @@ def exp_faraday(f: EMField, tau: ArrayLike) -> ArrayC:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         x = _exp_faraday(f, tau)
-    if (bad := _first_nonfinite(x, tau, 2)) is not None:
-        raise _overflow(bad, "flow")
-    return x
+    return _require_finite(x, tau, "tau", "flow", "tau or the field", 2)
 
 
 def exp_faraday_conjugate(f: EMField, tau: ArrayLike) -> ArrayC:
@@ -297,8 +290,7 @@ def evolve_closed_form(f: EMField, p0: ArrayLike, tau: ArrayLike,
     with np.errstate(over="ignore", invalid="ignore"):
         x = _exp_faraday(f, tau)
         p = (np.conj(x) @ (x @ p0.real[..., None]))[..., 0]
-    if (bad := _first_nonfinite(p, tau, 1)) is not None:
-        raise _overflow(bad, "momentum")
+    _require_finite(p, tau, "tau", "momentum", "tau or the field", 1)
     # |p| is only needed when a residual is above the absolute tolerance.
     if np.abs(p.imag).max() > imag_tol:
         imag = np.abs(p.imag).max(axis=-1)
@@ -349,9 +341,7 @@ def evolve_numeric(f: EMField, p0: ArrayLike, tau: ArrayLike, steps: int) -> Arr
     with contextlib.nullcontext() if bits < 1000 else np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
             q = q + d @ q
-    if (bad := _first_nonfinite(q[..., 0], taus, 1)) is not None:
-        raise _overflow(bad, "momentum")
-    return q[..., 0]
+    return _require_finite(q[..., 0], taus, "tau", "momentum", "tau or the field", 1)
 
 
 def shell_drift(p0: ArrayLike, p: ArrayLike) -> float:

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import _UNIT, ArrayC, _first_nonfinite, basis, symplectic_bracket
+from .core import _UNIT, ArrayC, _require_finite, basis, symplectic_bracket
 from .liealgebra import (QO_BASIS_PAIRS, GradedElement, QoElement, commutator,
                          graded_bracket)
 from .triproduct import d_basis
@@ -283,15 +283,6 @@ class Representation:
 # Exponential flows
 # ---------------------------------------------------------------------------
 
-def _finite_flow(g: ArrayC, phi: ArrayLike) -> ArrayC:
-    """Return the flow ``g``, or raise ValueError naming the rapidity of its
-    first non-finite entry (C order)."""
-    if (bad := _first_nonfinite(g, phi)) is not None:
-        raise ValueError(f"non-finite result at phi={bad:.17g}: the flow overflows "
-                         "double precision; reduce phi")
-    return g
-
-
 def __getattr__(name: str):
     """Bind scipy's ``expm`` as the module attribute ``expm`` on first use.
 
@@ -318,26 +309,23 @@ def exponential_flow(x: ArrayLike, phi: ArrayLike) -> ArrayC:
     """
     # The module attribute, read at each call, so that a rebinding is seen.
     expm = globals().get("expm") or __getattr__("expm")
-    return _finite_flow(expm(phi * np.asarray(x, dtype=np.complex128)), phi)
+    return _require_finite(expm(phi * np.asarray(x, dtype=np.complex128)), phi, "phi", "flow",
+                           "phi")
 
 
-def _cubic_table() -> dict[tuple[int, int], tuple[ArrayC, ArrayC]]:
-    """Read-only (D, D^2) of d_basis(alpha, beta) for all sixteen index pairs.
-
-    A pair with alpha == beta has D = 0 and gives the identity flow.
-    """
-    table = {}
-    for alpha in range(4):
-        for beta in range(4):
-            d = d_basis(alpha, beta)
-            d2 = d @ d
-            d.setflags(write=False)
-            d2.setflags(write=False)
-            table[(alpha, beta)] = (d, d2)
-    return table
+def _cubic_pair(alpha: int, beta: int) -> tuple[ArrayC, ArrayC]:
+    """Read-only D = d_basis(alpha, beta) and D^2; d_basis raises for indices
+    outside 0..3."""
+    d = d_basis(alpha, beta)
+    d2 = d @ d
+    d.setflags(write=False)
+    d2.setflags(write=False)
+    return d, d2
 
 
-_CUBIC = _cubic_table()
+# (D, D^2) for all sixteen index pairs.  A pair with alpha == beta has D = 0
+# and gives the identity flow.
+_CUBIC = {(alpha, beta): _cubic_pair(alpha, beta) for alpha in range(4) for beta in range(4)}
 
 
 def _cubic_flow(alpha: int, beta: int, odd: float, even: float, phi: float) -> ArrayC:
@@ -350,13 +338,10 @@ def _cubic_flow(alpha: int, beta: int, odd: float, even: float, phi: float) -> A
     exactly when both coefficients are; checking them is cheaper than
     checking the result.
     """
-    try:
-        d, d2 = _CUBIC[(alpha, beta)]
-    except KeyError:
-        d_basis(alpha, beta)  # raises the ValueError for indices outside 0..3
-        raise
+    d, d2 = _CUBIC.get((alpha, beta)) or _cubic_pair(alpha, beta)
     g = _UNIT + odd * d + even * d2
-    return g if math.isfinite(odd) and math.isfinite(even) else _finite_flow(g, phi)
+    return (g if math.isfinite(odd) and math.isfinite(even)
+            else _require_finite(g, phi, "phi", "flow", "phi"))
 
 
 def boost_flow_closed(j: int, phi: float) -> ArrayC:
@@ -402,7 +387,7 @@ def half_flow_closed(x: ArrayLike, phi: float) -> ArrayC:
         raise ValueError("operator does not square to +/- I/4")
     even, odd = ((np.cosh(phi / 2), 2 * np.sinh(phi / 2)) if boost
                  else (np.cos(phi / 2), 2 * np.sin(phi / 2)))
-    return _finite_flow(even * _UNIT + odd * x, phi)
+    return _require_finite(even * _UNIT + odd * x, phi, "phi", "flow", "phi")
 
 
 # ---------------------------------------------------------------------------

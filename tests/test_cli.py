@@ -382,8 +382,9 @@ class TestNpDumpCommand:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("kind", ["plus", "minus"])
     def test_output_matches_pinned_bytes(self, kind, fmt, tmp_path):
-        # the pinned files are the output of `relphase [--format csv] np-dump`
-        # from before the Pauli-block residuals moved into representations
+        # the pinned JSON files are the output of `relphase np-dump` from
+        # before the Pauli-block residuals moved into representations; the
+        # CSV files were pinned when they gained the representation column
         out = tmp_path / f"np.{fmt}"
         assert main(["--format", fmt, "--output", str(out), "np-dump", f"spin_half_{kind}"]) == 0
         assert out.read_bytes() == (DATA / f"np_dump_{kind}.{fmt}").read_bytes()
@@ -406,6 +407,15 @@ class TestNpDumpCommand:
         main(["--output", str(out), "np-dump", "spin_half_minus"])
         d = json.loads(out.read_text())
         assert d["tetrad"] == ["l", "mbar", "n", "m"]
+
+    def test_csv_names_its_representation(self):
+        # both kinds have the same labels and residuals; the first column
+        # tells their CSVs apart
+        plus, minus = (run_quiet(["--format", "csv", "np-dump", f"spin_half_{kind}"])[1]
+                       for kind in ("plus", "minus"))
+        assert plus != minus
+        assert {row["representation"] for row in csv.DictReader(io.StringIO(minus))} == {
+            "spin_half_minus"}
 
     def test_minus_matrices_conjugate_plus(self, tmp_path):
         out_p, out_m = tmp_path / "p.json", tmp_path / "m.json"
@@ -452,7 +462,7 @@ class TestProcessInvocation:
     def test_module_entry_point(self):
         proc = run_cli(["--format", "csv", "np-dump", "spin_half_plus"])
         assert proc.returncode == 0
-        assert proc.stdout.startswith("generator,axis,kind,")
+        assert proc.stdout.startswith("representation,generator,axis,kind,")
 
     def test_closed_stdout_pipe_is_config_error(self):
         # The read end is closed before the child starts, so every write

@@ -2,8 +2,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from relphase import (DUAL_PAIRS, ETA, EMField, Representation, basis, d_basis,
                       evolution_generator, evolve_closed_form, evolve_numeric,
@@ -11,11 +9,12 @@ from relphase import (DUAL_PAIRS, ETA, EMField, Representation, basis, d_basis,
                       faraday_components, faraday_conjugate, faraday_tensor,
                       field_tensor, invariant_z, is_in_qo, lorentz_force,
                       mass_shell_residual, qo_realize, scalar_product)
-from relphase.em import _sinhc, shell_drift
+from relphase.em import shell_drift
 from relphase.verify import (closed_form_rk4_residual, commuting_factor_residual,
                              conjugate_commutator_residual, faraday_square_residual,
                              flow_invariance_residual, null_flow_residual,
                              shell_and_reality_residuals)
+from test_contract import FIELDS, P0S, assert_same_bits
 
 PLUS = Representation("spin_half_plus")
 
@@ -125,6 +124,11 @@ class TestFaradayTensor:
         np.testing.assert_allclose(comps, f.faraday_vector, atol=1e-12)
         with pytest.raises(ValueError):
             faraday_components(np.eye(4))
+        # one operator outside the span fails a stack
+        ops = faraday_tensor(random_fields(22, 50))
+        ops[30] += 1e-6 * np.eye(4)
+        with pytest.raises(ValueError):
+            faraday_components(ops)
 
 
 class TestLorentzForce:
@@ -263,15 +267,6 @@ class TestEvolution:
         e2 = np.abs(evolve_numeric(f, p0, 2.0, 100) - exact).max()
         assert e1 / e2 == pytest.approx(16.0, rel=0.25)
 
-    def test_tau_vector_matches_scalar_calls(self):
-        rng = np.random.default_rng(35)
-        for f in random_fields(36, 6):
-            p0 = rng.uniform(-1, 1, 4)
-            taus = np.concatenate(([0.0], rng.uniform(-3.0, 6.0, 4)))
-            rows = evolve_numeric(f, p0, taus, 500)
-            for tau, row in zip(taus, rows):
-                assert rel(row, evolve_numeric(f, p0, float(tau), 500)) < 1e-14
-
     def test_tau_zero_row_is_exact(self):
         f = EMField([0.4, 0.2, -0.6], [0.3, -0.1, 0.8])
         p0 = np.array([1.0, 0.1, -0.2, 0.3])
@@ -339,108 +334,6 @@ class TestEvolution:
             np.testing.assert_allclose(got, exp_faraday(f, tau), atol=1e-13)
 
 
-def contract_fields():
-    """2 000 random fields with null, pure-E, pure-B and zero fields mixed in.
-
-    The null fields are exact (a unit E with a perpendicular unit B) or
-    built from orthonormal pairs, so |w tau| < 1e-4 and the Taylor branch of
-    the kernel runs in the same stack as the sinh branch.  Pure-E fields
-    carry B = -0.0 to exercise signed zeros.
-    """
-    rng = np.random.default_rng(43)
-    e, b = rng.uniform(-1, 1, (2, 2000, 3))
-    e1 = rng.standard_normal((60, 3))
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    v = rng.standard_normal((60, 3))
-    e2 = v - np.sum(v * e1, axis=1, keepdims=True) * e1
-    e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
-    amp = rng.uniform(0.2, 1.0, (60, 1))
-    unit = np.eye(3)
-    special_e = np.concatenate([amp * e1, 0.7 * unit, -unit, 0 * unit, unit, np.zeros((1, 3))])
-    special_b = np.concatenate([amp * e2, 0 * unit, -0.0 * unit, -0.9 * unit, np.roll(unit, 1, 0),
-                                np.zeros((1, 3))])
-    order = rng.permutation(2000 + len(special_e))
-    return (EMField(np.concatenate([e, special_e])[order], np.concatenate([b, special_b])[order]),
-            rng.uniform(-1, 1, (2000 + len(special_e), 4)))
-
-
-def assert_same_bits(got, want):
-    """Equal entries, the sign of every zero included."""
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    if got.dtype.kind == "c":
-        got, want = np.stack([got.real, got.imag]), np.stack([want.real, want.imag])
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-CONTRACT_TAUS = np.array([0.0, 0.7, 3.0, -1.3])
-CONTRACT_FIELDS, CONTRACT_P0S = contract_fields()
-
-
-class TestFieldAxis:
-    """A stack of fields gives, entry by entry, the bits of the single calls."""
-
-    fields, p0s = CONTRACT_FIELDS, CONTRACT_P0S
-    singles = [CONTRACT_FIELDS[k] for k in range(len(CONTRACT_P0S))]
-
-    def test_stack_has_the_taylor_branch(self):
-        x = np.abs(invariant_z(self.fields).w[:, None] * CONTRACT_TAUS[1:])
-        assert np.count_nonzero(x < 1e-4) >= 60 * 3 and np.count_nonzero(x >= 1e-4) > 2000
-
-    def test_operators(self):
-        for fn in (faraday_tensor, faraday_conjugate, evolution_generator):
-            assert_same_bits(fn(self.fields), np.stack([fn(f) for f in self.singles]))
-        assert_same_bits(field_tensor(self.fields).matrix,
-                         np.stack([field_tensor(f).matrix for f in self.singles]))
-
-    def test_invariants(self):
-        inv = invariant_z(self.fields)
-        assert_same_bits(inv.z, np.array([invariant_z(f).z for f in self.singles]))
-        assert_same_bits(inv.w, np.array([invariant_z(f).w for f in self.singles]))
-        x = inv.w[:, None] * CONTRACT_TAUS
-        assert_same_bits(_sinhc(x), np.array([[_sinhc(v) for v in row] for row in x]))
-
-    def test_closed_form_over_fields_and_taus(self):
-        grid = exp_faraday(self.fields[:, None], CONTRACT_TAUS)
-        assert grid.shape == (len(self.singles), len(CONTRACT_TAUS), 4, 4)
-        assert_same_bits(grid, np.stack([[exp_faraday(f, float(t)) for t in CONTRACT_TAUS]
-                                         for f in self.singles]))
-        paired = evolve_closed_form(self.fields, self.p0s, 2.5)
-        assert_same_bits(paired, np.stack([evolve_closed_form(f, p0, 2.5)
-                                           for f, p0 in zip(self.singles, self.p0s)]))
-        rows = evolve_closed_form(self.fields[:, None], self.p0s[:, None], CONTRACT_TAUS)
-        for k, tau in enumerate(CONTRACT_TAUS):
-            assert_same_bits(rows[:, k], np.stack([evolve_closed_form(f, p0, float(tau))
-                                                   for f, p0 in zip(self.singles, self.p0s)]))
-
-    def test_rk4_over_fields_and_taus(self):
-        got = evolve_numeric(self.fields[:200, None], self.p0s[:200, None], CONTRACT_TAUS, 9)
-        assert got.shape == (200, len(CONTRACT_TAUS), 4)
-        assert_same_bits(got, np.stack([evolve_numeric(f, p0, CONTRACT_TAUS, 9)
-                                        for f, p0 in zip(self.singles, self.p0s[:200])]))
-
-    def test_faraday_components_of_a_stack(self):
-        x = PLUS.angular_matrix(0, 2)
-        ops = exponential_flow(x, 0.8) @ faraday_tensor(self.fields) @ exponential_flow(x, -0.8)
-        assert_same_bits(faraday_components(ops), np.stack([faraday_components(m) for m in ops]))
-        assert faraday_components(ops[0]).shape == (3,)
-        bad = ops.copy()
-        bad[1000] += 1e-6 * np.eye(4)
-        with pytest.raises(ValueError):
-            faraday_components(bad)
-
-    def test_single_inputs_keep_their_types(self):
-        f = self.singles[0]
-        inv = invariant_z(f)
-        assert type(inv.z) is complex and type(inv.w) is complex
-        assert isinstance(_sinhc(0.5 + 0.1j), complex) and isinstance(_sinhc(1e-6), complex)
-        assert faraday_tensor(f).shape == exp_faraday(f, 1.0).shape == (4, 4)
-        assert field_tensor(f).matrix.shape == (4, 4)
-        assert evolve_closed_form(f, self.p0s[0], 1.0).shape == (4,)
-        assert evolve_numeric(f, self.p0s[0], 1.0, 5).shape == (4,)
-        assert isinstance(mass_shell_residual(f, self.p0s[0], 1.0), float)
-
-
 def qo_realize_field_tensor(f):
     """sum_j E^j D_{0j} + B^j Dperp_j through a coefficient tensor and qo_realize."""
     coeffs = np.zeros((4, 4), dtype=np.complex128)
@@ -454,30 +347,8 @@ def qo_realize_field_tensor(f):
 
 
 def test_field_tensor_equals_the_coefficient_tensor_path():
-    want = np.stack([qo_realize_field_tensor(f).matrix for f in TestFieldAxis.singles])
-    assert_same_bits(field_tensor(CONTRACT_FIELDS).matrix, want)
-
-
-components = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
-three = st.lists(components, min_size=3, max_size=3)
-
-
-@given(three, three, components, st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4))
-@settings(max_examples=150, deadline=None)
-def test_closed_form_is_finite_or_value_error(e, b, tau, p0):
-    # |E|, |B| and tau up to 1e300: a finite result or a ValueError, never
-    # inf or NaN and never another exception
-    f = EMField(e, b)
-    with np.errstate(all="ignore"):
-        for call in (lambda: exp_faraday(f, tau), lambda: exp_faraday_conjugate(f, tau),
-                     lambda: evolve_closed_form(f, p0, tau),
-                     lambda: mass_shell_residual(f, p0, tau)):
-            try:
-                out = call()
-            except ValueError as exc:
-                assert str(exc).startswith(("non-finite result at tau=", "imaginary residual"))
-                continue
-            assert np.all(np.isfinite(out))
+    want = np.stack([qo_realize_field_tensor(FIELDS[k]).matrix for k in range(len(P0S))])
+    assert_same_bits(field_tensor(FIELDS).matrix, want)
 
 
 def test_overflow_names_the_first_non_finite_tau():

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from relphase import (ETA, GradedElement, QoElement, Representation, basis,
-                      commutator, d_basis, exponential_flow, graded_bracket,
-                      half_graded_bracket, is_in_qo, is_quasi_orthogonal, qo_basis,
+from relphase import (ETA, GradedElement, basis, commutator, d_basis, exponential_flow,
+                      graded_bracket, is_in_qo, is_quasi_orthogonal, qo_basis,
                       qo_from_operator, qo_realize)
 from relphase.liealgebra import QO_BASIS_PAIRS
 from relphase.verify import bracket_table_residual, jacobi_residual, qo_dimension
@@ -65,6 +64,16 @@ class TestQoRealize:
             q = qo_realize(x - x.T)
             np.testing.assert_array_equal(q.coeffs, 0.5 * ((x - x.T) - (x - x.T).T))
             assert not q.coeffs.flags.writeable
+
+    def test_stacks_reject_one_bad_entry(self):
+        rng = np.random.default_rng(36)
+        coeffs = antisym(rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4)))
+        bad = qo_realize(coeffs).matrix.copy()
+        bad[3] += np.eye(4)
+        with pytest.raises(ValueError):
+            qo_from_operator(bad)
+        with pytest.raises(ValueError):
+            qo_realize(coeffs + np.eye(4))
 
     def test_from_operator_rejects_outsiders(self):
         with pytest.raises(ValueError):
@@ -166,6 +175,17 @@ class TestGradedBracket:
         br = graded_bracket(one, x)
         assert br.norm() < 1e-15
 
+    def test_norm_is_the_largest_grade(self):
+        # each grade is the largest somewhere; the scalar part's size is
+        # Python's abs of a complex
+        rng = np.random.default_rng(33)
+        for _ in range(300):
+            c, v, s = (rng.uniform(0, 3) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                       for n in ((4, 4), 4, ()))
+            x = GradedElement(qo_realize(c - c.T), v, s)
+            assert x.norm() == max(float(np.abs(x.l0.matrix).max()), float(np.abs(v).max()),
+                                   abs(x.l2))
+
     def test_antisymmetry(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
@@ -207,96 +227,3 @@ class TestQoElementArithmetic:
         q = qo_from_operator(d_basis(0, 1))
         with pytest.raises(ValueError):
             q.matrix[0, 0] = 5.0
-
-
-def single(stack, k):
-    """Element k of a stacked graded element, as a single element."""
-    return GradedElement(QoElement(stack.l0.matrix[k]), stack.l1[k], stack.l2[k])
-
-
-def image_elements(rng, n):
-    """A stack of n elements of the spin-1/2 image: complex combinations of
-    the plus boost images, with random vectors and scalars."""
-    boosts = np.stack([Representation("spin_half_plus").angular_matrix(0, j) for j in (1, 2, 3)])
-    c = rng.standard_normal((n, 3, 1, 1)) + 1j * rng.standard_normal((n, 3, 1, 1))
-    return GradedElement(qo_from_operator(c[:, 0] * boosts[0] + c[:, 1] * boosts[1]
-                                          + c[:, 2] * boosts[2]),
-                         rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4)),
-                         rng.standard_normal(n) + 1j * rng.standard_normal(n))
-
-
-class TestGradedStacks:
-    N = 300
-
-    @pytest.mark.parametrize("bracket", [graded_bracket, half_graded_bracket])
-    def test_stacked_bracket_equals_single_calls(self, bracket):
-        rng = np.random.default_rng(31)
-        for make in (random_elements, image_elements):
-            x, y = make(rng, self.N), make(rng, self.N)
-            br = bracket(x, y)
-            singles = [bracket(single(x, k), single(y, k)) for k in range(self.N)]
-            np.testing.assert_array_equal(br.l0.matrix, np.stack([b.l0.matrix for b in singles]))
-            np.testing.assert_array_equal(br.l1, np.stack([b.l1 for b in singles]))
-            np.testing.assert_array_equal(br.l2, np.array([b.l2 for b in singles]))
-
-    def test_broadcast_bracket_equals_single_calls(self):
-        rng = np.random.default_rng(32)
-        x, y = random_elements(rng, 5), random_elements(rng, 4)
-        br = graded_bracket(GradedElement(QoElement(x.l0.matrix[:, None]), x.l1[:, None],
-                                          x.l2[:, None]), y)
-        assert br.l0.matrix.shape == (5, 4, 4, 4) and br.l2.shape == (5, 4)
-        for i in range(5):
-            for k in range(4):
-                b = graded_bracket(single(x, i), single(y, k))
-                np.testing.assert_array_equal(br.l0.matrix[i, k], b.l0.matrix)
-                np.testing.assert_array_equal(br.l1[i, k], b.l1)
-                assert br.l2[i, k] == b.l2
-
-    def test_stacked_norm_equals_single_norms(self):
-        rng = np.random.default_rng(33)
-        x = random_elements(rng, self.N)
-        # scale the grades apart so that each one is the largest somewhere
-        x = GradedElement(QoElement(x.l0.matrix * rng.uniform(0, 3, (self.N, 1, 1))),
-                          x.l1 * rng.uniform(0, 3, (self.N, 1)), x.l2 * rng.uniform(0, 3, self.N))
-        np.testing.assert_array_equal(x.norm(), [single(x, k).norm() for k in range(self.N)])
-        # the scalar part's size is Python's abs of a complex
-        for k in range(self.N):
-            assert single(x, k).norm() == max(float(np.abs(x.l0.matrix[k]).max()),
-                                              float(np.abs(x.l1[k]).max()), abs(complex(x.l2[k])))
-
-    def test_single_element_types(self):
-        rng = np.random.default_rng(34)
-        x = single(random_elements(rng, 2), 0)
-        for e in (x, graded_bracket(x, x), half_graded_bracket(x, x), x + x, -x,
-                  x - x, GradedElement.zero(), GradedElement.from_scalar(2.0)):
-            assert type(e.l2) is complex
-            assert type(e.norm()) is float
-            assert e.l0.matrix.shape == (4, 4) and e.l1.shape == (4,)
-
-    def test_stacked_arrays_are_read_only(self):
-        rng = np.random.default_rng(35)
-        l2 = rng.standard_normal(3) + 0j
-        x = GradedElement(qo_realize(antisym(rng.standard_normal((3, 4, 4)))),
-                          rng.standard_normal((3, 4)), l2)
-        assert x.l2.shape == (3,) and x.norm().shape == (3,)
-        for e in (x, graded_bracket(x, x), x + x):
-            for arr in (e.l0.matrix, e.l1, e.l2):
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError):
-                    arr[0] = 1.0
-        # the element holds a copy
-        l2[0] = 99.0
-        assert x.l2[0] != 99.0
-
-    def test_realize_and_wrap_stacks(self):
-        rng = np.random.default_rng(36)
-        coeffs = antisym(rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4)))
-        q = qo_realize(coeffs)
-        np.testing.assert_array_equal(q.matrix, np.stack([qo_realize(c).matrix for c in coeffs]))
-        np.testing.assert_array_equal(qo_from_operator(q.matrix).matrix, q.matrix)
-        bad = q.matrix.copy()
-        bad[3] += np.eye(4)
-        with pytest.raises(ValueError):
-            qo_from_operator(bad)
-        with pytest.raises(ValueError):
-            qo_realize(coeffs + np.eye(4))
