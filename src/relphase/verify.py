@@ -539,12 +539,12 @@ def conjugate_commutator_residual(fields: EMField) -> float:
 
 def commuting_factor_residual(fields: EMField, taus) -> float:
     """exp(tau A) against exp(tau conj(Fc)) exp(tau Fc), A the evolution
-    generator, for every field at every tau."""
+    generator, for every field at every tau.  tau is real, so the first
+    factor is the entrywise conjugate of the second."""
     taus = np.asarray(taus, dtype=np.float64)[:, None, None]
     lhs = exponential_flow(evolution_generator(fields)[:, None], taus)
-    rhs = (exponential_flow(faraday_conjugate(fields)[:, None], taus)
-           @ exponential_flow(faraday_tensor(fields)[:, None], taus))
-    return _worst(lhs.reshape(-1, 4, 4), rhs.reshape(-1, 4, 4))
+    flow = exponential_flow(faraday_tensor(fields)[:, None], taus)
+    return _worst(lhs.reshape(-1, 4, 4), (np.conj(flow) @ flow).reshape(-1, 4, 4))
 
 
 def _minkowski_square(p):

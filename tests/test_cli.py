@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relphase import EMField, evolve_closed_form
+from relphase import (EMField, Representation, boost_flow_closed, evolve_closed_form,
+                      exponential_flow, half_flow_closed, rotation_flow_closed)
 from relphase.cli import format_complex, main, parse_complex
 from relphase.representations import REPRESENTATION_KINDS
 
@@ -21,6 +22,7 @@ from relphase.representations import REPRESENTATION_KINDS
 DATA = Path(__file__).parent / "data"
 PINNED_EVOLVE = DATA / "evolve_compare_pinned.json"
 PINNED_OUTPUT = DATA / "cli_pinned.json"
+ANGULAR_LABELS = [f"M{a}{b}" for a in range(4) for b in range(4) if a != b]
 
 
 def strict_json(text):
@@ -123,14 +125,34 @@ class TestTransformCommand:
         assert main(["--format", "csv", "--output", str(out), "transform",
                      "spin_half_plus", "M01", "0.77", "1", "0", "0", "0"]) == 0
         rows = list(csv.DictReader(out.open()))
-        from relphase import Representation, exponential_flow
-        expected = exponential_flow(Representation("spin_half_plus").angular_matrix(0, 1),
-                                    0.77)
+        expected = half_flow_closed(Representation("spin_half_plus").angular_matrix(0, 1), 0.77)
         for r in rows:
             if r["section"] == "matrix":
                 i, j = int(r["row"]), int(r["col"])
                 assert float(r["re"]) == expected[i, j].real
                 assert float(r["im"]) == expected[i, j].imag
+
+    @pytest.mark.parametrize("kind", REPRESENTATION_KINDS)
+    @pytest.mark.parametrize("label", ANGULAR_LABELS)
+    def test_matrix_is_the_closed_form_flow(self, kind, label):
+        # The flow of the label as given: a swapped spin-1 boost label flips
+        # phi, the other flows take the swapped (negated) image.  expm, the
+        # oracle, exponentiates the image itself.
+        alpha, beta = int(label[1]), int(label[2])
+        image = Representation(kind).angular_matrix(alpha, beta)
+        for phi in (-1.7, 0.3, 2.5):
+            code, out, _ = run_quiet(["transform", kind, label, repr(phi), "1", "0", "0", "0"])
+            assert code == 0
+            matrix = np.array([[parse_complex(z) for z in row] for row in json.loads(out)["matrix"]])
+            if kind != "spin1":
+                closed = half_flow_closed(image, phi)
+            elif 0 in (alpha, beta):
+                closed = boost_flow_closed(alpha + beta, phi if alpha == 0 else -phi)
+            else:
+                closed = rotation_flow_closed(alpha, beta, phi)
+            np.testing.assert_array_equal(matrix, closed)
+            oracle = exponential_flow(image, phi)
+            assert np.abs(matrix - oracle).max() / max(1.0, np.abs(oracle).max()) < 5e-14
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -167,7 +189,6 @@ def run_quiet(argv):
 
 
 finite_complexes = st.complex_numbers(allow_nan=False, allow_infinity=False)
-ANGULAR_LABELS = [f"M{a}{b}" for a in range(4) for b in range(4) if a != b]
 
 
 class TestCliProperties:
@@ -433,10 +454,12 @@ class TestPinnedOutput:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_transform_and_evolve_match_pinned_bytes(self, fmt, tmp_path):
         # The fixture holds the output of `relphase --format FMT transform|evolve
-        # ...` from before the commands shared one output path: transforms of
-        # all three kinds with a swapped label (M10) and negative phi (the
-        # spin-1 M23 flow at phi = -1.7 has a -0.0 entry), and evolve without
-        # --compare.  Files and stdout must carry the same bytes.
+        # ...`: transforms of all three kinds with a swapped label (M10) and
+        # negative phi, taken from the closed-form flows, and evolve without
+        # --compare, taken from before the commands shared one output path.
+        # Files and stdout must carry the same bytes.  No entry carries a
+        # -0.0; TestCliProperties::test_parse_complex_inverts_format_complex
+        # covers signed zeros.
         out = tmp_path / "out"
         for case in json.loads(PINNED_OUTPUT.read_text()):
             assert main(["--format", fmt, "--output", str(out), *case["argv"]]) == 0
@@ -449,8 +472,9 @@ class TestProcessInvocation:
         ("import relphase", False),
         ("assert main(['evolve', *'1 0 0 0 0 0 1 0 0 0 2.0 9'.split(), '--compare']) == 0", False),
         ("assert main(['np-dump', 'spin_half_plus']) == 0", False),
+        ("assert main(['transform', *'spin1 M10 0.5 1 0 0 0'.split()]) == 0", False),
         ("relphase.exponential_flow(relphase.d_basis(0, 1), 0.5)", True),
-    ], ids=["import", "evolve", "np-dump", "exponential_flow"])
+    ], ids=["import", "evolve", "np-dump", "transform", "exponential_flow"])
     def test_only_the_expm_oracle_loads_scipy(self, code, loads):
         # importing scipy costs more than the rest of a command's start-up
         prelude = "import sys\nimport relphase\nfrom relphase.cli import main\n"
