@@ -48,9 +48,9 @@ import numpy as np
 from . import representations
 from .core import _require_finite, phase_vector
 from .em import EMField, evolve_closed_form, evolve_numeric, shell_drift
-from .representations import (DUAL_PAIRS, REPRESENTATION_KINDS, Representation, boost_flow_closed,
-                              half_flow_closed, np_block_residuals, np_matrix, np_matrix_conjugate,
-                              parse_generator, rotation_flow_closed)
+from .representations import (DUAL_PAIRS, REPRESENTATION_KINDS, Representation, half_flow_closed,
+                              np_block_residuals, np_matrix, np_matrix_conjugate, parse_generator,
+                              rotation_flow_closed)
 from .verify import DEFAULT_TOLERANCE, run_all
 
 USAGE_ERROR = 2
@@ -178,20 +178,16 @@ def cmd_transform(args: argparse.Namespace) -> int:
     # Overflow is detected on the results, so numpy's warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            # The closed-form flows.  gen.indices[::gen.sign] is the label as
-            # given: a swapped label (M10) reverses the canonical indices.
-            if rep.kind != "spin1":
-                matrix = half_flow_closed(rep.angular_matrix(*gen.indices[::gen.sign]), args.phi)
-            elif gen.is_boost():
-                matrix = boost_flow_closed(gen.indices[1], gen.sign * args.phi)
-            else:
-                matrix = rotation_flow_closed(*gen.indices[::gen.sign], args.phi)
+            # The closed-form flow of the label as given: gen.indices[::gen.sign]
+            # reverses the canonical indices of a swapped label (M10).
+            label = gen.indices[::gen.sign]
+            matrix = (rotation_flow_closed(*label, args.phi) if rep.kind == "spin1"
+                      else half_flow_closed(rep.angular_matrix(*label), args.phi))
             out = _require_finite(matrix @ v, args.phi, "phi", "flow", "phi")
         except ValueError as exc:
-            # The flow's message, naming phi as given (a swapped boost label
-            # flips it); the image of a large vector can overflow too.
-            message = re.sub(r"phi=\S+:", f"phi={args.phi:.17g}:", str(exc), count=1)
-            raise ConfigError(f"{message} or the components") from None
+            # The flow's message names phi as given; the image of a large
+            # vector can overflow too.
+            raise ConfigError(f"{exc} or the components") from None
 
     doc = {
         "representation": args.representation,

@@ -328,43 +328,51 @@ def _cubic_pair(alpha: int, beta: int) -> tuple[ArrayC, ArrayC]:
 _CUBIC = {(alpha, beta): _cubic_pair(alpha, beta) for alpha in range(4) for beta in range(4)}
 
 
-def _cubic_flow(alpha: int, beta: int, odd: float, even: float, phi: float) -> ArrayC:
-    """I + odd D + even D^2 with D = d_basis(alpha, beta): exp(phi D) for
-    D^3 = +/-D with the matching coefficients.
+def _cubic_flow(alpha: int, beta: int, phi: float) -> ArrayC:
+    """exp(phi D) = I + odd D + even D^2 with D = d_basis(alpha, beta).
 
-    D and D^2 come from a table built at import, so a call makes no
-    generator.  Indices outside 0..3 raise d_basis's ValueError.  D has
-    entries 0 and +/-1 and D^2 entries 0 and 1, so the result is finite
-    exactly when both coefficients are; checking them is cheaper than
-    checking the result.
+    The label fixes the coefficients.  On a boost plane (exactly one index
+    0) D^3 = D, so odd = sinh(phi) and even = cosh(phi) - 1.  Otherwise
+    D^3 = -D, so odd = sin(phi) and even = 1 - cos(phi); equal indices give
+    D = 0 and the identity.  D and D^2 come from a table built at import,
+    so a call makes no generator.  Indices outside 0..3 raise d_basis's
+    ValueError.  D has entries 0 and +/-1 and D^2 entries 0 and 1, so the
+    result is finite exactly when both coefficients are; checking them is
+    cheaper than checking the result.
     """
     d, d2 = _CUBIC.get((alpha, beta)) or _cubic_pair(alpha, beta)
+    if (alpha == 0) != (beta == 0):
+        odd, even = np.sinh(phi), np.cosh(phi) - 1.0
+    else:
+        odd, even = np.sin(phi), 1.0 - np.cos(phi)
     g = _UNIT + odd * d + even * d2
     return (g if math.isfinite(odd) and math.isfinite(even)
             else _require_finite(g, phi, "phi", "flow", "phi"))
 
 
 def boost_flow_closed(j: int, phi: float) -> ArrayC:
-    """Closed form of exp(phi * d_basis(0,j)), valid because D^3 = D.
+    """Closed form of exp(phi * d_basis(0,j)); the same as
+    ``rotation_flow_closed(0, j, phi)``.
 
     Carries -sinh entries relative to the textbook boost display; see the
     module docstring.  Returns a new writable array.  Raises ValueError when
-    j is outside 0..3 (j = 0 gives the identity) or when cosh(phi) or
-    sinh(phi) is not finite; an overflow emits numpy's RuntimeWarnings
-    first.
+    j is outside 0..3 or when cosh(phi) or sinh(phi) is not finite; an
+    overflow emits numpy's RuntimeWarnings first.  j = 0 gives the identity
+    for every finite phi.
     """
-    sinh, cosh = np.sinh(phi), np.cosh(phi)
-    return _cubic_flow(0, j, sinh, cosh - 1.0, phi)
+    return _cubic_flow(0, j, phi)
 
 
 def rotation_flow_closed(k: int, l: int, phi: float) -> ArrayC:
-    """Closed form of exp(phi * d_basis(k,l)) for spatial k, l: D^3 = -D.
+    """Closed form of exp(phi * d_basis(k,l)) for any ordered label.
 
-    Returns a new writable array.  Raises ValueError when k or l is outside
-    0..3 (k = l gives the identity) or when phi is not finite; phi = +/-inf
-    emits numpy's RuntimeWarnings first."""
-    sin, cos = np.sin(phi), np.cos(phi)
-    return _cubic_flow(k, l, sin, 1.0 - cos, phi)
+    Hyperbolic on a boost plane (exactly one index 0, D^3 = D), so (j, 0)
+    gives the boost along axis j at -phi; trigonometric on a rotation plane
+    (D^3 = -D); the identity for k = l.  Returns a new writable array.
+    Raises ValueError when k or l is outside 0..3 or when the flow overflows
+    (phi not finite, or |phi| beyond about 710.48 on a boost plane); an
+    overflow emits numpy's RuntimeWarnings first."""
+    return _cubic_flow(k, l, phi)
 
 
 def half_flow_closed(x: ArrayLike, phi: float) -> ArrayC:

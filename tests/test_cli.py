@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relphase import (EMField, Representation, boost_flow_closed, evolve_closed_form,
-                      exponential_flow, half_flow_closed, rotation_flow_closed)
+from relphase import (EMField, Representation, evolve_closed_form, exponential_flow,
+                      half_flow_closed, rotation_flow_closed)
 from relphase.cli import format_complex, main, parse_complex
 from relphase.representations import REPRESENTATION_KINDS
 
@@ -135,21 +135,16 @@ class TestTransformCommand:
     @pytest.mark.parametrize("kind", REPRESENTATION_KINDS)
     @pytest.mark.parametrize("label", ANGULAR_LABELS)
     def test_matrix_is_the_closed_form_flow(self, kind, label):
-        # The flow of the label as given: a swapped spin-1 boost label flips
-        # phi, the other flows take the swapped (negated) image.  expm, the
-        # oracle, exponentiates the image itself.
+        # The flow of the label as given, for every kind.  expm, the oracle,
+        # exponentiates the image itself.
         alpha, beta = int(label[1]), int(label[2])
         image = Representation(kind).angular_matrix(alpha, beta)
         for phi in (-1.7, 0.3, 2.5):
             code, out, _ = run_quiet(["transform", kind, label, repr(phi), "1", "0", "0", "0"])
             assert code == 0
             matrix = np.array([[parse_complex(z) for z in row] for row in json.loads(out)["matrix"]])
-            if kind != "spin1":
-                closed = half_flow_closed(image, phi)
-            elif 0 in (alpha, beta):
-                closed = boost_flow_closed(alpha + beta, phi if alpha == 0 else -phi)
-            else:
-                closed = rotation_flow_closed(alpha, beta, phi)
+            closed = (rotation_flow_closed(alpha, beta, phi) if kind == "spin1"
+                      else half_flow_closed(image, phi))
             np.testing.assert_array_equal(matrix, closed)
             oracle = exponential_flow(image, phi)
             assert np.abs(matrix - oracle).max() / max(1.0, np.abs(oracle).max()) < 5e-14
@@ -158,14 +153,16 @@ class TestTransformCommand:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("to_file", [False, True])
     def test_overflow_is_usage_error(self, fmt, to_file, tmp_path, capsys):
+        # the library's message names phi as given, for a swapped label too
         out = tmp_path / f"t.{fmt}"
         flags = ["--output", str(out)] if to_file else []
-        assert main(["--format", fmt, *flags, "transform", "spin1", "M01", "1e3",
-                     "1", "0", "0", "0"]) == 2
-        assert not out.exists()
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: non-finite result at phi=1000")
+        for label, phi, named in (("M01", "1e3", "1000"), ("M10", "-1e3", "-1000")):
+            assert main(["--format", fmt, *flags, "transform", "spin1", label, phi,
+                         "1", "0", "0", "0"]) == 2
+            assert not out.exists()
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: non-finite result at phi={named}:")
 
     def test_overflow_of_the_image_vector_is_usage_error(self, capsys):
         # the flow matrix is finite, the image of a huge vector is not

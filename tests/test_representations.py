@@ -4,13 +4,13 @@ import pytest
 from relphase import (PAULI, PoincareGenerator, QoElement, Representation, basis,
                       boost_flow_closed, commutator, d_basis, d_perp, d_pm,
                       exponential_flow, half_flow_closed, half_graded_bracket,
-                      np_block_pattern, np_matrix, np_matrix_conjugate,
+                      is_quasi_orthogonal, np_block_pattern, np_matrix, np_matrix_conjugate,
                       parse_generator, pi_half, pi_spin1, qo_dual,
                       qo_from_operator, qo_realize, rotation_flow_closed,
                       scalar_product, to_np_basis)
 from relphase.liealgebra import QO_BASIS_PAIRS
 from relphase.representations import DUAL_PAIRS, np_block_residuals
-from relphase.verify import (_poincare_checks, boost_closed_form_residual, car_residual,
+from relphase.verify import (boost_closed_form_residual, car_residual,
                              closed_flows_residual, generator_squares_residual,
                              np_round_trip_residual, real_subspace_residual, tripotency_residual)
 
@@ -240,25 +240,7 @@ class TestImageTables:
                 rep(PoincareGenerator("translation", (mu,)))
 
 
-def poincare_residual(rep, name):
-    """Residual of one row of the Poincare bracket table, from the verify suite."""
-    checks = {c.id: c.residual for c in _poincare_checks(rep, rep.kind)}
-    return checks[f"{rep.kind}.{name}"]
-
-
 class TestPoincareRelations:
-    @pytest.mark.parametrize("rep", [SPIN1, PLUS, MINUS], ids=lambda r: r.kind)
-    def test_translations_commute(self, rep):
-        assert poincare_residual(rep, "translation_brackets_vanish") < 1e-13
-
-    @pytest.mark.parametrize("rep", [SPIN1, PLUS, MINUS], ids=lambda r: r.kind)
-    def test_angular_translation_brackets(self, rep):
-        assert poincare_residual(rep, "angular_translation_brackets") < 1e-13
-
-    @pytest.mark.parametrize("rep", [SPIN1, PLUS, MINUS], ids=lambda r: r.kind)
-    def test_angular_angular_brackets(self, rep):
-        assert poincare_residual(rep, "angular_angular_brackets") < 1e-13
-
     def test_modified_bracket_matches_plain_action(self):
         # the conjugate pair in the modified bracket recovers the real
         # generator action on translations
@@ -291,6 +273,21 @@ class TestFlows:
 
     def test_half_flow_closed_forms(self):
         assert closed_flows_residual((0.4, 1.7)) <= 5e-14
+
+    @pytest.mark.parametrize("pair", ORDERED_PAIRS, ids=lambda p: f"M{p[0]}{p[1]}")
+    def test_spin1_closed_flow_of_every_ordered_label(self, pair):
+        # The label alone picks the coefficients: hyperbolic on a boost
+        # plane, so (j, 0) is the boost along j at -phi, trigonometric on a
+        # rotation plane.
+        alpha, beta = pair
+        for phi in (-1.7, 0.3, 2.5):
+            g = rotation_flow_closed(alpha, beta, phi)
+            oracle = exponential_flow(d_basis(alpha, beta), phi)
+            assert np.abs(g - oracle).max() / max(1.0, np.abs(oracle).max()) <= 5e-14
+            assert is_quasi_orthogonal(g)
+            if 0 in pair:
+                boost = boost_flow_closed(alpha + beta, phi if alpha == 0 else -phi)
+                np.testing.assert_array_equal(g.view(np.uint64), boost.view(np.uint64))
 
     def test_spin1_flow_preserves_real_subspace(self):
         vr = np.random.default_rng(12).standard_normal((len(QO_BASIS_PAIRS), 4))
@@ -399,16 +396,12 @@ def _reference_result(g, phi):
             "precision; reduce phi")
 
 
-def reference_cubic_flow(d, odd, even, phi):
+def reference_spin1_flow(alpha, beta, phi):
+    # cosh/sinh on a boost plane (exactly one index 0), cos/sin otherwise
+    odd, even = ((np.sinh(phi), np.cosh(phi) - 1.0) if (alpha == 0) != (beta == 0)
+                 else (np.sin(phi), 1.0 - np.cos(phi)))
+    d = d_basis(alpha, beta)
     return _reference_result(np.eye(4, dtype=np.complex128) + odd * d + even * (d @ d), phi)
-
-
-def reference_boost_flow(j, phi):
-    return reference_cubic_flow(d_basis(0, j), np.sinh(phi), np.cosh(phi) - 1.0, phi)
-
-
-def reference_rotation_flow(k, l, phi):
-    return reference_cubic_flow(d_basis(k, l), np.sin(phi), 1.0 - np.cos(phi), phi)
 
 
 def reference_half_flow(x, phi):
@@ -432,8 +425,9 @@ class TestClosedFlowContract:
     def test_bits_match_the_per_call_formula(self, phi):
         # every pair of all three kinds, as uint64 views; where the formula
         # is not finite, the same ValueError
-        calls = [(boost_flow_closed, (j,), reference_boost_flow) for j in range(4)]
-        calls += [(rotation_flow_closed, pair, reference_rotation_flow) for pair in INDEX_PAIRS]
+        calls = [(boost_flow_closed, (j,), lambda j, phi: reference_spin1_flow(0, j, phi))
+                 for j in range(4)]
+        calls += [(rotation_flow_closed, pair, reference_spin1_flow) for pair in INDEX_PAIRS]
         calls += [(half_flow_closed, (rep.angular_matrix(*pair),), reference_half_flow)
                   for rep in (PLUS, MINUS) for pair in ORDERED_PAIRS]
         with np.errstate(all="ignore"):
@@ -458,6 +452,9 @@ class TestClosedFlowContract:
                 boost_flow_closed(pair[1], 0.5)
 
     def test_equal_indices_give_the_identity(self):
-        np.testing.assert_array_equal(boost_flow_closed(0, 0.7), np.eye(4))
-        for k in range(4):
-            np.testing.assert_array_equal(rotation_flow_closed(k, k, 0.7), np.eye(4))
+        # D = 0, so the flow is exact at every finite phi, beyond the
+        # boosts' overflow too
+        for phi in (0.7, 1e3, -1e300):
+            np.testing.assert_array_equal(boost_flow_closed(0, phi), np.eye(4))
+            for k in range(4):
+                np.testing.assert_array_equal(rotation_flow_closed(k, k, phi), np.eye(4))

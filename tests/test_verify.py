@@ -605,6 +605,37 @@ def tetrad_not_unitary(mp):
     return [(verify.np_round_trip_residual(NPBasis(m, np.conj(m.T), ()), m[:, 0]), 1e-15)]
 
 
+def suite_check(suite, check_id):
+    """Residual and tolerance of one inline check of a verify suite."""
+    check = {c.id: c for c in suite(np.random.default_rng(42))}[check_id]
+    return [(check.residual, check.tolerance)]
+
+
+def nonlinear_second_slot(mp):
+    # still linear in the first slot, so only the second-slot term sees it
+    original = verify.scalar_product
+    mp.setattr(verify, "scalar_product", lambda a, b: original(a, b + 1e-3 * b * b))
+    return suite_check(verify.suite_core, "core.bilinearity")
+
+
+def skew_offset_on_flat_pairs(mp, part):
+    # a constant added on pairs whose ``part`` ("imag": real pairs, "real":
+    # purely imaginary pairs) vanishes; the skew term pairs generic vectors
+    original = verify.symplectic_bracket
+
+    def bracket(a, b):
+        vanishes = [np.all(getattr(np.asarray(x), part) == 0, axis=-1) for x in (a, b)]
+        return original(a, b) + 1e-3 * (vanishes[0] & vanishes[1])
+    mp.setattr(verify, "symplectic_bracket", bracket)
+    return suite_check(verify.suite_core, "core.symplectic_skew")
+
+
+def imaginary_field_tensor(mp):
+    # i D_01 is still in the algebra, but the field tensor is no longer real
+    perturb(mp, "field_tensor", lambda q: QoElement(q.matrix + 1e-3j * d_basis(0, 1)))
+    return suite_check(verify.suite_em, "em.field_tensor_in_algebra")
+
+
 WRONG_INPUTS = {
     # One case per term of each shared residual.  A case that isolates a
     # term leaves the other terms at zero, so dropping that term fails it.
@@ -653,6 +684,11 @@ WRONG_INPUTS = {
     # a field that is not null: its flow has the term z tau^2 / 8 I
     "null_flow": lambda mp: [(verify.null_flow_residual(FIELDS[0], (0.5, 2.0)), 1e-12)],
     "np_round_trip": tetrad_not_unitary,
+    # inline suite checks, read by their ids
+    "bilinearity_second_slot": nonlinear_second_slot,
+    "symplectic_skew_momenta": lambda mp: skew_offset_on_flat_pairs(mp, "imag"),
+    "symplectic_skew_positions": lambda mp: skew_offset_on_flat_pairs(mp, "real"),
+    "field_tensor_real": imaginary_field_tensor,
 }
 
 
