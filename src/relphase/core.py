@@ -37,6 +37,12 @@ Polynomial kernels (``invariant_z``, ``tri_product``, ``d_operator``,
 ``lorentz_force``) follow numpy: an overflow gives inf or NaN with a
 RuntimeWarning.
 
+Read-only arrays, one rule for the library: every array that a value holds
+or a table shares (the metric, the generator images, the element and field
+arrays) is a C-contiguous copy in an immutable ``bytes`` buffer, made by
+``_frozen``.  Neither such an array nor its ``.base`` can be made writable
+again, so no caller can change a value that other calls return.
+
 All operations are pure functions over immutable values and are safe to use
 from multiple threads.
 """
@@ -49,16 +55,21 @@ from numpy.typing import ArrayLike, NDArray
 ArrayC = NDArray[np.complex128]
 ArrayR = NDArray[np.float64]
 
+
+def _frozen(a: ArrayLike, dtype: type = np.complex128) -> NDArray:
+    """``a`` as a read-only C-contiguous ``dtype`` array over a copy of its
+    bytes; the bits, signed zeros included, are unchanged."""
+    a = np.asarray(a, dtype)
+    return np.frombuffer(a.tobytes(), dtype).reshape(a.shape)
+
+
 #: Minkowski metric with signature (+,-,-,-).
-ETA: ArrayR = np.diag([1.0, -1.0, -1.0, -1.0])
-ETA.setflags(write=False)
+ETA: ArrayR = _frozen(np.diag([1.0, -1.0, -1.0, -1.0]), np.float64)
 
 # The metric cast once for complex contractions; the cast is exact.
-_ETA_C = ETA.astype(np.complex128)
-_ETA_C.setflags(write=False)
+_ETA_C = _frozen(ETA)
 
-_UNIT = np.eye(4, dtype=np.complex128)
-_UNIT.setflags(write=False)
+_UNIT = _frozen(np.eye(4))
 
 
 def basis(mu: int) -> ArrayC:

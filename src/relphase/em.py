@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import _UNIT, ETA, ArrayC, ArrayR, _require_finite
+from .core import _UNIT, ETA, ArrayC, ArrayR, _frozen, _require_finite
 from .liealgebra import QoElement
 from .representations import DUAL_PAIRS, Representation
 from .triproduct import d_basis
@@ -84,12 +84,11 @@ class EMField:
 
     def __post_init__(self) -> None:
         for name in ("e", "b"):
-            v = np.array(getattr(self, name), dtype=np.float64, copy=True)
+            v = _frozen(getattr(self, name), np.float64)
             if v.shape[-1:] != (3,):
                 raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
             if not np.isfinite(v).all():
                 raise ValueError(f"{name} components must be finite")
-            v.setflags(write=False)
             object.__setattr__(self, name, v)
         if self.e.shape != self.b.shape:
             raise ValueError(f"e and b must have the same shape, got {self.e.shape} "
@@ -119,8 +118,7 @@ class FieldInvariant:
     w: complex | ArrayC
 
 
-_BOOST_PLUS = np.stack([Representation("spin_half_plus").angular_matrix(0, j) for j in (1, 2, 3)])
-_BOOST_PLUS.setflags(write=False)
+_BOOST_PLUS = _frozen([Representation("spin_half_plus").angular_matrix(0, j) for j in (1, 2, 3)])
 # Column j holds the entries of X_j^T, so a row of the 16 entries of F times
 # this matrix gives tr(X_j F) = F^j (the boost images obey tr(X_j X_k) =
 # delta_jk).  C-contiguous, so a single operator and a stack contract alike.

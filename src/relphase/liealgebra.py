@@ -32,7 +32,7 @@ and ``qo_from_operator`` work on stacks; the norm is taken per element.  A
 single element keeps its types: ``l2`` is a Python ``complex`` and
 ``norm()`` a ``float``.  The products are stacked matrix products, so each
 entry of a stacked result has the bits of the single-element call.  The
-arrays an element holds are read-only copies.
+arrays an element holds are read-only copies (see :mod:`relphase.core`).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import _ETA_C, ETA, ArrayC, ArrayR, symplectic_bracket
+from .core import _ETA_C, ETA, ArrayC, ArrayR, _frozen, symplectic_bracket
 from .triproduct import d_basis
 
 #: Index pairs of the six independent algebra generators, in the order
@@ -68,17 +68,11 @@ class QoElement:
     matrix: ArrayC
 
     def __post_init__(self) -> None:
-        # A private copy so elements stay immutable even if the caller
-        # mutates its array afterwards.
-        arr = np.array(self.matrix, dtype=np.complex128, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "matrix", _frozen(self.matrix))
 
     @property
     def coeffs(self) -> ArrayC:
-        coeffs = self.matrix @ ETA / 2
-        coeffs.setflags(write=False)
-        return coeffs
+        return _frozen(self.matrix @ ETA / 2)
 
     def __add__(self, other: "QoElement") -> "QoElement":
         return QoElement(self.matrix + other.matrix)
@@ -182,11 +176,8 @@ class GradedElement:
     l2: complex | ArrayC
 
     def __post_init__(self) -> None:
-        vec = np.array(self.l1, dtype=np.complex128, copy=True)
-        vec.setflags(write=False)
-        object.__setattr__(self, "l1", vec)
-        scal = np.array(self.l2, dtype=np.complex128, copy=True)
-        scal.setflags(write=False)
+        object.__setattr__(self, "l1", _frozen(self.l1))
+        scal = _frozen(self.l2)
         object.__setattr__(self, "l2", complex(scal) if scal.ndim == 0 else scal)
 
     @staticmethod

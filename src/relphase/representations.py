@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import _UNIT, ArrayC, _require_finite, basis, symplectic_bracket
+from .core import _UNIT, ArrayC, _frozen, _require_finite, basis, symplectic_bracket
 from .liealgebra import (QO_BASIS_PAIRS, GradedElement, QoElement, commutator,
                          graded_bracket)
 from .triproduct import d_basis
@@ -160,13 +160,11 @@ def _image_table(images: dict[tuple[int, int], ArrayC]) -> dict[tuple[int, int],
     """Read-only images of all twelve ordered pairs from six, one per plane.
 
     A swapped pair maps to the negated image.  Adding 0.0 turns the -0.0
-    entries left by negation and conjugation into +0.0.  The entries are
-    views of one read-only stack, so no caller can make them writable again.
+    entries left by negation and conjugation into +0.0.
     """
     pairs = list(images) + [(beta, alpha) for alpha, beta in images]
     stack = np.stack([images[p] for p in images] + [-images[p] for p in images]) + 0.0
-    stack.setflags(write=False)
-    return dict(zip(pairs, stack))
+    return dict(zip(pairs, _frozen(stack)))
 
 
 def _half_plus_images() -> dict[tuple[int, int], ArrayC]:
@@ -317,10 +315,7 @@ def _cubic_pair(alpha: int, beta: int) -> tuple[ArrayC, ArrayC]:
     """Read-only D = d_basis(alpha, beta) and D^2; d_basis raises for indices
     outside 0..3."""
     d = d_basis(alpha, beta)
-    d2 = d @ d
-    d.setflags(write=False)
-    d2.setflags(write=False)
-    return d, d2
+    return _frozen(d), _frozen(d @ d)
 
 
 # (D, D^2) for all sixteen index pairs.  A pair with alpha == beta has D = 0
@@ -381,12 +376,14 @@ def half_flow_closed(x: ArrayLike, phi: float) -> ArrayC:
     Uses X^2 = s I/4 with s = +1 (boosts) or s = -1 (rotations):
         exp(phi X) = cosh(phi/2) I + 2 sinh(phi/2) X      (s = +1)
         exp(phi X) = cos(phi/2) I + 2 sin(phi/2) X        (s = -1)
-    Returns a new writable array.  Raises ValueError when X^2 is not
-    +/- I/4 within 1e-12, and when the result is not finite (an overflow
-    emits numpy's RuntimeWarnings first): X may have large entries, so
-    finite coefficients do not make a finite result.
+    Returns a new writable array.  Raises ValueError when X is not 4x4 or
+    X^2 is not +/- I/4 within 1e-12, and when the result is not finite (an
+    overflow emits numpy's RuntimeWarnings first): X may have large entries,
+    so finite coefficients do not make a finite result.
     """
     x = np.asarray(x, dtype=np.complex128)
+    if x.shape != (4, 4):
+        raise ValueError(f"operator must be 4x4, got shape {x.shape}")
     sq = x @ x
     # A Python complex: the sign test costs less than on numpy scalars.
     s = complex(sq[0, 0]) / 0.25
@@ -403,12 +400,10 @@ def half_flow_closed(x: ArrayLike, phi: float) -> ArrayC:
 # ---------------------------------------------------------------------------
 
 PAULI: tuple[ArrayC, ArrayC, ArrayC] = (
-    np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    np.array([[1, 0], [0, -1]], dtype=np.complex128),
+    _frozen([[0, 1], [1, 0]]),
+    _frozen([[0, -1j], [1j, 0]]),
+    _frozen([[1, 0], [0, -1]]),
 )
-for _p in PAULI:
-    _p.setflags(write=False)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ Each row calls one name of ``relphase.__all__`` and checks:
   a ``(4, 4)`` array, a ``FieldInvariant`` of ``complex``, ...);
 * stacks: a stacked, broadcast or multi-axis call equals the stack of the
   single calls bit for bit, the sign of every zero included;
-* read-only or fresh: images, tables and element arrays are read-only and
-  share no memory with the inputs; the closed flows return fresh writable
-  arrays.
+* read-only or fresh: constants, images, tables and element arrays are
+  read-only, neither they nor their ``.base`` can be made writable again,
+  and they share no memory with the inputs; the closed flows return fresh
+  writable arrays.
 
 One ``hypothesis`` property checks the overflow rule of every
 parameter-driven callable.  A new public callable needs a row here, or an
@@ -29,7 +30,6 @@ from relphase.em import _sinhc
 from relphase.representations import _CUBIC
 
 EXEMPT = {
-    "ETA": "a read-only constant, not a callable", "PAULI": "read-only constant matrices",
     "ArrayC": "a type alias", "ArrayR": "a type alias", "__version__": "a string",
     "QO_BASIS_PAIRS": "a tuple of index pairs", "DUAL_PAIRS": "a dict of index pairs",
 }
@@ -195,6 +195,7 @@ ROWS = [
     Row(basis, 2, single=(4,), mode="fresh"),
     Row(phase_vector, V[0][0], single=(4,)),
     Row(phase_operator, OPS[0][0], single=(4, 4)),
+    Row(lambda: ETA, single=(4, 4), mode="ro", name="ETA"),
     Row(tri_product, *V, core=1, single=(4,)),
     Row(tri_product, V[0], V[1][0], V[2][0], core=1, single=(4,), tag="broadcast"),
     Row(tri_product_coords, *V, core=1, single=(4,)),
@@ -227,7 +228,7 @@ ROWS = [
     Row(qo_dual, QO, single=QE, mode="ro"),
     Row(parse_generator, "M31", single=PG),
     Row(lambda: tuple(rep.angular_matrix(*pair) for rep in REPS for pair in ORDERED_PAIRS),
-        single=((4, 4),) * 36, mode="frozen", name="Representation", tag="angular_matrix"),
+        single=((4, 4),) * 36, mode="ro", name="Representation", tag="angular_matrix"),
     Row(lambda: tuple(rep(g) for rep in REPS for g in GENERATORS), single=(GE,) * 48, mode="ro",
         name="Representation", tag="images"),
     Row(lambda: tuple(pi_spin1(g) for g in GENERATORS), single=(GE,) * 16, mode="ro",
@@ -244,6 +245,7 @@ ROWS = [
     Row(half_flow_closed, PLUS.angular_matrix(0, 2), 0.3, single=(4, 4), mode="fresh"),
     Row(lambda: sum(_CUBIC.values(), ()), single=((4, 4),) * 32, mode="ro",
         name="rotation_flow_closed", tag="table"),
+    Row(lambda: PAULI, single=((2, 2),) * 3, mode="ro", name="PAULI"),
     Row(np_block_pattern, 3, True, single=((2, 2), (2, 2))),
     Row(np_blocks, OPS[0][0], single=((2, 2), (2, 2), float)),
     Row(np_matrix, single=NPB),
@@ -290,12 +292,11 @@ def test_contract(row):
             a[...] = 7.0
         for a, b in zip(parts(row.call(*row.args)), again):
             assert_same_bits(a, b)
-    for a in arrays if row.mode in ("ro", "frozen") else ():
-        assert not a.flags.writeable
+    for a in arrays if row.mode == "ro" else ():
         assert not any(np.shares_memory(a, arg) for arg in row.args if isinstance(arg, np.ndarray))
-        if row.mode == "frozen":
+        for x in (a, a.base):
             with pytest.raises(ValueError):
-                a.setflags(write=True)
+                x.setflags(write=True)
 
 
 def test_every_public_name_has_a_row_or_an_exemption():

@@ -611,6 +611,15 @@ def suite_check(suite, check_id):
     return [(check.residual, check.tolerance)]
 
 
+def stretched_long_flow(mp):
+    # exp(phi X) scaled by 1.001 beyond phi = 2 leaves the group only at the
+    # largest rapidity of the check
+    original = verify.exponential_flow
+    mp.setattr(verify, "exponential_flow",
+               lambda x, phi: original(x, phi) * np.where(phi > 2, 1.001, 1.0))
+    return suite_check(verify.suite_liealgebra, "qo.exponential_in_group")
+
+
 def nonlinear_second_slot(mp):
     # still linear in the first slot, so only the second-slot term sees it
     original = verify.scalar_product
@@ -689,6 +698,7 @@ WRONG_INPUTS = {
     "symplectic_skew_momenta": lambda mp: skew_offset_on_flat_pairs(mp, "imag"),
     "symplectic_skew_positions": lambda mp: skew_offset_on_flat_pairs(mp, "real"),
     "field_tensor_real": imaginary_field_tensor,
+    "exponential_in_group": stretched_long_flow,
 }
 
 
