@@ -140,7 +140,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # The suites' expm oracle imports scipy on first use; timed apart, that
     # one-time load is not charged to the first suite that calls it.
     t0 = time.perf_counter()
-    representations.expm
+    try:
+        representations.expm
+    except ImportError as exc:
+        raise ConfigError(f"verify needs scipy for its expm oracle ({exc})") from None
     print(f"[verify] scipy expm oracle loaded ({time.perf_counter() - t0:.3f}s)",
           file=sys.stderr)
     t0 = time.perf_counter()

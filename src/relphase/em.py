@@ -355,7 +355,7 @@ def shell_drift(p0: ArrayLike, p: ArrayLike) -> float:
     _, e = np.frexp(max(1.0, float(np.abs(p).max())))
     p0, p = np.ldexp(p0, -e), np.ldexp(p, -e)
     scale = max(np.ldexp(1.0, -e), float(np.abs(p).max()))
-    return abs(float(p @ ETA @ p) - float(p0 @ ETA @ p0)) / scale ** 2
+    return abs(float(p @ ETA @ p) - float(p0 @ ETA @ p0)) / (scale * scale)
 
 
 def mass_shell_residual(f: EMField, p0: ArrayLike, tau: float) -> float:

@@ -128,9 +128,8 @@ def _group_residual(g: ArrayLike) -> ArrayR:
     g = np.asarray(g, dtype=np.complex128)
     # The complex metric saves the casts numpy would make of the real one.
     resid = np.abs(g.mT @ _ETA_C @ g - _ETA_C).max(axis=(-2, -1))
-    # max(1, |g|)^2 is max(1, |g|^2).  float_power squares through libm's
-    # pow, as Python's float ** 2 does; x * x can differ from it in the last bit.
-    return resid / np.float_power(np.abs(g).max(axis=(-2, -1), initial=1.0), 2)
+    # max(1, |g|)^2 is max(1, |g|^2).
+    return resid / np.square(np.abs(g).max(axis=(-2, -1), initial=1.0))
 
 
 def is_quasi_orthogonal(g: ArrayLike, tol: float = 1e-12) -> bool:

@@ -22,7 +22,10 @@ representation, a tetrad) and returns the residual; the Pauli-block residuals ar
 :func:`relphase.representations.np_block_residuals`.  The suites only draw
 the inputs and wrap each result in a :class:`Check`; the acceptance
 criteria, the unit tests and ``relphase np-dump`` call the same functions
-with their own inputs and bounds.
+with their own inputs and bounds.  The structure constants of the algebra
+are written once, in :func:`_structure_residual`: the bracket table of the
+basis operators and the angular brackets of all three generator maps are
+judged by it.
 """
 
 from __future__ import annotations
@@ -222,22 +225,26 @@ _A, _B = np.array(_ANGULAR).T
 _M, _N = _A[:, None], _B[:, None]
 
 
-def _eta(i, j) -> np.ndarray:
-    """eta_{ij} for index arrays i and j, with two trailing unit axes to scale
-    (..., 4, 4) operators."""
-    return ETA[i, j][..., None, None]
+def _structure_residual(brackets: np.ndarray, image) -> float:
+    """Largest deviation of the (6, 6, 4, 4) table ``brackets`` of
+    [M_mn, M_ab], (m, n) and (a, b) running over QO_BASIS_PAIRS, from the
+    structure constants of the algebra
+
+        [M_mn, M_ab] = eta_mb M_na + eta_na M_mb - eta_ma M_nb - eta_nb M_ma,
+
+    with M_ij = ``image(i, j)`` for i != j and M_ii = 0."""
+    zero = np.zeros((4, 4), dtype=np.complex128)
+    t = np.stack([[image(i, j) if i != j else zero for j in range(4)] for i in range(4)])
+    m, n, a, b, eta = _M, _N, _A, _B, ETA[..., None, None]
+    rhs = eta[m, b] * t[n, a] + eta[n, a] * t[m, b] - eta[m, a] * t[n, b] - eta[n, b] * t[m, a]
+    return _worst(brackets.reshape(36, 4, 4), rhs.reshape(36, 4, 4))
 
 
 def bracket_table_residual(dmat: dict[tuple[int, int], np.ndarray]) -> float:
     """Largest deviation of [D_mn, D_ab] over the six basis operators ``dmat``
-    from the structure constants of the algebra."""
+    from the structure constants of the algebra, written with ``d_basis``."""
     ops = np.stack([dmat[pair] for pair in _ANGULAR])
-    lhs = commutator(ops[:, None], ops)
-    d = np.stack([[d_basis(i, j) for j in range(4)] for i in range(4)])
-    m, n, a, b = _M, _N, _A, _B
-    rhs = (_eta(n, a) * d[m, b] - _eta(m, a) * d[n, b]
-           + _eta(n, b) * d[a, m] - _eta(m, b) * d[a, n])
-    return _worst(lhs.reshape(36, 4, 4), rhs.reshape(36, 4, 4))
+    return _structure_residual(commutator(ops[:, None], ops), d_basis)
 
 
 def qo_dimension(generators: list[np.ndarray]) -> tuple[int, int, float]:
@@ -248,12 +255,9 @@ def qo_dimension(generators: list[np.ndarray]) -> tuple[int, int, float]:
     projection onto the span of the generators.
     """
     flat = np.stack([g.reshape(16) for g in generators])
-    constraint = np.zeros((16, 16))
-    eye = np.eye(4)
-    for i in range(4):
-        for j in range(4):
-            e = np.outer(eye[i], eye[j])
-            constraint[:, 4 * i + j] = (e.T @ ETA + ETA @ e).reshape(16)
+    # Column 4i + j is the constraint on the unit matrix E_ij.
+    units = np.eye(16).reshape(16, 4, 4)
+    constraint = (units.mT @ ETA + ETA @ units).reshape(16, 16).T
     constraint_rank = np.linalg.matrix_rank(constraint, tol=1e-10)
     _, _, vh = np.linalg.svd(constraint)
     null_basis = vh[constraint_rank:]
@@ -330,20 +334,10 @@ def _poincare_checks(rep: Representation, tag: str) -> list[Check]:
                 float(np.hypot(br.l2[4:, :4].real, br.l2[4:, :4].imag).max()))
     checks.append(Check(f"{tag}.angular_translation_brackets", worst, 1e-13))
 
-    table = np.stack([[_ang_mat(rep, i, j) for j in range(4)] for i in range(4)])
-    m, n, a, b = _M, _N, _A, _B
-    expected = (_eta(m, b) * table[n, a] + _eta(n, a) * table[m, b]
-                - _eta(m, a) * table[n, b] - _eta(n, b) * table[m, a])
-    worst = _worst(br.l0.matrix[4:, 4:].reshape(36, 4, 4), expected.reshape(36, 4, 4))
-    checks.append(Check(f"{tag}.angular_angular_brackets", worst, 1e-13))
+    checks.append(Check(f"{tag}.angular_angular_brackets",
+                        _structure_residual(br.l0.matrix[4:, 4:], rep.angular_matrix), 1e-13))
 
     return checks
-
-
-def _ang_mat(rep: Representation, alpha: int, beta: int) -> np.ndarray:
-    if alpha == beta:
-        return np.zeros((4, 4), dtype=np.complex128)
-    return rep.angular_matrix(alpha, beta)
 
 
 def _angular_stack(rep: Representation) -> np.ndarray:
@@ -381,14 +375,11 @@ def car_residual(mats: list[np.ndarray]) -> float:
 def generator_squares_residual(rep: Representation) -> float:
     """Largest deviation of the squared boost images from I/4 and of the
     squared rotation images from -I/4."""
-    eye = np.eye(4)
-    worst = 0.0
-    for j in (1, 2, 3):
-        bq = rep.angular_matrix(0, j)
-        rq = rep.angular_matrix(*DUAL_PAIRS[j])
-        worst = max(worst, float(np.abs(bq @ bq - 0.25 * eye).max()),
-                    float(np.abs(rq @ rq + 0.25 * eye).max()))
-    return worst
+    boosts = np.stack([rep.angular_matrix(0, j) for j in DUAL_PAIRS])
+    rotations = np.stack([rep.angular_matrix(*pair) for pair in DUAL_PAIRS.values()])
+    quarter = 0.25 * np.eye(4)
+    return float(max(np.abs(boosts @ boosts - quarter).max(),
+                     np.abs(rotations @ rotations + quarter).max()))
 
 
 def half_angle_period_residual(half: np.ndarray, whole: np.ndarray) -> float:
@@ -404,15 +395,12 @@ def boost_closed_form_residual(phis, flows) -> float:
     """``flows`` against the closed-form boost along axis 1 at each rapidity
     of ``phis``, and against the pattern of cosh(phi) and -sinh(phi) entries
     (the library's orientation; see :mod:`relphase.representations`)."""
-    closed, patterns = [], []
-    for phi in phis:
-        closed.append(boost_flow_closed(1, phi))
-        pattern = np.eye(4)
-        pattern[0, 0] = pattern[1, 1] = np.cosh(phi)
-        pattern[0, 1] = pattern[1, 0] = -np.sinh(phi)
-        patterns.append(pattern)
+    closed = np.array([boost_flow_closed(1, phi) for phi in phis])
+    patterns = np.tile(np.eye(4), (len(phis), 1, 1))
+    patterns[:, [0, 1], [0, 1]] = np.cosh(phis)[:, None]
+    patterns[:, [0, 1], [1, 0]] = -np.sinh(phis)[:, None]
     flows = np.asarray(flows)
-    return max(_worst(np.array(closed), flows), _worst(flows, np.array(patterns)))
+    return max(_worst(closed, flows), _worst(flows, patterns))
 
 
 def closed_flows_residual(phis) -> float:
@@ -565,8 +553,7 @@ def shell_and_reality_residuals(fields: EMField, p0s, taus) -> tuple[float, floa
     x = exp_faraday(fields[:, None], np.asarray(taus, dtype=np.float64))
     p = (np.conj(x) @ (x @ p0s.astype(np.complex128)[:, None, :, None]))[..., 0]
     s = np.maximum(1.0, np.abs(p).max(axis=-1))
-    # float_power squares through libm's pow, as Python's float ** 2 does.
-    t = np.float_power(np.abs(x).max(axis=(-2, -1)), 2) * np.abs(p0s).max(axis=-1)[:, None]
+    t = np.square(np.abs(x).max(axis=(-2, -1))) * np.abs(p0s).max(axis=-1)[:, None]
     scale = np.maximum(s, t)
     real = float((np.abs(p.imag).max(axis=-1) / scale).max())
     shell = np.abs(_minkowski_square(p.real) - _minkowski_square(p0s)[:, None]) / (s * scale)

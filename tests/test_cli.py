@@ -480,6 +480,16 @@ class TestProcessInvocation:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == str(loads)
 
+    def test_verify_without_scipy_is_config_error(self):
+        # a verification failure (exit 1) would blame the library for a
+        # missing oracle
+        code = ("import sys\nsys.modules['scipy'] = None\nfrom relphase.cli import main\n"
+                "sys.exit(main(['verify']))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: verify needs scipy")
+        assert proc.stderr.count("\n") == 1
+
     def test_module_entry_point(self):
         proc = run_cli(["--format", "csv", "np-dump", "spin_half_plus"])
         assert proc.returncode == 0

@@ -305,7 +305,7 @@ class TestEvolution:
         for _ in range(200):
             p0 = rng.uniform(-1, 1, 4)
             p = p0 * 10.0 ** rng.uniform(-3, 12)
-            direct = abs(p @ ETA @ p - p0 @ ETA @ p0) / max(1.0, np.abs(p).max()) ** 2
+            direct = abs(p @ ETA @ p - p0 @ ETA @ p0) / np.square(max(1.0, np.abs(p).max()))
             assert shell_drift(p0, p) == direct
 
     def test_mass_shell_and_reality(self):

@@ -4,7 +4,7 @@ import pytest
 from relphase import (ETA, GradedElement, basis, commutator, d_basis, exponential_flow,
                       graded_bracket, is_in_qo, is_quasi_orthogonal, qo_basis,
                       qo_from_operator, qo_realize)
-from relphase.liealgebra import QO_BASIS_PAIRS
+from relphase.liealgebra import QO_BASIS_PAIRS, _group_residual
 from relphase.verify import bracket_table_residual, jacobi_residual, qo_dimension
 
 GENERATORS = [d_basis(*p) for p in QO_BASIS_PAIRS]
@@ -118,6 +118,17 @@ class TestMembership:
                                    + 1j * rng.standard_normal((4, 4))))
             for t in (0.1, 1.0, 2.5):
                 assert is_quasi_orthogonal(exponential_flow(q.matrix, t))
+
+    def test_group_residual_squares_its_scale_exactly(self):
+        # max(1, |g|)^2 is a correctly rounded product on every host; libm's
+        # pow(x, 2) differs from it in the last bit on a few of these sizes
+        rng = np.random.default_rng(2024)
+        c = rng.standard_normal((20000, 4, 4)) + 1j * rng.standard_normal((20000, 4, 4))
+        g = exponential_flow(qo_realize(antisym(c)).matrix,
+                             rng.uniform(0.0, 3.0, 20000)[:, None, None])
+        size = np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
+        want = np.abs(g.mT @ ETA @ g - ETA).max(axis=(-2, -1)) / np.square(size)
+        np.testing.assert_array_equal(_group_residual(g).view(np.uint64), want.view(np.uint64))
 
 
 class TestCommutator:

@@ -186,7 +186,7 @@ def loop_em(rng, draws):
             x = exp_faraday(f, float(tau))
             p = np.conj(x) @ (x @ p0.astype(np.complex128))
             s = max(1.0, float(np.abs(p).max()))
-            scale = max(s, float(np.abs(x).max()) ** 2 * float(np.abs(p0).max()))
+            scale = max(s, np.square(float(np.abs(x).max())) * float(np.abs(p0).max()))
             real = max(real, float(np.abs(p.imag).max()) / scale)
             shell = max(shell, abs((p.real @ ETA @ p.real) - (p0 @ ETA @ p0)) / (s * scale))
     flows = 0.0
@@ -272,7 +272,7 @@ def loop_liealgebra(rng):
         for t in (0.1, 1.0, 2.5):
             g = exponential_flow(q.matrix, t)
             resid = np.abs(g.T @ ETA @ g - ETA).max()
-            group = max(group, float(resid) / max(1.0, float(np.abs(g).max()) ** 2))
+            group = max(group, float(resid) / np.square(max(1.0, float(np.abs(g).max()))))
     return [table, float(abs(rank - 6) + abs(dim - 6)) + span, antisymmetry, jacobi, group]
 
 
