@@ -67,18 +67,10 @@ def format_complex(z: complex) -> str:
 
 
 def parse_complex(text: str) -> complex:
-    """Parse ``re+imi`` strings (plain reals are accepted too)."""
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty complex literal")
-    if s[-1] not in "iI":
-        return complex(float(s), 0.0)
-    body = s[:-1]
-    # split at the last sign that is not an exponent sign
-    for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "eE":
-            return complex(float(body[:k]), float(body[k:]))
-    return complex(0.0, float(body))  # pure imaginary like "2i"
+    """Parse ``re``, ``imi`` or ``re+imi`` by ``complex()``, a trailing ``i``
+    or ``I`` read as ``j``: so ``2j``, ``i``, ``-i`` and ``(1+2i)`` parse too.
+    Whitespace is ignored; anything else raises ValueError."""
+    return complex(re.sub(r"[iI](?=\)?$)", "j", "".join(text.split())))
 
 
 def _matrix_strings(m) -> list[list[str]]:
@@ -295,20 +287,21 @@ def cmd_np_dump(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a dash followed by a digit, ``inf`` or ``nan`` as a negative
-    number, never an option.
+    """Reads a dash followed by a digit, ``inf`` or ``nan``, and a lone
+    ``-i`` or ``-j``, as a negative number, never an option.
 
     Before Python 3.13 argparse takes ``-4.03e-05`` for an unknown option,
     because its negative-number pattern has no exponent, and the command then
     fails with a missing-argument error.  The digit part is the pattern of
     3.13 on.  ``-inf``, ``-infinity`` and ``-nan`` (any case) are numbers to
-    ``float`` too, so they reach the command's own finiteness checks; no
-    relphase option starts with a digit, ``inf`` or ``nan``.
+    ``float`` too, so they reach the command's own finiteness checks, and
+    ``-i`` is the component -1j to :func:`parse_complex`; no relphase option
+    starts with a digit, ``inf`` or ``nan``, or is ``-i`` or ``-j``.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan|[ij]$)", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,7 +19,7 @@ Batch axes: the products, ``conjugate`` and ``decompose`` accept phase
 vectors with leading batch axes, shape ``(..., 4)``, broadcast against each
 other.  A product of ``(..., 4)`` inputs has shape ``(...)``; two single
 vectors give a Python ``complex`` (``scalar_product``, ``scalar_square``) or
-``float`` (``lorentz_product``, ``symplectic_bracket``), as before.  The
+``float`` (``lorentz_product``, ``symplectic_bracket``).  The
 contractions are stacked matrix products, so every entry of a batched result
 has the same bits as the single-vector call on that entry.
 

@@ -45,6 +45,7 @@ consistency and covered by tests:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,11 +287,20 @@ def __getattr__(name: str):
 
     Only the oracle :func:`exponential_flow` needs scipy, and importing it
     costs more than the rest of relphase together, so it is not loaded when
-    this module is.
+    this module is.  scipy's OpenBLAS reads ``OPENBLAS_NUM_THREADS`` when it
+    loads, so the variable is 1 during the import and restored after it: a
+    second thread only contends for the CPU on 4x4 products.
     """
     if name != "expm":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.linalg import expm
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        from scipy.linalg import expm
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+        if saved is not None:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
 
     globals()["expm"] = expm
     return expm

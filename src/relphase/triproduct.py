@@ -17,7 +17,7 @@ against each other.
 Batch axes: ``tri_product``, ``tri_product_coords``, ``d_operator`` and
 ``d_hat`` accept phase vectors of shape ``(..., 4)``, broadcast against each
 other; the tri-products return ``(..., 4)`` and the operator maps
-``(..., 4, 4)``.  Single vectors give ``(4,)`` and ``(4, 4)`` as before.
+``(..., 4, 4)``.  Single vectors give ``(4,)`` and ``(4, 4)``.
 The contractions are stacked matrix products (never ``einsum`` or
 ``sum``), so each entry of a batched result has the bits of the
 single-vector call.  A stack of operators acts on a stack of vectors with

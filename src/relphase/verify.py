@@ -37,9 +37,10 @@ import numpy as np
 
 from .core import (ETA, basis, conjugate, decompose, scalar_product,
                    scalar_square, symplectic_bracket)
-from .em import (EMField, _closed_flow, evolution_generator, evolve_closed_form,
-                 evolve_numeric, exp_faraday, faraday_components,
-                 faraday_conjugate, faraday_tensor, field_tensor, invariant_z)
+from .em import (_BOOST_PLUS, EMField, _closed_flow, _faraday, _minkowski_square,
+                 evolution_generator, evolve_closed_form, evolve_numeric, exp_faraday,
+                 faraday_components, faraday_conjugate, faraday_tensor, field_tensor,
+                 invariant_z)
 from .liealgebra import (QO_BASIS_PAIRS, GradedElement, QoElement, _group_residual,
                          commutator, graded_bracket, is_in_qo, qo_basis,
                          qo_from_operator, qo_realize)
@@ -457,14 +458,11 @@ def suite_representations(rng: np.random.Generator) -> list[Check]:
 
     # Jacobi for the spin-1/2 bracket on its own image, where the conjugate
     # pairs commute and grade-0-plus-conjugate parts are real.  Each draw
-    # takes three elements: boost coefficients, a vector and a scalar.
-    boosts = [plus.angular_matrix(0, j) for j in (1, 2, 3)]
+    # takes three elements: boost coefficients (their Faraday operator), a
+    # vector and a scalar.
     parts = _draw(rng, 60, *(3, 4, 1) * 3)
-    triple = []
-    for c, vec, scal in zip(parts[0::3], parts[1::3], parts[2::3]):
-        c = c[..., None, None]
-        op = qo_from_operator(c[:, 0] * boosts[0] + c[:, 1] * boosts[1] + c[:, 2] * boosts[2])
-        triple.append(GradedElement(op, vec, scal[:, 0]))
+    triple = [GradedElement(qo_from_operator(_faraday(c)), vec, scal[:, 0])
+              for c, vec, scal in zip(parts[0::3], parts[1::3], parts[2::3])]
     checks.append(Check("rep.half_bracket_jacobi_on_image",
                         jacobi_residual(half_graded_bracket, *triple), 1e-10))
 
@@ -535,11 +533,6 @@ def commuting_factor_residual(fields: EMField, taus) -> float:
     return _worst(lhs.reshape(-1, 4, 4), (np.conj(flow) @ flow).reshape(-1, 4, 4))
 
 
-def _minkowski_square(p):
-    """p @ ETA @ p for each row of p, without conjugation."""
-    return ((p @ ETA)[..., None, :] @ p[..., :, None])[..., 0, 0]
-
-
 def shell_and_reality_residuals(fields: EMField, p0s, taus) -> tuple[float, float]:
     """Mass-shell drift and imaginary part of conj(X) X p0, X = exp_faraday(f, tau).
 
@@ -562,9 +555,12 @@ def shell_and_reality_residuals(fields: EMField, p0s, taus) -> tuple[float, floa
 
 def flow_invariance_residual(fields: EMField, axes, phis) -> float:
     """Change of the invariant z when field k is conjugated by the spin-1/2
-    boost flow along axes[k] at rapidity phis[k], relative to max(1, |z|)."""
-    plus = Representation("spin_half_plus")
-    x = np.stack([plus.angular_matrix(0, j) for j in axes])
+    boost flow along axes[k] (1, 2 or 3) at rapidity phis[k], relative to
+    max(1, |z|)."""
+    axes = np.asarray(axes)
+    if not np.isin(axes, (1, 2, 3)).all():
+        raise ValueError(f"boost axes must be 1, 2 or 3, got {axes}")
+    x = _BOOST_PLUS[axes - 1]
     phis = np.asarray(phis, dtype=np.float64)[:, None, None]
     transformed = exponential_flow(x, phis) @ faraday_tensor(fields) @ exponential_flow(x, -phis)
     comps = faraday_components(transformed)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +49,15 @@ class TestComplexFormat:
     def test_pure_imaginary(self):
         assert parse_complex("2i") == 2j
 
+    @pytest.mark.parametrize("text, z", [("1+2j", 1 + 2j), ("i", 1j), ("-i", -1j),
+                                         ("(1+2i)", 1 + 2j)])
+    def test_python_forms(self, text, z):
+        assert parse_complex(text) == z
+
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_complex("not-a-number")
+        for text in ["not-a-number", "", "1+-2i", "--1i", "1e5e5i"]:
+            with pytest.raises(ValueError):
+                parse_complex(text)
 
 
 class TestVerifyCommand:
@@ -372,6 +379,13 @@ class TestEvolveCommand:
         assert main(["--output", str(out), "transform", "spin1", "M01", "-1e-05",
                      "1", "0", "0", "0"]) == 0
 
+    def test_minus_i_component_is_a_number(self, capsys):
+        # a lone -i (or -J) is the component -1j, not an unknown option
+        assert main(["transform", "spin_half_plus", "M12", "0.4", "1", "2j", "i", "-i"]) == 0
+        assert strict_json(capsys.readouterr().out)["input"] == [
+            format_complex(z) for z in (1, 2j, 1j, complex(0, -1))]
+        assert main(["transform", "spin1", "M12", "0.4", "1", "0", "0", "-J"]) == 0
+
     @pytest.mark.parametrize("argv, message", [
         (["transform", "spin1", "M12", "-inf", "1", "0", "0", "0"], "phi must be finite"),
         (["transform", "spin1", "M12", "1", "-Infinity", "0", "0", "0"],
@@ -479,6 +493,39 @@ class TestProcessInvocation:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == str(loads)
+
+    @pytest.mark.parametrize("setting", [None, "3"], ids=["unset", "set"])
+    def test_expm_loads_scipy_openblas_with_one_thread(self, setting):
+        # A second thread only contends for the CPU on the oracle's 4x4
+        # products; the caller's environment comes back as it was.  The
+        # count is read from each OpenBLAS in scipy.libs by its own getter.
+        code = textwrap.dedent("""\
+        import ctypes, glob, json, os
+        from pathlib import Path
+        from relphase import representations
+        before = dict(os.environ)
+        representations.expm
+        import scipy
+        threads = []
+        libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
+        for path in sorted(glob.glob(str(libs / "*openblas*"))):
+            lib = ctypes.CDLL(path)
+            for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                        "openblas_get_num_threads64_", "openblas_get_num_threads"):
+                fn = getattr(lib, sym, None)
+                if fn is not None:
+                    fn.argtypes, fn.restype = [], ctypes.c_int
+                    threads.append(fn())
+                    break
+        print(json.dumps([dict(os.environ) == before, threads]))
+        """)
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if setting is not None:
+            env["OPENBLAS_NUM_THREADS"] = setting
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        unchanged, threads = json.loads(proc.stdout)
+        assert unchanged and threads and set(threads) == {1}
 
     def test_verify_without_scipy_is_config_error(self):
         # a verification failure (exit 1) would blame the library for a

@@ -181,6 +181,12 @@ class TestInvariant:
                            for _ in fields])
         assert flow_invariance_residual(fields, axes, phis) < 1e-11
 
+    @pytest.mark.parametrize("axis", [0, 4])
+    def test_flow_axis_outside_one_to_three_raises(self, axis):
+        # index axis - 1 of the boost table would wrap 0 round to axis 3
+        with pytest.raises(ValueError, match="boost axes must be 1, 2 or 3"):
+            flow_invariance_residual(random_fields(29, 2), (1, axis), (0.4, 0.4))
+
 
 class TestExpFaraday:
     def test_zero_time(self):
@@ -388,8 +394,8 @@ def test_overflow_raises_without_warnings(call):
 
 @pytest.mark.parametrize("tau", [690.0, 700.0])
 def test_large_finite_rk4_is_silent(tau):
-    # 2 000 steps at tau 690 grow |q| by under 2^1000, so they run outside
-    # np.errstate; at tau 700 the bound is above it.  Neither warns.
+    # Momenta near the top of double precision (e^690 and e^700): the steps
+    # neither warn nor raise.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         p = evolve_numeric(EMField([1, 0, 0], [0, 0, 0]), [1, 0, 0, 0], tau, 2000)

@@ -10,9 +10,8 @@ from relphase import (PAULI, PoincareGenerator, QoElement, Representation, basis
                       scalar_product, to_np_basis)
 from relphase.liealgebra import QO_BASIS_PAIRS
 from relphase.representations import DUAL_PAIRS, np_block_residuals
-from relphase.verify import (boost_closed_form_residual, car_residual,
-                             closed_flows_residual, generator_squares_residual,
-                             np_round_trip_residual, real_subspace_residual, tripotency_residual)
+from relphase.verify import (boost_closed_form_residual, closed_flows_residual,
+                             np_round_trip_residual, real_subspace_residual)
 
 def coefficient_tensor_dual(q):
     """qo_dual through the coefficient tensor and qo_realize, its old path."""
@@ -122,25 +121,12 @@ class TestDualPlane:
 
 
 class TestTripotents:
-    def test_squares_to_identity(self):
-        # for one operator the anticommutator residual is |T T - I|
-        for j in (1, 2, 3):
-            for s in (+1, -1):
-                assert car_residual([d_pm(j, s)]) < 1e-14
-
     def test_opposite_signs_commute(self):
         for j in (1, 2, 3):
             for k in (1, 2, 3):
                 np.testing.assert_allclose(
                     commutator(d_pm(j, +1), d_pm(k, -1)), np.zeros((4, 4)),
                     atol=1e-14)
-
-    def test_tripotency(self):
-        # Every entry is 0 or of size 1, so the scale of the residual is exactly 1.
-        tripotents = ([d_basis(0, j) for j in (1, 2, 3)]
-                      + [d_pm(j, s) for j in (1, 2, 3) for s in (+1, -1)]
-                      + [1j * d_basis(*pair) for pair in ((2, 3), (3, 1), (1, 2))])
-        assert tripotency_residual(tripotents) < 1e-14
 
 
 class TestSpinHalf:
@@ -159,9 +145,6 @@ class TestSpinHalf:
         for pair in QO_BASIS_PAIRS:
             np.testing.assert_array_equal(MINUS.angular_matrix(*pair),
                                           np.conj(PLUS.angular_matrix(*pair)))
-
-    def test_generator_squares(self):
-        assert generator_squares_residual(PLUS) < 1e-14
 
 
 def reference_image(kind, alpha, beta):
