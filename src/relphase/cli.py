@@ -172,17 +172,13 @@ def cmd_transform(args: argparse.Namespace) -> int:
     v = phase_vector([parse_complex(c) for c in args.component])
     # Overflow is detected on the results, so numpy's warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            # The closed-form flow of the label as given: gen.indices[::gen.sign]
-            # reverses the canonical indices of a swapped label (M10).
-            label = gen.indices[::gen.sign]
-            matrix = (rotation_flow_closed(*label, args.phi) if rep.kind == "spin1"
-                      else half_flow_closed(rep.angular_matrix(*label), args.phi))
-            out = _require_finite(matrix @ v, args.phi, "phi", "flow", "phi")
-        except ValueError as exc:
-            # The flow's message names phi as given; the image of a large
-            # vector can overflow too.
-            raise ConfigError(f"{exc} or the components") from None
+        # The closed-form flow of the label as given: gen.indices[::gen.sign]
+        # reverses the canonical indices of a swapped label (M10).
+        label = gen.indices[::gen.sign]
+        matrix = (rotation_flow_closed(*label, args.phi) if rep.kind == "spin1"
+                  else half_flow_closed(rep.angular_matrix(*label), args.phi))
+        # A finite flow can still send a large vector out of range.
+        out = _require_finite(matrix @ v, args.phi, "phi", "image", "phi or the components")
 
     doc = {
         "representation": args.representation,

@@ -105,9 +105,12 @@ def phase_operator(matrix: ArrayLike) -> ArrayC:
     return m
 
 
-def _first_nonfinite(values: ArrayLike, param: ArrayLike, trailing: int = 0) -> float | None:
-    """The entry of ``param`` at the first non-finite entry of ``values`` in C
-    order, or None when every entry is finite.
+def _require_finite(values: ArrayLike, param: ArrayLike, name: str, what: str, hint: str,
+                    trailing: int = 0) -> ArrayLike:
+    """Return ``values``, or raise the library's overflow ValueError: ``non-finite
+    result at <name>=<bad>: the <what> overflows double precision; reduce
+    <hint>``, with ``bad`` the entry of ``param`` at the first non-finite
+    entry of ``values`` in C order.
 
     ``values`` has the axes of ``param`` (broadcast) followed by ``trailing``
     axes of one result: flows at rapidities ``phis[..., None, None]`` take
@@ -116,21 +119,11 @@ def _first_nonfinite(values: ArrayLike, param: ArrayLike, trailing: int = 0) -> 
     finite = np.isfinite(values)
     # Cheaper than finite.all() on the small arrays of the scalar calls.
     if np.count_nonzero(finite) == finite.size:
-        return None
+        return values
     params = np.reshape(param, np.shape(param) + (1,) * trailing)
-    return float(np.broadcast_to(params, finite.shape)[~finite][0])
-
-
-def _require_finite(values: ArrayLike, param: ArrayLike, name: str, what: str, hint: str,
-                    trailing: int = 0) -> ArrayLike:
-    """Return ``values``, or raise the library's overflow ValueError: ``non-finite
-    result at <name>=<bad>: the <what> overflows double precision; reduce
-    <hint>``, with ``bad`` the entry of ``param`` that :func:`_first_nonfinite`
-    names."""
-    if (bad := _first_nonfinite(values, param, trailing)) is not None:
-        raise ValueError(f"non-finite result at {name}={bad:.17g}: the {what} overflows "
-                         f"double precision; reduce {hint}")
-    return values
+    bad = float(np.broadcast_to(params, finite.shape)[~finite][0])
+    raise ValueError(f"non-finite result at {name}={bad:.17g}: the {what} overflows "
+                     f"double precision; reduce {hint}")
 
 
 def scalar_product(a: ArrayLike, b: ArrayLike) -> complex | ArrayC:

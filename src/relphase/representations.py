@@ -8,10 +8,10 @@ rotations (both indices spatial).
 
 The spin-1 map sends P_mu to the basis vector u_mu (grade 1) and
 M_{alpha beta} to the algebra generator d_basis(alpha, beta) (grade 0).
-Each map sends the twelve ordered angular labels to fixed 4x4 operators; they
-are built once at import and returned as read-only arrays.  The graded images
-of all sixteen labels, translations included, are built once as well: every
-call returns the same immutable element.
+Each map keeps one table, built once at import: an immutable graded element
+for each of the four translations and the twelve ordered angular labels.
+Every call returns the same element, and ``angular_matrix`` its read-only
+operator.
 
 The spin-1/2 maps combine each boost generator with its dual rotation
 generator.  With the dual pairing
@@ -157,17 +157,6 @@ def d_pm(j: int, sign: int) -> ArrayC:
 # Representations
 # ---------------------------------------------------------------------------
 
-def _image_table(images: dict[tuple[int, int], ArrayC]) -> dict[tuple[int, int], ArrayC]:
-    """Read-only images of all twelve ordered pairs from six, one per plane.
-
-    A swapped pair maps to the negated image.  Adding 0.0 turns the -0.0
-    entries left by negation and conjugation into +0.0.
-    """
-    pairs = list(images) + [(beta, alpha) for alpha, beta in images]
-    stack = np.stack([images[p] for p in images] + [-images[p] for p in images]) + 0.0
-    return dict(zip(pairs, _frozen(stack)))
-
-
 def _half_plus_images() -> dict[tuple[int, int], ArrayC]:
     """Plus-representation images of the boosts and their dual rotations."""
     images = {}
@@ -177,48 +166,44 @@ def _half_plus_images() -> dict[tuple[int, int], ArrayC]:
     return images
 
 
-_PLUS = _half_plus_images()
-_ANGULAR_IMAGES: dict[str, dict[tuple[int, int], ArrayC]] = {
-    "spin1": _image_table({pair: d_basis(*pair) for pair in QO_BASIS_PAIRS}),
-    "spin_half_plus": _image_table(_PLUS),
-    "spin_half_minus": _image_table({pair: np.conj(m) for pair, m in _PLUS.items()}),
-}
+def _graded_images(images: dict[tuple[int, int], ArrayC]) -> dict[tuple, GradedElement]:
+    """Images of the four translations and the twelve ordered angular pairs,
+    from six angular images, one per plane.
 
-#: Names of the three generator maps.
-REPRESENTATION_KINDS = tuple(_ANGULAR_IMAGES)
-
-
-def _angular(kind: str, alpha: int, beta: int) -> ArrayC:
-    try:
-        return _ANGULAR_IMAGES[kind][(alpha, beta)]
-    except KeyError:
-        raise ValueError(f"angular indices must be distinct and in 0..3, "
-                         f"got ({alpha}, {beta})") from None
-
-
-def _graded_images(kind: str) -> dict[tuple[str, tuple[int, ...]], GradedElement]:
-    """Images of the four translations and the twelve ordered angular pairs."""
-    images = {("translation", (mu,)): GradedElement.from_vector(basis(mu)) for mu in range(4)}
-    images.update({("angular", pair): GradedElement.from_operator(QoElement(m))
-                   for pair, m in _ANGULAR_IMAGES[kind].items()})
-    return images
+    A swapped pair maps to the negated image.  Adding 0.0 turns the -0.0
+    entries left by negation and conjugation into +0.0.
+    """
+    table = {("translation", (mu,)): GradedElement.from_vector(basis(mu)) for mu in range(4)}
+    for (alpha, beta), m in images.items():
+        table["angular", (alpha, beta)] = GradedElement.from_operator(QoElement(m + 0.0))
+        table["angular", (beta, alpha)] = GradedElement.from_operator(QoElement(-m + 0.0))
+    return table
 
 
 # One immutable element per kind and label, returned by every generator map.
-_GRADED_IMAGES = {kind: _graded_images(kind) for kind in REPRESENTATION_KINDS}
+_PLUS = _half_plus_images()
+_GRADED_IMAGES = {
+    "spin1": _graded_images({pair: d_basis(*pair) for pair in QO_BASIS_PAIRS}),
+    "spin_half_plus": _graded_images(_PLUS),
+    "spin_half_minus": _graded_images({pair: np.conj(m) for pair, m in _PLUS.items()}),
+}
+
+#: Names of the three generator maps.
+REPRESENTATION_KINDS = tuple(_GRADED_IMAGES)
 
 
-def _image(kind: str, g: PoincareGenerator) -> GradedElement:
-    indices = g.indices if g.sign > 0 else g.indices[::-1]
+def _image(kind: str, label: str, indices: tuple[int, ...]) -> GradedElement:
+    """The image of the generator ``label`` ("translation" or "angular") with
+    the ordered ``indices``."""
     try:
-        return _GRADED_IMAGES[kind][(g.kind, indices)]
+        return _GRADED_IMAGES[kind][(label, indices)]
     except KeyError:
-        raise ValueError(f"no image for the {g.kind} generator with indices {g.indices}") from None
+        raise ValueError(f"no {kind} image for {label} indices {indices}") from None
 
 
 def pi_spin1(g: PoincareGenerator) -> GradedElement:
     """Spin-1 image: P_mu -> u_mu in grade 1, M_{alpha beta} -> D_{alpha beta}."""
-    return _image("spin1", g)
+    return _image("spin1", g.kind, g.indices[::g.sign])
 
 
 def pi_half(g: PoincareGenerator, sign: int) -> GradedElement:
@@ -235,7 +220,8 @@ def pi_half(g: PoincareGenerator, sign: int) -> GradedElement:
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return _image("spin_half_plus" if sign > 0 else "spin_half_minus", g)
+    kind = "spin_half_plus" if sign > 0 else "spin_half_minus"
+    return _image(kind, g.kind, g.indices[::g.sign])
 
 
 def half_graded_bracket(x: GradedElement, y: GradedElement) -> GradedElement:
@@ -266,11 +252,11 @@ class Representation:
             raise ValueError(f"unknown representation {self.kind!r}")
 
     def __call__(self, g: PoincareGenerator) -> GradedElement:
-        return _image(self.kind, g)
+        return _image(self.kind, g.kind, g.indices[::g.sign])
 
     def angular_matrix(self, alpha: int, beta: int) -> ArrayC:
         """Operator part of the image of M_{alpha beta}, a read-only array."""
-        return _angular(self.kind, alpha, beta)
+        return _image(self.kind, "angular", (alpha, beta)).l0.matrix
 
     def bracket(self, x: GradedElement, y: GradedElement) -> GradedElement:
         if self.kind == "spin1":
@@ -521,7 +507,7 @@ def np_block_residuals(rep_kind: str,
     for boost in (True, False):
         for j in (1, 2, 3):
             pair = (0, j) if boost else DUAL_PAIRS[j]
-            matrix = to_np_basis(_angular(rep_kind, *pair), tetrad)
+            matrix = to_np_basis(_image(rep_kind, "angular", pair).l0.matrix, tetrad)
             b1, b2, off = np_blocks(matrix)
             e1, e2 = np_block_pattern(j, boost, rep_kind)
             out.append((j, boost, matrix,
