@@ -208,10 +208,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if not np.all(np.isfinite(p0)):
         raise ConfigError("momentum components must be finite")
 
-    taus = np.linspace(0.0, args.tau_max, args.samples)
     header = ["tau", "p0", "p1", "p2", "p3"]
     # One row per sample: tau, p, and with --compare p_num, dev, shell_residual.
     try:
+        taus = np.linspace(0.0, args.tau_max, args.samples)
         p = evolve_closed_form(field, p0, taus)
         table = np.column_stack([taus, p])
         if args.compare:
@@ -224,11 +224,13 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             shell = [shell_drift(p0, row) for row in p]
             table = np.column_stack([table, p_num, dev, shell])
         _require_finite(table, taus, "tau", "momentum", "tau or the field", 1)
+        rows = table.tolist()
+    except MemoryError:
+        raise ConfigError(f"samples={args.samples} do not fit in memory; reduce samples") from None
     except ValueError as exc:
         # The library's overflow error names tau; this command sets it by tau-max.
         raise ConfigError(str(exc).replace("reduce tau ", "reduce tau-max ")) from None
 
-    rows = table.tolist()
     keys = ["tau", "p"] + (["p_num", "dev", "shell_residual"] if args.compare else [])
     doc = {
         "field": {"e": list(map(float, field.e)), "b": list(map(float, field.b))},

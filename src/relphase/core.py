@@ -31,8 +31,8 @@ writes that message for every module.  The ``em`` functions
 (``exp_faraday``, ``evolve_closed_form``, ``evolve_numeric``) raise without
 a numpy warning.  The closed flows ``boost_flow_closed``,
 ``rotation_flow_closed`` and ``half_flow_closed`` let numpy's RuntimeWarnings
-on an overflow through first, because silencing them would cost about a
-tenth of a call.
+on an overflow through first, because silencing them would put an
+``np.errstate`` block in every call.
 Polynomial kernels (``invariant_z``, ``tri_product``, ``d_operator``,
 ``lorentz_force``) follow numpy: an overflow gives inf or NaN with a
 RuntimeWarning.

@@ -282,14 +282,14 @@ def evolve_closed_form(f: EMField, p0: ArrayLike, tau: ArrayLike,
     p0 = np.asarray(p0, dtype=np.complex128)
     if p0.shape[-1:] != (4,):
         raise ValueError(f"momentum must have 4 components, got shape {p0.shape}")
-    if np.abs(p0.imag).max() > imag_tol:
+    if np.abs(p0.imag).max(initial=0.0) > imag_tol:
         raise ValueError("evolve_closed_form expects a real four-momentum")
     with np.errstate(over="ignore", invalid="ignore"):
         x = _exp_faraday(f, tau)
         p = (np.conj(x) @ (x @ p0.real[..., None]))[..., 0]
     _require_finite(p, tau, "tau", "momentum", "tau or the field", 1)
     # |p| is only needed when a residual is above the absolute tolerance.
-    if np.abs(p.imag).max() > imag_tol:
+    if np.abs(p.imag).max(initial=0.0) > imag_tol:
         imag = np.abs(p.imag).max(axis=-1)
         bad = (imag > imag_tol) & (imag > imag_tol * np.abs(p).max(axis=-1))
         if bad.any():

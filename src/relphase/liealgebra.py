@@ -102,7 +102,7 @@ def qo_realize(coeffs: ArrayLike, tol: float = 1e-12) -> QoElement:
     x = np.asarray(coeffs, dtype=np.complex128)
     if x.shape[-2:] != (4, 4):
         raise ValueError(f"coefficient tensor must be 4x4, got shape {x.shape}")
-    asym = np.abs(x + x.mT).max()
+    asym = np.abs(x + x.mT).max(initial=0.0)
     if asym > tol:
         raise ValueError(f"coefficient tensor is not antisymmetric (residual {asym:.3e})")
     x = 0.5 * (x - x.mT)  # exact antisymmetry
@@ -216,6 +216,19 @@ class GradedElement:
         return float(size) if size.ndim == 0 else size
 
 
+def _graded_bracket(x: GradedElement, y: GradedElement, a: ArrayLike,
+                    b: ArrayLike) -> GradedElement:
+    """The graded bracket of x and y with ``a`` acting on the vector part of
+    y and ``b`` on that of x: [x.l0, y.l0] + (a y.l1 - b x.l1) + the
+    symplectic pairing of x.l1 and y.l1.  The one body of
+    :func:`graded_bracket` (a, b = x.l0, y.l0) and of the spin-1/2 bracket
+    (a, b = x.l0 + conj(x.l0), y.l0 + conj(y.l0))."""
+    # The commutator of two algebra elements stays in the algebra.
+    op = QoElement(commutator(x.l0.matrix, y.l0.matrix))
+    vec = np.matvec(a, y.l1) - np.matvec(b, x.l1)
+    return GradedElement(op, vec, symplectic_bracket(x.l1, y.l1))
+
+
 def graded_bracket(x: GradedElement, y: GradedElement) -> GradedElement:
     """Bracket of the graded algebra, antisymmetric by construction.
 
@@ -233,8 +246,4 @@ def graded_bracket(x: GradedElement, y: GradedElement) -> GradedElement:
     the modified bracket in :mod:`relphase.representations`, which restores
     Jacobi on their image.
     """
-    # The commutator of two algebra elements stays in the algebra.
-    op = QoElement(commutator(x.l0.matrix, y.l0.matrix))
-    vec = np.matvec(x.l0.matrix, y.l1) - np.matvec(y.l0.matrix, x.l1)
-    scal = symplectic_bracket(x.l1, y.l1)
-    return GradedElement(op, vec, scal)
+    return _graded_bracket(x, y, x.l0.matrix, y.l0.matrix)

@@ -51,9 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import _UNIT, ArrayC, _frozen, _require_finite, basis, symplectic_bracket
-from .liealgebra import (QO_BASIS_PAIRS, GradedElement, QoElement, commutator,
-                         graded_bracket)
+from .core import _UNIT, ArrayC, _frozen, _require_finite, basis
+from .liealgebra import QO_BASIS_PAIRS, GradedElement, QoElement, _graded_bracket, graded_bracket
 from .triproduct import d_basis
 
 # ---------------------------------------------------------------------------
@@ -232,13 +231,8 @@ def half_graded_bracket(x: GradedElement, y: GradedElement) -> GradedElement:
     grade-1-pair brackets are unchanged.  Works on stacked elements like
     :func:`relphase.liealgebra.graded_bracket`.
     """
-    # The commutator of two algebra elements stays in the algebra.
-    op = QoElement(commutator(x.l0.matrix, y.l0.matrix))
-    a = x.l0.matrix + np.conj(x.l0.matrix)
-    b = y.l0.matrix + np.conj(y.l0.matrix)
-    vec = np.matvec(a, y.l1) - np.matvec(b, x.l1)
-    scal = symplectic_bracket(x.l1, y.l1)
-    return GradedElement(op, vec, scal)
+    return _graded_bracket(x, y, x.l0.matrix + np.conj(x.l0.matrix),
+                           y.l0.matrix + np.conj(y.l0.matrix))
 
 
 @dataclass(frozen=True)
@@ -307,38 +301,10 @@ def exponential_flow(x: ArrayLike, phi: ArrayLike) -> ArrayC:
                            "phi")
 
 
-def _cubic_pair(alpha: int, beta: int) -> tuple[ArrayC, ArrayC]:
-    """Read-only D = d_basis(alpha, beta) and D^2; d_basis raises for indices
-    outside 0..3."""
-    d = d_basis(alpha, beta)
-    return _frozen(d), _frozen(d @ d)
-
-
-# (D, D^2) for all sixteen index pairs.  A pair with alpha == beta has D = 0
-# and gives the identity flow.
-_CUBIC = {(alpha, beta): _cubic_pair(alpha, beta) for alpha in range(4) for beta in range(4)}
-
-
-def _cubic_flow(alpha: int, beta: int, phi: float) -> ArrayC:
-    """exp(phi D) = I + odd D + even D^2 with D = d_basis(alpha, beta).
-
-    The label fixes the coefficients.  On a boost plane (exactly one index
-    0) D^3 = D, so odd = sinh(phi) and even = cosh(phi) - 1.  Otherwise
-    D^3 = -D, so odd = sin(phi) and even = 1 - cos(phi); equal indices give
-    D = 0 and the identity.  D and D^2 come from a table built at import,
-    so a call makes no generator.  Indices outside 0..3 raise d_basis's
-    ValueError.  D has entries 0 and +/-1 and D^2 entries 0 and 1, so the
-    result is finite exactly when both coefficients are; checking them is
-    cheaper than checking the result.
-    """
-    d, d2 = _CUBIC.get((alpha, beta)) or _cubic_pair(alpha, beta)
-    if (alpha == 0) != (beta == 0):
-        odd, even = np.sinh(phi), np.cosh(phi) - 1.0
-    else:
-        odd, even = np.sin(phi), 1.0 - np.cos(phi)
-    g = _UNIT + odd * d + even * d2
-    return (g if math.isfinite(odd) and math.isfinite(even)
-            else _require_finite(g, phi, "phi", "flow", "phi"))
+# (D, D^2) for all sixteen index pairs, read-only.  A pair with alpha == beta
+# has D = 0 and gives the identity flow.
+_CUBIC = {(alpha, beta): (_frozen(d), _frozen(d @ d))
+          for alpha in range(4) for beta in range(4) for d in [d_basis(alpha, beta)]}
 
 
 def boost_flow_closed(j: int, phi: float) -> ArrayC:
@@ -351,19 +317,34 @@ def boost_flow_closed(j: int, phi: float) -> ArrayC:
     overflow emits numpy's RuntimeWarnings first.  j = 0 gives the identity
     for every finite phi.
     """
-    return _cubic_flow(0, j, phi)
+    return rotation_flow_closed(0, j, phi)
 
 
 def rotation_flow_closed(k: int, l: int, phi: float) -> ArrayC:
-    """Closed form of exp(phi * d_basis(k,l)) for any ordered label.
+    """Closed form of exp(phi * d_basis(k,l)) for any ordered label:
+    I + odd D + even D^2 with D = d_basis(k, l).
 
-    Hyperbolic on a boost plane (exactly one index 0, D^3 = D), so (j, 0)
-    gives the boost along axis j at -phi; trigonometric on a rotation plane
-    (D^3 = -D); the identity for k = l.  Returns a new writable array.
-    Raises ValueError when k or l is outside 0..3 or when the flow overflows
-    (phi not finite, or |phi| beyond about 710.48 on a boost plane); an
-    overflow emits numpy's RuntimeWarnings first."""
-    return _cubic_flow(k, l, phi)
+    The label fixes the coefficients.  On a boost plane (exactly one index
+    0) D^3 = D, so odd = sinh(phi) and even = cosh(phi) - 1, and (j, 0)
+    gives the boost along axis j at -phi.  On a rotation plane D^3 = -D, so
+    odd = sin(phi) and even = 1 - cos(phi); k = l gives D = 0 and the
+    identity.  D and D^2 come from a table built at import, so a call makes
+    no generator.  Returns a new writable array.  Raises ValueError when k
+    or l is outside 0..3 (d_basis's error) or when the flow overflows (phi
+    not finite, or |phi| beyond about 710.48 on a boost plane); an overflow
+    emits numpy's RuntimeWarnings first.  D has entries 0 and +/-1 and D^2
+    entries 0 and 1, so the result is finite exactly when both coefficients
+    are; checking them is cheaper than checking the result.
+    """
+    # d_basis raises its ValueError for a label outside the table.
+    d, d2 = _CUBIC.get((k, l)) or d_basis(k, l)
+    if (k == 0) != (l == 0):
+        odd, even = np.sinh(phi), np.cosh(phi) - 1.0
+    else:
+        odd, even = np.sin(phi), 1.0 - np.cos(phi)
+    g = _UNIT + odd * d + even * d2
+    return (g if math.isfinite(odd) and math.isfinite(even)
+            else _require_finite(g, phi, "phi", "flow", "phi"))
 
 
 def half_flow_closed(x: ArrayLike, phi: float) -> ArrayC:

@@ -376,8 +376,7 @@ def car_residual(mats: list[np.ndarray]) -> float:
 def generator_squares_residual(rep: Representation) -> float:
     """Largest deviation of the squared boost images from I/4 and of the
     squared rotation images from -I/4."""
-    boosts = np.stack([rep.angular_matrix(0, j) for j in DUAL_PAIRS])
-    rotations = np.stack([rep.angular_matrix(*pair) for pair in DUAL_PAIRS.values()])
+    boosts, rotations = np.split(_angular_stack(rep), 2)
     quarter = 0.25 * np.eye(4)
     return float(max(np.abs(boosts @ boosts - quarter).max(),
                      np.abs(rotations @ rotations + quarter).max()))

@@ -363,6 +363,14 @@ class TestEvolveCommand:
         assert capsys.readouterr().err == ("error: non-finite result at tau=5e+79: the momentum "
                                            "overflows double precision; reduce tau-max or the field\n")
 
+    def test_unallocatable_samples_is_usage_error(self, capsys):
+        # 10^13 samples fail at the first allocation, so nothing is allocated
+        assert main(["evolve", *"1 0 0 0 0 0 1 0 0 0 2.0 10000000000000".split()]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: samples=10000000000000 do not fit in memory; "
+                                "reduce samples\n")
+
     def test_large_finite_momentum_is_reported(self, capsys):
         # |p| ~ 5e303: finite, so the rows come out finite and parse strictly
         assert main(["evolve", "1", "0", "0", "0", "0", "0", "1", "0", "0", "0",

@@ -299,6 +299,30 @@ def test_contract(row):
                 x.setflags(write=True)
 
 
+EMPTY_X = GradedElement(QoElement(X.l0.matrix[:0]), X.l1[:0], X.l2[:0])
+EMPTY = [
+    (scalar_product, V[0][:0], V[1][:0]),
+    (tri_product, *V[:, :0]),
+    (graded_bracket, EMPTY_X, EMPTY_X),
+    (half_graded_bracket, EMPTY_X, EMPTY_X),
+    (qo_from_operator, QO.matrix[:0]),
+    (qo_realize, OPS[0][:0]),
+    (exponential_flow, np.stack(IMAGES)[:0], 0.5),
+    (faraday_components, FARADAY[:0]),
+    (exp_faraday, FIELDS[:0], 0.5),
+    (evolve_closed_form, FIELDS[:0], P0S[:0], 0.5),
+    (evolve_numeric, FIELDS[:0], P0S[:0], 0.5, 9),
+]
+
+
+@pytest.mark.parametrize("call, args", [(c[0], c[1:]) for c in EMPTY],
+                         ids=[c[0].__name__ for c in EMPTY])
+def test_empty_stack_gives_an_empty_result(call, args):
+    # a zero-length stack axis is a stack like any other, not an error
+    for part in parts(call(*args)):
+        assert isinstance(part, np.ndarray) and part.shape[0] == 0
+
+
 def test_every_public_name_has_a_row_or_an_exemption():
     # A class is covered by the rows that return it.
     covered = {row.name for row in ROWS} | {row.single[0] for row in ROWS

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from relphase import (ETA, GradedElement, basis, commutator, d_basis, exponential_flow,
-                      graded_bracket, is_in_qo, is_quasi_orthogonal, qo_from_operator,
-                      qo_realize)
+                      graded_bracket, half_graded_bracket, is_in_qo, is_quasi_orthogonal,
+                      qo_from_operator, qo_realize, scalar_product)
 from relphase.liealgebra import QO_BASIS_PAIRS, _group_residual
-from relphase.verify import jacobi_residual, qo_dimension
+from relphase.verify import _graded_draws, jacobi_residual, qo_dimension
 
 GENERATORS = [d_basis(*p) for p in QO_BASIS_PAIRS]
 
@@ -203,6 +203,22 @@ class TestGradedBracket:
                     complex(*rng.standard_normal(2)))
             x, y = elem(), elem()
             assert (graded_bracket(x, y) + graded_bracket(y, x)).norm() < 1e-12
+
+    @pytest.mark.parametrize("bracket, act", [(graded_bracket, lambda a: a),
+                                              (half_graded_bracket, lambda a: a + np.conj(a))],
+                             ids=["graded", "half"])
+    def test_bits_match_the_formulas(self, bracket, act):
+        # [A, B]; act(A) w - act(B) v with act(A) = A, or A + conj(A) for the
+        # spin-1/2 bracket; Im <conj(v)|w>.  Complex grade-0 parts, so the
+        # two actions differ.
+        x, y = _graded_draws(np.random.default_rng(25), 200, 2)
+        a, b, v, w = x.l0.matrix, y.l0.matrix, x.l1, y.l1
+        br = bracket(x, y)
+        for got, want in ((br.l0.matrix, a @ b - b @ a),
+                          (br.l1, np.matvec(act(a), w) - np.matvec(act(b), v)),
+                          (br.l2, scalar_product(np.conj(v), w).imag + 0j)):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_jacobi_on_real_form(self):
         rng = np.random.default_rng(10)
