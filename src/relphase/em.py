@@ -50,7 +50,9 @@ built from the evolution generator A alone.  For this linear equation one
 step is exactly p <- p + D p with the increment matrix
 D = hA (I + hA/2 (I + hA/3 (I + hA/4))).  The stack of D, one per field and
 proper time, is formed once and every entry is stepped together, so a batch
-costs one pass of ``steps`` stacked products, not entries x steps.
+costs one pass of ``steps`` stacked products, not entries x steps.  The
+momenta are stepped in place: a step is one ``np.matvec`` into a scratch
+buffer and one ``np.add`` back into the momenta, and allocates nothing.
 """
 
 from __future__ import annotations
@@ -314,8 +316,12 @@ def evolve_numeric(f: EMField, p0: ArrayLike, tau: ArrayLike, steps: int) -> Arr
     p <- p + D p with the increment matrix
     D = hA (I + hA/2 (I + hA/3 (I + hA/4))), A the evolution generator;
     the stack of D is formed once and all entries are stepped together.
-    Raises ValueError naming the first tau (C order) whose integrated
-    momentum is not finite.
+    The steps run in place on a copy of ``p0`` broadcast to the result's
+    shape, which is returned: ``D p`` goes into one scratch buffer and is
+    added back, the same sums in the same order as ``p + D p``, with no
+    array allocated per step.  ``p0`` is never written, and the result is a
+    new writable array.  Raises ValueError naming the first tau (C order)
+    whose integrated momentum is not finite.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -326,13 +332,19 @@ def evolve_numeric(f: EMField, p0: ArrayLike, tau: ArrayLike, steps: int) -> Arr
     if p.shape[-1:] != (4,):
         raise ValueError(f"momentum must have 4 components, got shape {p.shape}")
     eye = np.eye(4)
-    q = p[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
         x = (taus[..., None, None] / steps) * evolution_generator(f)
         d = x @ (eye + (x / 2.0) @ (eye + (x / 3.0) @ (eye + x / 4.0)))
+        q = np.array(np.broadcast_to(p, np.broadcast_shapes(d.shape[:-1], p.shape)))
+        dq = np.empty_like(q)
+        # Positional outputs: each step writes two existing buffers and
+        # allocates nothing (out= by keyword costs more per call).  The
+        # ufuncs are bound once, outside the loop, for the same reason.
+        matvec, add = np.matvec, np.add
         for _ in range(steps):
-            q = q + d @ q
-    return _require_finite(q[..., 0], taus, "tau", "momentum", "tau or the field", 1)
+            matvec(d, q, dq)
+            add(q, dq, q)
+    return _require_finite(q, taus, "tau", "momentum", "tau or the field", 1)
 
 
 def _minkowski_square(p: ArrayR) -> ArrayR:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,6 +263,10 @@ class Representation:
 # Exponential flows
 # ---------------------------------------------------------------------------
 
+# Serialises the first load of ``expm``; never taken once it is bound.
+_EXPM_LOCK = threading.Lock()
+
+
 def __getattr__(name: str):
     """Bind scipy's ``expm`` as the module attribute ``expm`` on first use.
 
@@ -269,20 +274,25 @@ def __getattr__(name: str):
     costs more than the rest of relphase together, so it is not loaded when
     this module is.  scipy's OpenBLAS reads ``OPENBLAS_NUM_THREADS`` when it
     loads, so the variable is 1 during the import and restored after it: a
-    second thread only contends for the CPU on 4x4 products.
+    second thread only contends for the CPU on 4x4 products.  One lock holds
+    the save, import and restore, so threads that race to the first call
+    load scipy once and leave the variable as it was.
     """
     if name != "expm":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    saved = os.environ.get("OPENBLAS_NUM_THREADS")
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        from scipy.linalg import expm
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
-        if saved is not None:
-            os.environ["OPENBLAS_NUM_THREADS"] = saved
-
-    globals()["expm"] = expm
+    with _EXPM_LOCK:
+        # Another thread may have bound it while this one waited.
+        if "expm" in globals():
+            return globals()["expm"]
+        saved = os.environ.get("OPENBLAS_NUM_THREADS")
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            from scipy.linalg import expm
+        finally:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+            if saved is not None:
+                os.environ["OPENBLAS_NUM_THREADS"] = saved
+        globals()["expm"] = expm
     return expm
 
 

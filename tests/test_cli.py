@@ -506,18 +506,33 @@ class TestProcessInvocation:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == str(loads)
 
-    @pytest.mark.parametrize("setting", [None, "3"], ids=["unset", "set"])
-    def test_expm_loads_scipy_openblas_with_one_thread(self, setting):
-        # A second thread only contends for the CPU on the oracle's 4x4
-        # products; the caller's environment comes back as it was.  The
-        # count is read from each OpenBLAS in scipy.libs by its own getter.
-        code = textwrap.dedent("""\
-        import ctypes, glob, json, os
+    @staticmethod
+    def first_expm_calls(setting, calls):
+        """In a new process with OPENBLAS_NUM_THREADS unset or set to
+        ``setting``, ``calls`` threads pass a barrier and each make the first
+        exponential_flow call.  Returns what the threads raised, whether the
+        environment is unchanged, and the thread count of each OpenBLAS in
+        scipy.libs, read by its own getter."""
+        code = textwrap.dedent(f"""\
+        import ctypes, glob, json, os, threading
         from pathlib import Path
-        from relphase import representations
+        from relphase import d_basis, exponential_flow, representations
         before = dict(os.environ)
-        representations.expm
-        import scipy
+        barrier, errors = threading.Barrier({calls}, timeout=60), []
+        def first_call():
+            barrier.wait()
+            try:
+                exponential_flow(d_basis(0, 1), 0.5)
+            except BaseException as exc:
+                errors.append(repr(exc))
+        workers = [threading.Thread(target=first_call) for _ in range({calls})]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+        import scipy, scipy.linalg
+        assert representations.expm is scipy.linalg.expm
         threads = []
         libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
         for path in sorted(glob.glob(str(libs / "*openblas*"))):
@@ -529,15 +544,29 @@ class TestProcessInvocation:
                     fn.argtypes, fn.restype = [], ctypes.c_int
                     threads.append(fn())
                     break
-        print(json.dumps([dict(os.environ) == before, threads]))
+        print(json.dumps([errors, dict(os.environ) == before, threads]))
         """)
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         if setting is not None:
             env["OPENBLAS_NUM_THREADS"] = setting
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                              timeout=120)
         assert proc.returncode == 0, proc.stderr
-        unchanged, threads = json.loads(proc.stdout)
-        assert unchanged and threads and set(threads) == {1}
+        return json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("setting", [None, "3"], ids=["unset", "set"])
+    def test_expm_loads_scipy_openblas_with_one_thread(self, setting):
+        # A second thread only contends for the CPU on the oracle's 4x4
+        # products; the caller's environment comes back as it was.
+        errors, unchanged, threads = self.first_expm_calls(setting, 1)
+        assert not errors and unchanged and threads and set(threads) == {1}
+
+    @pytest.mark.parametrize("setting", [None, "4"], ids=["unset", "set"])
+    def test_racing_first_expm_calls_keep_the_environment(self, setting):
+        # Without the loader's lock, threads that save the variable while
+        # another holds it at 1 restore the 1, or delete it twice (KeyError).
+        errors, unchanged, threads = self.first_expm_calls(setting, 4)
+        assert not errors and unchanged and threads and set(threads) == {1}
 
     def test_verify_without_scipy_is_config_error(self):
         # a verification failure (exit 1) would blame the library for a

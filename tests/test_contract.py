@@ -268,7 +268,7 @@ ROWS = [
     Row(evolve_closed_form, FIELDS[:, None], P0S[:, None], TAUS, core=(0, 1, 0),
         single=(4,), tag="grid"),
     Row(evolve_numeric, FIELDS[:200, None], P0S[:200, None], TAUS, 9, core=(0, 1, 0, 0),
-        single=(4,)),
+        single=(4,), mode="fresh"),
     Row(mass_shell_residual, FIELDS[0], P0S[0], 1.0, core=(0, 1, 0), single=float),
 ]
 

@@ -9,6 +9,7 @@ from relphase import (DUAL_PAIRS, ETA, EMField, Representation, basis, d_basis,
                       faraday_components, faraday_conjugate, faraday_tensor,
                       field_tensor, invariant_z, is_in_qo, lorentz_force,
                       mass_shell_residual, qo_realize, scalar_product)
+from relphase.core import _frozen, _require_finite
 from relphase.em import shell_drift
 from relphase.verify import (closed_form_rk4_residual, commuting_factor_residual,
                              conjugate_commutator_residual, faraday_square_residual,
@@ -365,3 +366,68 @@ def test_large_finite_rk4_is_silent(tau):
         warnings.simplefilter("error")
         p = evolve_numeric(EMField([1, 0, 0], [0, 0, 0]), [1, 0, 0, 0], tau, 2000)
     assert np.isfinite(p).all() and p[0] > 1e299
+
+
+def loop_evolve_numeric(f, p0, tau, steps):
+    """The RK4 oracle stepped as ``q = q + d @ q`` on a ``(..., 4, 1)`` column,
+    a new array each step; the library steps the same sums in place."""
+    taus = np.asarray(tau, dtype=np.float64)
+    eye = np.eye(4)
+    q = np.asarray(p0, dtype=np.float64)[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (taus[..., None, None] / steps) * evolution_generator(f)
+        d = x @ (eye + (x / 2.0) @ (eye + (x / 3.0) @ (eye + x / 4.0)))
+        for _ in range(steps):
+            q = q + d @ q
+    return _require_finite(q[..., 0], taus, "tau", "momentum", "tau or the field", 1)
+
+
+def rk4_cases(seed):
+    """(field, p0, tau) for a single field, field stacks against tau vectors,
+    p0 stacks, and scalar and vector tau."""
+    rng = np.random.default_rng(seed)
+    fields = random_fields(seed, 5)
+    p0s = rng.uniform(-1, 1, (5, 4))
+    taus = rng.uniform(-3, 3, 3)
+    return [
+        (fields[0], p0s[0], float(taus[0])),
+        (fields[0], p0s[0], taus),
+        (fields[0], p0s, float(taus[1])),
+        (fields, p0s, float(taus[2])),
+        (fields[:, None], p0s[0], taus),
+        (fields[:, None], p0s[:, None], taus),
+        (fields[:3], p0s[:3], taus),
+        (fields[0], p0s[:3], taus),
+    ]
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7, 500])
+def test_rk4_steps_match_the_allocating_loop(steps):
+    for seed in (41, 42, 43):
+        for f, p0, tau in rk4_cases(seed):
+            assert_same_bits(evolve_numeric(f, p0, tau, steps),
+                             loop_evolve_numeric(f, p0, tau, steps))
+
+
+def test_rk4_overflow_message_matches_the_allocating_loop():
+    f, taus = EMField([1, 0, 0], [0, 0, 0.1]), [1.0, 650.0, 800.0, 900.0]
+    with pytest.raises(ValueError) as want:
+        loop_evolve_numeric(f, [1, 0, 0, 0], taus, 500)
+    with pytest.raises(ValueError, match="^non-finite result at tau=800:") as got:
+        evolve_numeric(f, [1, 0, 0, 0], taus, 500)
+    assert str(got.value) == str(want.value)
+
+
+def test_rk4_buffers():
+    f = random_fields(44, 3)
+    taus = np.array([0.5, 1.0, 2.0])
+    # Already float64 of the broadcast shape: still copied, never written.
+    p0 = np.random.default_rng(44).uniform(-1, 1, (3, 4))
+    before = p0.copy()
+    p = evolve_numeric(f, p0, taus, 20)
+    assert_same_bits(p0, before)
+    assert p.flags.writeable and p.flags.owndata and not np.shares_memory(p, p0)
+    frozen = _frozen(p0, np.float64)
+    assert_same_bits(evolve_numeric(f, frozen, taus, 20), p)
+    single = evolve_numeric(f[0], frozen[0], 1.0, 20)
+    assert single.shape == (4,) and single.flags.writeable and single.flags.owndata

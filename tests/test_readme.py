@@ -1,0 +1,14 @@
+"""README's library tour runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_tour_blocks_run_in_order():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert len(blocks) == 4
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)

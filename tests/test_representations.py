@@ -10,6 +10,7 @@ from relphase import (PAULI, PoincareGenerator, QoElement, Representation, basis
                       parse_generator, pi_half, pi_spin1, qo_dual,
                       qo_from_operator, qo_realize, rotation_flow_closed,
                       scalar_product, to_np_basis)
+from relphase import representations
 from relphase.liealgebra import QO_BASIS_PAIRS
 from relphase.representations import DUAL_PAIRS, np_block_residuals
 from relphase.verify import (boost_closed_form_residual, closed_flows_residual,
@@ -226,6 +227,20 @@ class TestFlows:
         phis = (0.5, 1.0, 2.0)
         flows = exponential_flow(d_basis(0, 1), np.array(phis)[:, None, None])
         assert boost_closed_form_residual(phis, flows) <= 2.5e-13
+
+    def test_bound_expm_takes_no_lock(self, monkeypatch):
+        # The loader's lock serialises the first call only.
+        exponential_flow(d_basis(0, 1), 0.5)
+
+        class Refused:
+            def __enter__(self):
+                raise AssertionError("the expm lock was taken after expm was bound")
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(representations, "_EXPM_LOCK", Refused())
+        np.testing.assert_allclose(exponential_flow(d_basis(0, 1), 0.0), np.eye(4))
 
     def test_spin1_rotation_quarter_turn(self):
         g = exponential_flow(d_basis(1, 2), np.pi / 2)
