@@ -48,9 +48,8 @@ import numpy as np
 from . import representations
 from .core import _require_finite, phase_vector
 from .em import EMField, evolve_closed_form, evolve_numeric, shell_drift
-from .representations import (DUAL_PAIRS, REPRESENTATION_KINDS, Representation, half_flow_closed,
-                              np_block_residuals, np_matrix, np_matrix_conjugate, parse_generator,
-                              rotation_flow_closed)
+from .representations import (REPRESENTATION_KINDS, Representation, half_flow_closed,
+                              np_block_residuals, parse_generator, rotation_flow_closed)
 from .verify import DEFAULT_TOLERANCE, run_all
 
 USAGE_ERROR = 2
@@ -75,10 +74,6 @@ def parse_complex(text: str) -> complex:
 
 def _matrix_strings(m) -> list[list[str]]:
     return [list(map(format_complex, row)) for row in m]
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _cell(x):
@@ -118,7 +113,7 @@ def _emit(args: argparse.Namespace, doc, header: list[str], rows, status: int,
             # flush at interpreter exit does not fail a second time.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         where = "to stdout" if to_stdout else f"output file {args.output!r}"
-        raise ConfigError(f"cannot write {where}: {exc}") from exc
+        raise ValueError(f"cannot write {where}: {exc}") from exc
     return status
 
 
@@ -135,7 +130,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         representations.expm
     except ImportError as exc:
-        raise ConfigError(f"verify needs scipy for its expm oracle ({exc})") from None
+        raise ValueError(f"verify needs scipy for its expm oracle ({exc})") from None
     print(f"[verify] scipy expm oracle loaded ({time.perf_counter() - t0:.3f}s)",
           file=sys.stderr)
     t0 = time.perf_counter()
@@ -165,9 +160,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_transform(args: argparse.Namespace) -> int:
     gen = parse_generator(args.generator)
     if gen.kind != "angular":
-        raise ConfigError(f"transform needs an angular generator label, got {args.generator!r}")
+        raise ValueError(f"transform needs an angular generator label, got {args.generator!r}")
     if not math.isfinite(args.phi):
-        raise ConfigError(f"phi must be finite, got {args.phi}")
+        raise ValueError(f"phi must be finite, got {args.phi}")
     rep = Representation(args.representation)
     v = phase_vector([parse_complex(c) for c in args.component])
     # Overflow is detected on the results, so numpy's warnings are noise.
@@ -200,13 +195,13 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     if args.samples < 2:
-        raise ConfigError(f"samples must be >= 2, got {args.samples}")
+        raise ValueError(f"samples must be >= 2, got {args.samples}")
     if not np.isfinite(args.tau_max) or args.tau_max <= 0:
-        raise ConfigError(f"tau-max must be positive, got {args.tau_max}")
+        raise ValueError(f"tau-max must be positive, got {args.tau_max}")
     field = EMField(args.e, args.b)
     p0 = np.asarray(args.p0, dtype=np.float64)
     if not np.all(np.isfinite(p0)):
-        raise ConfigError("momentum components must be finite")
+        raise ValueError("momentum components must be finite")
 
     header = ["tau", "p0", "p1", "p2", "p3"]
     # One row per sample: tau, p, and with --compare p_num, dev, shell_residual.
@@ -226,10 +221,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         _require_finite(table, taus, "tau", "momentum", "tau or the field", 1)
         rows = table.tolist()
     except MemoryError:
-        raise ConfigError(f"samples={args.samples} do not fit in memory; reduce samples") from None
+        raise ValueError(f"samples={args.samples} do not fit in memory; reduce samples") from None
     except ValueError as exc:
         # The library's overflow error names tau; this command sets it by tau-max.
-        raise ConfigError(str(exc).replace("reduce tau ", "reduce tau-max ")) from None
+        raise ValueError(str(exc).replace("reduce tau ", "reduce tau-max ")) from None
 
     keys = ["tau", "p"] + (["p_num", "dev", "shell_residual"] if args.compare else [])
     doc = {
@@ -249,11 +244,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 def cmd_np_dump(args: argparse.Namespace) -> int:
     kind = args.representation
-    tetrad = np_matrix() if kind == "spin_half_plus" else np_matrix_conjugate()
+    tetrad, entries = np_block_residuals(kind)
 
     generators, rows = [], []
-    for j, boost, mat, (off, r1, r2) in np_block_residuals(kind, tetrad):
-        pair = (0, j) if boost else DUAL_PAIRS[j]
+    for pair, j, boost, mat, (off, r1, r2) in entries:
         label, gen_kind = f"M{pair[0]}{pair[1]}", "boost" if boost else "rotation"
         generators.append({
             "label": label,
@@ -365,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -64,8 +64,7 @@ from numpy.typing import ArrayLike
 
 from .core import _UNIT, ETA, ArrayC, ArrayR, _frozen, _require_finite
 from .liealgebra import QoElement
-from .representations import DUAL_PAIRS, Representation
-from .triproduct import d_basis
+from .representations import Representation
 
 # Kernel sinh(x)/x switches to its Taylor expansion below this |x| to avoid
 # cancellation near null fields.
@@ -125,9 +124,10 @@ _BOOST_PLUS = _frozen([Representation("spin_half_plus").angular_matrix(0, j) for
 # delta_jk).  C-contiguous, so a single operator and a stack contract alike.
 _BOOST_TRACE = np.ascontiguousarray(_BOOST_PLUS.mT.reshape(3, 16).T)
 # Boost generators D_{0j} and their dual rotations Dperp_j, j = 1, 2, 3, as
-# rows of 16 real entries.
-_BOOST_ROWS = np.stack([d_basis(0, j) for j in (1, 2, 3)]).real.reshape(3, 16)
-_ROTATION_ROWS = np.stack([d_basis(*DUAL_PAIRS[j]) for j in (1, 2, 3)]).real.reshape(3, 16)
+# rows of 16 real entries: X_j = (D_{0j} + i Dperp_j) / 2, and doubling the
+# entries 0 and +/-1/2 is exact.
+_BOOST_ROWS = 2 * _BOOST_PLUS.real.reshape(3, 16)
+_ROTATION_ROWS = 2 * _BOOST_PLUS.imag.reshape(3, 16)
 
 
 def field_tensor(f: EMField) -> QoElement:

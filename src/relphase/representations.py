@@ -482,25 +482,28 @@ def np_blocks(a: ArrayLike) -> tuple[ArrayC, ArrayC, float]:
     return a[:2, :2].copy(), a[2:, 2:].copy(), off
 
 
-def np_block_residuals(rep_kind: str,
-                       tetrad: NPBasis) -> list[tuple[int, bool, ArrayC, tuple[float, ...]]]:
-    """Pauli-block residuals of the six spin-1/2 angular images in a tetrad.
+def np_block_residuals(rep_kind: str) -> tuple[NPBasis, list[tuple]]:
+    """Pauli-block residuals of the six spin-1/2 angular images in the tetrad
+    their representation is block diagonal in.
 
-    One entry (j, boost, matrix, (off, first, second)) per generator: the
-    boosts M_{0j} for j = 1, 2, 3, then their dual rotations.  ``matrix`` is
-    the image in the tetrad coordinates; ``off`` is its largest off-block
-    entry, and ``first`` and ``second`` are the largest deviations of its
-    diagonal blocks from :func:`np_block_pattern`.  The plus representation
-    is block diagonal in :func:`np_matrix`, the minus one in
-    :func:`np_matrix_conjugate`.
+    Returns ``(tetrad, entries)``.  The tetrad is :func:`np_matrix` for the
+    plus representation and :func:`np_matrix_conjugate` for the minus one;
+    any other kind raises ValueError.  One entry (pair, j, boost, matrix,
+    (off, first, second)) per generator M_pair: the boosts (0, j) for j = 1,
+    2, 3, then their dual rotations ``DUAL_PAIRS[j]``.  ``matrix`` is the
+    image in the tetrad coordinates; ``off`` is its largest off-block entry,
+    and ``first`` and ``second`` are the largest deviations of its diagonal
+    blocks from :func:`np_block_pattern`.
     """
-    out = []
+    # np_block_pattern raises the ValueError for any other kind.
+    tetrad = np_matrix() if rep_kind == "spin_half_plus" else np_matrix_conjugate()
+    entries = []
     for boost in (True, False):
         for j in (1, 2, 3):
             pair = (0, j) if boost else DUAL_PAIRS[j]
             matrix = to_np_basis(_image(rep_kind, "angular", pair).l0.matrix, tetrad)
             b1, b2, off = np_blocks(matrix)
             e1, e2 = np_block_pattern(j, boost, rep_kind)
-            out.append((j, boost, matrix,
-                        (off, float(np.abs(b1 - e1).max()), float(np.abs(b2 - e2).max()))))
-    return out
+            entries.append((pair, j, boost, matrix,
+                            (off, float(np.abs(b1 - e1).max()), float(np.abs(b2 - e2).max()))))
+    return tetrad, entries

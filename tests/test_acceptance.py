@@ -11,8 +11,7 @@ import time
 
 import numpy as np
 
-from relphase import (EMField, Representation, d_basis, d_pm,
-                      exponential_flow, np_matrix)
+from relphase import EMField, Representation, d_basis, d_pm, exponential_flow
 from relphase.representations import DUAL_PAIRS, np_block_residuals
 from relphase.verify import (_jordan_check, _poincare_checks,
                              boost_closed_form_residual, car_residual,
@@ -97,7 +96,7 @@ def test_criterion_5_boost_reproduction():
 
 
 def test_criterion_6_null_tetrad_pauli_blocks():
-    worst = max(max(res) for *_, res in np_block_residuals("spin_half_plus", np_matrix()))
+    worst = max(max(res) for *_, res in np_block_residuals("spin_half_plus")[1])
     report(6, "six angular generators block-diagonal with Pauli blocks",
            worst, 1e-12,
            note="second block carries a documented sign flip on axis 3")

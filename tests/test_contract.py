@@ -9,7 +9,9 @@ Each row calls one name of ``relphase.__all__`` and checks:
 * read-only or fresh: constants, images, tables and element arrays are
   read-only, neither they nor their ``.base`` can be made writable again,
   and they share no memory with the inputs; the closed flows return fresh
-  writable arrays.
+  writable arrays;
+* threads: the single-input call made from four threads at once gives the
+  bits of the same call made from one.
 
 One ``hypothesis`` property checks the overflow rule of every
 parameter-driven callable.  A new public callable needs a row here, or an
@@ -17,7 +19,9 @@ entry with its reason in ``EXEMPT``.
 """
 
 import dataclasses
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -297,6 +301,28 @@ def test_contract(row):
         for x in (a, a.base):
             with pytest.raises(ValueError):
                 x.setflags(write=True)
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row.id for row in ROWS])
+def test_contract_from_four_threads(row):
+    batch = np.broadcast_shapes(*map(axes, row.args, row.core))
+    args = [take(a, batch, c)[0] for a, c in zip(row.args, row.core)]
+    want = parts(row.call(*args))
+    barrier = threading.Barrier(4)
+
+    def call():
+        barrier.wait(timeout=30)
+        return parts(row.call(*args))
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        outs = [future.result() for future in [pool.submit(call) for _ in range(4)]]
+    for got in outs:
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            if isinstance(w, (str, bool, np.bool_)):
+                assert g == w
+            else:
+                assert_same_bits(g, w)
 
 
 EMPTY_X = GradedElement(QoElement(X.l0.matrix[:0]), X.l1[:0], X.l2[:0])

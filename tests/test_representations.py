@@ -299,8 +299,7 @@ class TestNullTetrad:
     @pytest.mark.parametrize("boost", [True, False], ids=["boost", "rotation"])
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_plus_blocks(self, j, boost):
-        blocks = {(axis, b): res for axis, b, _, res in
-                  np_block_residuals("spin_half_plus", np_matrix())}
+        blocks = {(axis, b): res for _, axis, b, _, res in np_block_residuals("spin_half_plus")[1]}
         off, first, second = blocks[(j, boost)]
         assert off < 1e-12
         assert first < 1e-12
@@ -321,13 +320,30 @@ class TestNullTetrad:
         np.testing.assert_allclose(e2, +0.5 * PAULI[2])
 
     def test_minus_blocks_are_conjugates(self):
-        conj_t = np_matrix_conjugate()
-        for j in (1, 2, 3):
-            for boost in (True, False):
-                pair = (0, j) if boost else DUAL_PAIRS[j]
-                a_minus = to_np_basis(MINUS.angular_matrix(*pair), conj_t)
-                a_plus = to_np_basis(PLUS.angular_matrix(*pair))
-                np.testing.assert_allclose(a_minus, np.conj(a_plus), atol=1e-14)
+        # each in the tetrad its representation is block diagonal in
+        _, plus = np_block_residuals("spin_half_plus")
+        _, minus = np_block_residuals("spin_half_minus")
+        for (pair, _, _, a_plus, _), (pair_minus, _, _, a_minus, _) in zip(plus, minus):
+            assert pair_minus == pair
+            np.testing.assert_allclose(a_minus, np.conj(a_plus), atol=1e-14)
+
+    @pytest.mark.parametrize("kind, tetrad", [("spin_half_plus", np_matrix),
+                                              ("spin_half_minus", np_matrix_conjugate)])
+    def test_block_residuals_pick_the_tetrad(self, kind, tetrad):
+        got, entries = np_block_residuals(kind)
+        want = tetrad()
+        assert got.labels == want.labels
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.inverse.tobytes() == want.inverse.tobytes()
+        assert [entry[:3] for entry in entries] == (
+            [((0, j), j, True) for j in (1, 2, 3)] + [(DUAL_PAIRS[j], j, False) for j in (1, 2, 3)])
+        for pair, _, _, matrix, _ in entries:
+            want_matrix = to_np_basis(Representation(kind).angular_matrix(*pair), want)
+            assert matrix.tobytes() == want_matrix.tobytes()
+
+    def test_block_residuals_need_a_spin_half_kind(self):
+        with pytest.raises(ValueError, match="no block pattern for representation 'spin1'"):
+            np_block_residuals("spin1")
 
 
 class TestNonFiniteFlows:

@@ -10,9 +10,10 @@ from relphase import (DUAL_PAIRS, ETA, EMField, GradedElement, PoincareGenerator
                       evolve_closed_form, evolve_numeric, exp_faraday, exponential_flow,
                       faraday_components, faraday_conjugate, faraday_tensor, field_tensor,
                       graded_bracket, half_flow_closed, half_graded_bracket, invariant_z,
-                      is_in_qo, np_matrix, np_matrix_conjugate, qo_basis, qo_from_operator,
+                      is_in_qo, np_matrix, qo_basis, qo_from_operator,
                       qo_realize, rotation_flow_closed, scalar_product, scalar_square,
-                      symplectic_bracket, tri_product, tri_product_coords, verify)
+                      representations, symplectic_bracket, tri_product, tri_product_coords,
+                      verify)
 from relphase.em import _sinhc
 from relphase.liealgebra import QO_BASIS_PAIRS
 from relphase.representations import NPBasis, np_block_residuals
@@ -354,9 +355,8 @@ def loop_representations(rng):
                      float(np.abs(tetrad.inverse @ tetrad.matrix - eye).max()))
     v = _rvec(rng)
     round_trip = max(round_trip, _rel(tetrad.from_np_coords(tetrad.to_np_coords(v)), v))
-    blocks = max(max(res) for kind, t in (("spin_half_plus", np_matrix()),
-                                          ("spin_half_minus", np_matrix_conjugate()))
-                 for *_, res in np_block_residuals(kind, t))
+    blocks = max(max(res) for kind in ("spin_half_plus", "spin_half_minus")
+                 for *_, res in np_block_residuals(kind)[1])
     out += [inverse, real, conjugate_gap, round_trip, blocks,
             half_angle_period_residual(plus.angular_matrix(1, 2), d_basis(1, 2))]
 
@@ -528,7 +528,8 @@ def wrong_closed_boost(mp, change=lambda g: 2.0 * g):
 
 def np_blocks_minus_in_plus_tetrad(mp):
     # the minus images are block diagonal in the conjugate tetrad only
-    res = [r for *_, r in np_block_residuals("spin_half_minus", np_matrix())]
+    mp.setattr(representations, "np_matrix_conjugate", np_matrix)
+    res = [r for *_, r in np_block_residuals("spin_half_minus")[1]]
     return [(max(r[k] for r in res), 1e-12) for k in range(3)]
 
 
