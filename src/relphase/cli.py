@@ -37,7 +37,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import re
 import sys
@@ -54,10 +53,6 @@ from .verify import DEFAULT_TOLERANCE, run_all
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
-
-
-def format_float(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def format_complex(z: complex) -> str:
@@ -80,7 +75,7 @@ def _cell(x):
     """A CSV cell: floats with 17 significant digits, booleans as true/false."""
     if isinstance(x, bool):
         return "true" if x else "false"
-    return format_float(x) if isinstance(x, float) else x
+    return f"{x:.17g}" if isinstance(x, float) else x
 
 
 def _emit(args: argparse.Namespace, doc, header: list[str], rows, status: int,
@@ -161,8 +156,6 @@ def cmd_transform(args: argparse.Namespace) -> int:
     gen = parse_generator(args.generator)
     if gen.kind != "angular":
         raise ValueError(f"transform needs an angular generator label, got {args.generator!r}")
-    if not math.isfinite(args.phi):
-        raise ValueError(f"phi must be finite, got {args.phi}")
     rep = Representation(args.representation)
     v = phase_vector([parse_complex(c) for c in args.component])
     # Overflow is detected on the results, so numpy's warnings are noise.
@@ -200,8 +193,6 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         raise ValueError(f"tau-max must be positive, got {args.tau_max}")
     field = EMField(args.e, args.b)
     p0 = np.asarray(args.p0, dtype=np.float64)
-    if not np.all(np.isfinite(p0)):
-        raise ValueError("momentum components must be finite")
 
     header = ["tau", "p0", "p1", "p2", "p3"]
     # One row per sample: tau, p, and with --compare p_num, dev, shell_residual.
@@ -286,7 +277,7 @@ class _Parser(argparse.ArgumentParser):
     because its negative-number pattern has no exponent, and the command then
     fails with a missing-argument error.  The digit part is the pattern of
     3.13 on.  ``-inf``, ``-infinity`` and ``-nan`` (any case) are numbers to
-    ``float`` too, so they reach the command's own finiteness checks, and
+    ``float`` too, so they reach the library's finiteness checks, and
     ``-i`` is the component -1j to :func:`parse_complex`; no relphase option
     starts with a digit, ``inf`` or ``nan``, or is ``-i`` or ``-j``.
     """
@@ -313,9 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("verify", help="run every invariant suite")
+    sub.add_parser("verify", help="run every invariant suite").set_defaults(run=cmd_verify)
 
     p_tr = sub.add_parser("transform", help="apply an exponential generator flow to a vector")
+    p_tr.set_defaults(run=cmd_transform)
     p_tr.add_argument("representation", choices=REPRESENTATION_KINDS)
     p_tr.add_argument("generator", help="angular generator label, e.g. M01 or M12")
     p_tr.add_argument("phi", type=float, help="flow parameter (rapidity or angle)")
@@ -323,6 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="four vector components, each 're' or 're+imi'")
 
     p_ev = sub.add_parser("evolve", help="evolve a four-momentum in a uniform field")
+    p_ev.set_defaults(run=cmd_evolve)
     p_ev.add_argument("e", type=float, nargs=3, metavar="E",
                       help="electric field components EX EY EZ")
     p_ev.add_argument("b", type=float, nargs=3, metavar="B",
@@ -337,28 +330,19 @@ def build_parser() -> argparse.ArgumentParser:
                       help="internal integrator steps per sample (default: %(default)s)")
 
     p_np = sub.add_parser("np-dump", help="null-tetrad block structure of the spin-1/2 generators")
+    p_np.set_defaults(run=cmd_np_dump)
     p_np.add_argument("representation",
                       choices=[k for k in REPRESENTATION_KINDS if k.startswith("spin_half")])
 
     return parser
 
 
-COMMANDS = {
-    "verify": cmd_verify,
-    "transform": cmd_transform,
-    "evolve": cmd_evolve,
-    "np-dump": cmd_np_dump,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not np.isfinite(args.tolerance) or args.tolerance <= 0:
-        print(f"error: tolerance must be positive, got {args.tolerance}", file=sys.stderr)
-        return USAGE_ERROR
+    args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        if not np.isfinite(args.tolerance) or args.tolerance <= 0:
+            raise ValueError(f"tolerance must be positive, got {args.tolerance}")
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

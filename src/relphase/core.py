@@ -26,8 +26,10 @@ has the same bits as the single-vector call on that entry.
 Overflow, one rule for the library: a function of an unbounded parameter
 (a rapidity phi, a proper time tau, a step count) raises ValueError
 starting ``non-finite result at`` and naming the first parameter whose
-result is not finite; it never returns inf or NaN.  ``_require_finite``
-writes that message for every module.  The ``em`` functions
+result is not finite; it never returns inf or NaN.  When that parameter is
+itself NaN or infinite, the ValueError reads ``<name> must be finite, got
+<value>`` instead (``phi must be finite, got inf``).  ``_require_finite``
+writes both messages for every module.  The ``em`` functions
 (``exp_faraday``, ``evolve_closed_form``, ``evolve_numeric``) raise without
 a numpy warning.  The closed flows ``boost_flow_closed``,
 ``rotation_flow_closed`` and ``half_flow_closed`` let numpy's RuntimeWarnings
@@ -110,7 +112,9 @@ def _require_finite(values: ArrayLike, param: ArrayLike, name: str, what: str, h
     """Return ``values``, or raise the library's overflow ValueError: ``non-finite
     result at <name>=<bad>: the <what> overflows double precision; reduce
     <hint>``, with ``bad`` the entry of ``param`` at the first non-finite
-    entry of ``values`` in C order.
+    entry of ``values`` in C order.  When ``bad`` is itself NaN or infinite
+    the input, not the arithmetic, is at fault, and the message is ``<name>
+    must be finite, got <bad>``.
 
     ``values`` has the axes of ``param`` (broadcast) followed by ``trailing``
     axes of one result: flows at rapidities ``phis[..., None, None]`` take
@@ -122,6 +126,8 @@ def _require_finite(values: ArrayLike, param: ArrayLike, name: str, what: str, h
         return values
     params = np.reshape(param, np.shape(param) + (1,) * trailing)
     bad = float(np.broadcast_to(params, finite.shape)[~finite][0])
+    if not np.isfinite(bad):
+        raise ValueError(f"{name} must be finite, got {bad:.17g}")
     raise ValueError(f"non-finite result at {name}={bad:.17g}: the {what} overflows "
                      f"double precision; reduce {hint}")
 

@@ -39,11 +39,16 @@ types: a :class:`FieldInvariant` of ``complex``, ``(4, 4)`` operators,
 A result that overflows double precision is an error:
 :func:`exp_faraday`, :func:`evolve_closed_form` and :func:`evolve_numeric`
 raise ValueError naming the first proper time whose result is not finite,
-never return inf or NaN.  They silence numpy's overflow and invalid-value
-warnings on the computation whose result they check, so the ValueError is
-the only signal.  :func:`invariant_z` and :func:`lorentz_force` are
-polynomial kernels: they follow numpy and return inf or NaN with a
-RuntimeWarning.
+never return inf or NaN; a NaN or infinite proper time is named as an
+input error, ``tau must be finite, got inf``.  They silence numpy's
+overflow and invalid-value warnings on the computation whose result they
+check, so the ValueError is the only signal.  :func:`invariant_z` and
+:func:`lorentz_force` are polynomial kernels: they follow numpy and return
+inf or NaN with a RuntimeWarning.
+
+The initial momentum of both evolutions is checked by one helper before
+any arithmetic: it has shape ``(..., 4)`` and finite components, or the
+call raises ValueError (``momentum components must be finite``).
 
 The independent oracle is :func:`evolve_numeric`, classical fixed-step RK4
 built from the evolution generator A alone.  For this linear equation one
@@ -60,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import ArrayLike
+from numpy.typing import ArrayLike, NDArray
 
 from .core import _UNIT, ETA, ArrayC, ArrayR, _frozen, _require_finite
 from .liealgebra import QoElement
@@ -269,6 +274,17 @@ def exp_faraday_conjugate(f: EMField, tau: ArrayLike) -> ArrayC:
     return np.conj(exp_faraday(f, tau))
 
 
+def _momentum(p0: ArrayLike, dtype: type) -> NDArray:
+    """``p0`` as a ``dtype`` array of shape ``(..., 4)``; raises ValueError
+    when the last axis is not 4 or a component is NaN or infinite."""
+    p = np.asarray(p0, dtype=dtype)
+    if p.shape[-1:] != (4,):
+        raise ValueError(f"momentum must have 4 components, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError("momentum components must be finite")
+    return p
+
+
 def evolve_closed_form(f: EMField, p0: ArrayLike, tau: ArrayLike,
                        imag_tol: float = 1e-9) -> ArrayR:
     """Evolve a real four-momentum through proper time tau in closed form.
@@ -281,9 +297,7 @@ def evolve_closed_form(f: EMField, p0: ArrayLike, tau: ArrayLike,
     shell p^2 = p0^2.  Raises ValueError when an evolved momentum is not
     finite, or when its imaginary residual exceeds imag_tol * max(1, |p|).
     """
-    p0 = np.asarray(p0, dtype=np.complex128)
-    if p0.shape[-1:] != (4,):
-        raise ValueError(f"momentum must have 4 components, got shape {p0.shape}")
+    p0 = _momentum(p0, np.complex128)
     if np.abs(p0.imag).max(initial=0.0) > imag_tol:
         raise ValueError("evolve_closed_form expects a real four-momentum")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -328,9 +342,7 @@ def evolve_numeric(f: EMField, p0: ArrayLike, tau: ArrayLike, steps: int) -> Arr
     taus = np.asarray(tau, dtype=np.float64)
     if taus.ndim > 1:
         raise ValueError(f"tau must be a scalar or a 1-D array, got shape {taus.shape}")
-    p = np.asarray(p0, dtype=np.float64)
-    if p.shape[-1:] != (4,):
-        raise ValueError(f"momentum must have 4 components, got shape {p.shape}")
+    p = _momentum(p0, np.float64)
     eye = np.eye(4)
     with np.errstate(over="ignore", invalid="ignore"):
         x = (taus[..., None, None] / steps) * evolution_generator(f)

@@ -340,9 +340,9 @@ def rotation_flow_closed(k: int, l: int, phi: float) -> ArrayC:
     odd = sin(phi) and even = 1 - cos(phi); k = l gives D = 0 and the
     identity.  D and D^2 come from a table built at import, so a call makes
     no generator.  Returns a new writable array.  Raises ValueError when k
-    or l is outside 0..3 (d_basis's error) or when the flow overflows (phi
-    not finite, or |phi| beyond about 710.48 on a boost plane); an overflow
-    emits numpy's RuntimeWarnings first.  D has entries 0 and +/-1 and D^2
+    or l is outside 0..3 (d_basis's error), when phi is NaN or infinite, or
+    when the flow overflows (|phi| beyond about 710.48 on a boost plane); an
+    overflow emits numpy's RuntimeWarnings first.  D has entries 0 and +/-1 and D^2
     entries 0 and 1, so the result is finite exactly when both coefficients
     are; checking them is cheaper than checking the result.
     """
@@ -458,7 +458,10 @@ def np_block_pattern(j: int, boost: bool, rep_kind: str = "spin_half_plus") -> t
     The second block equals -sigma_j/2 (resp. i sigma_j/2) for j in {1, 2}
     and carries the opposite sign for j = 3.  The minus-representation blocks
     (taken in the conjugated tetrad ordering) are the entrywise conjugates.
+    Raises ValueError when j is not 1, 2 or 3.
     """
+    if j not in DUAL_PAIRS:
+        raise ValueError(f"axis must be 1, 2 or 3, got {j}")
     sig = PAULI[j - 1]
     first = -0.5 * np.conj(sig)
     second = -0.5 * (PAULI[0] @ np.conj(sig) @ PAULI[0])

@@ -37,10 +37,10 @@ import numpy as np
 
 from .core import (ETA, basis, conjugate, decompose, scalar_product,
                    scalar_square, symplectic_bracket)
-from .em import (_BOOST_PLUS, EMField, _closed_flow, _faraday, _minkowski_square,
-                 evolution_generator, evolve_closed_form, evolve_numeric, exp_faraday,
-                 faraday_components, faraday_conjugate, faraday_tensor, field_tensor,
-                 invariant_z)
+from .em import (_BOOST_PLUS, EMField, _closed_flow, _faraday, _half_root,
+                 _minkowski_square, evolution_generator, evolve_closed_form, evolve_numeric,
+                 exp_faraday, faraday_components, faraday_conjugate, faraday_tensor,
+                 field_tensor, invariant_z)
 from .liealgebra import (QO_BASIS_PAIRS, GradedElement, QoElement, _group_residual,
                          commutator, graded_bracket, is_in_qo, qo_basis,
                          qo_from_operator, qo_realize)
@@ -561,7 +561,7 @@ def flow_invariance_residual(fields: EMField, axes, phis) -> float:
     z = invariant_z(fields).z
     # hypot(re, im) is the modulus abs() gives a Python complex; numpy's
     # complex abs can differ from it in the last bit.
-    change = np.add.reduce(comps * comps, axis=-1) - z
+    change = _half_root(comps)[0] - z
     return float((np.hypot(change.real, change.imag)
                   / np.maximum(1.0, np.hypot(z.real, z.imag))).max())
 

@@ -85,6 +85,13 @@ class TestVerifyCommand:
         report = json.loads(out.read_text())
         assert not all(s["pass"] for s in report)
 
+    @pytest.mark.parametrize("tolerance", ["0", "nan", "-1e-12"])
+    def test_bad_tolerance_is_usage_error(self, tolerance, capsys):
+        assert main(["--tolerance", tolerance, "verify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tolerance must be positive, got {float(tolerance)}\n"
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "r.csv"
         assert main(["--format", "csv", "--output", str(out), "verify"]) == 0
@@ -183,10 +190,11 @@ class TestTransformCommand:
 
     @pytest.mark.parametrize("phi", ["inf", "nan"])
     def test_non_finite_phi_is_usage_error(self, phi, capsys):
+        # the message of the closed flow, not of a check in the CLI
         assert main(["transform", "spin1", "M12", phi, "1", "0", "0", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: phi must be finite")
+        assert captured.err == f"error: phi must be finite, got {phi}\n"
 
 
 def run_quiet(argv):
@@ -404,10 +412,12 @@ class TestEvolveCommand:
          "phase vector coordinates must be finite"),
         (["evolve", "-NaN", "0", "0", "0", "0", "0", "1", "0", "0", "0", "1", "2"],
          "e components must be finite"),
+        (["evolve", "1", "0", "0", "0", "0", "0", "1", "-nan", "0", "0", "1", "2"],
+         "momentum components must be finite"),
     ])
     def test_negative_non_finite_arguments_are_numbers(self, argv, message, capsys):
         # argparse must not read -inf or -nan as an option and blame a
-        # missing argument; the command's own check reports them
+        # missing argument; the library's check reports them
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

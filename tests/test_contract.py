@@ -14,8 +14,10 @@ Each row calls one name of ``relphase.__all__`` and checks:
   bits of the same call made from one.
 
 One ``hypothesis`` property checks the overflow rule of every
-parameter-driven callable.  A new public callable needs a row here, or an
-entry with its reason in ``EXEMPT``.
+parameter-driven callable, and one test that each names a NaN or infinite
+parameter as an input error.  A last table gives each input check its
+exact message.  A new public callable needs a row here, or an entry with
+its reason in ``EXEMPT``.
 """
 
 import dataclasses
@@ -437,3 +439,62 @@ def test_overflow_gives_a_finite_result_or_names_the_first_bad_parameter(subject
             assert stacked == next((r for r in errors if r.startswith("non-finite")), errors[0])
         elif stack:
             assert_same_bits(stacked, np.reshape(results, np.shape(stacked)))
+
+
+# A subject of each source whose result overflows at the parameter 1e80.
+OVERFLOWING = {"field": ([3.0, 0, 0], [0, 0, 0], [1.0, 0, 0, 0]), "image": IMAGES[0],
+               "half": IMAGES[12], "boost": 1, "pair": (0, 1)}
+
+
+@pytest.mark.parametrize("name", OVERFLOW)
+def test_a_non_finite_parameter_is_an_input_error(name):
+    # A NaN or infinite phi or tau is named as the input at fault, in a
+    # single call and as the second parameter of a stack; a finite one whose
+    # result overflows keeps the overflow message.
+    source, single, stack = OVERFLOW[name]
+    param = "tau" if source == "field" else "phi"
+    subject = OVERFLOWING[source]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore" if param == "phi" else "error")
+        for p in (np.nan, np.inf, -np.inf):
+            message = f"^{param} must be finite, got {p:.17g}$"
+            with pytest.raises(ValueError, match=message):
+                single(subject, p)
+            if stack:
+                with pytest.raises(ValueError, match=message):
+                    stack([subject], [0.5, p])
+        with pytest.raises(ValueError, match=rf"^non-finite result at {param}=1e\+80: the "):
+            single(subject, 1e80)
+
+
+FIELD = EMField([1.0, 0, 0], [0, 0, 0])
+# (call, arguments, the whole message of its ValueError)
+INPUT_ERRORS = [
+    (basis, (4,), r"basis index must be in 0\.\.3, got 4"),
+    (qo_realize, (np.zeros((3, 3)),), r"coefficient tensor must be 4x4, got shape \(3, 3\)"),
+    (PoincareGenerator.translation, (4,), r"translation index must be in 0\.\.3, got 4"),
+    (d_perp, (0,), "dual index must be 1, 2 or 3, got 0"),
+    (d_pm, (1, 0), r"sign must be \+1 or -1, got 0"),
+    (pi_half, (PoincareGenerator.angular(0, 1), 0), r"sign must be \+1 or -1, got 0"),
+    (Representation, ("spin2",), "unknown representation 'spin2'"),
+    (np_block_pattern, (0, True), "axis must be 1, 2 or 3, got 0"),
+    (np_block_pattern, (4, False), "axis must be 1, 2 or 3, got 4"),
+    (evolve_closed_form, (FIELD, [1.0, 0, 0], 1.0),
+     r"momentum must have 4 components, got shape \(3,\)"),
+    (evolve_numeric, (FIELD, [1.0, 0, 0], 1.0, 9),
+     r"momentum must have 4 components, got shape \(3,\)"),
+    # NaN and infinite components, in a single momentum and the last of a
+    # stack, and a NaN imaginary part
+    *[(evolve_closed_form, (FIELD, p0, 1.0), "momentum components must be finite")
+      for p0 in ([np.nan, 0, 0, 0], [[1.0, 0, 0, 0], [0, 0, 0, np.inf]],
+                 [1, 0, 0, complex(0, np.nan)])],
+    *[(evolve_numeric, (FIELD, p0, 1.0, 9), "momentum components must be finite")
+      for p0 in ([np.nan, 0, 0, 0], [[1.0, 0, 0, 0], [0, 0, 0, -np.inf]])],
+]
+
+
+@pytest.mark.parametrize("call, args, message", INPUT_ERRORS,
+                         ids=[f"{c.__name__}-{i}" for i, (c, *_) in enumerate(INPUT_ERRORS)])
+def test_bad_input_is_a_value_error(call, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(*args)

@@ -363,10 +363,13 @@ class TestNonFiniteFlows:
 
 # Closed flows written as before the (D, D^2) tables: a fresh identity, D from
 # d_basis and D @ D at every call.  Each returns the flow or the message of
-# the ValueError it raised.
+# the ValueError it raised: a NaN or infinite phi is an input error, a
+# finite one an overflow.
 def _reference_result(g, phi):
     if np.isfinite(g).all():
         return g
+    if not np.isfinite(phi):
+        return f"phi must be finite, got {phi:.17g}"
     return (f"non-finite result at phi={phi:.17g}: the flow overflows double "
             "precision; reduce phi")
 
