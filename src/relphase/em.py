@@ -46,6 +46,12 @@ check, so the ValueError is the only signal.  :func:`invariant_z` and
 :func:`lorentz_force` are polynomial kernels: they follow numpy and return
 inf or NaN with a RuntimeWarning.
 
+The half-root w of z/4, which the closed forms use, is sqrt(z)/2 wherever
+z is finite.  Where z overflows, the field's Faraday vector is divided by a
+power of two, the root taken, and the result multiplied back.  Both steps
+are exact, so w is finite for every finite field, and a field of 1e200 at
+tau = 1e-200 gives the boost by rapidity 1, not an overflow error.
+
 The initial momentum of both evolutions is checked by one helper before
 any arithmetic: it has shape ``(..., 4)`` and finite components, or the
 call raises ValueError (``momentum components must be finite``).
@@ -207,15 +213,39 @@ def lorentz_force(field_op: ArrayLike, p: ArrayLike) -> ArrayC:
 
 
 def _half_root(fc: ArrayC) -> tuple[ArrayC, ArrayC]:
-    """z and its half-root w of the Faraday vectors ``fc``, per field."""
+    """z and its half-root w of the Faraday vectors ``fc``, per field.
+
+    z is the plain sum of squares and follows numpy on overflow.  w is
+    sqrt(z)/2 wherever that is finite.  Where z overflows, w is taken from
+    fc divided by 2^k, with k from ``frexp`` of the field's largest real or
+    imaginary part less 500, so that the scaled squares stay below 2^1003,
+    and the root is multiplied back by 2^k.  Both steps are exact, and the
+    parts of w are at most sqrt(3)/2 times the largest part of fc, so w is
+    finite for every finite fc.  Each field takes its own branch, so an
+    entry of a stack has the bits of the single call.
+    """
     z = np.add.reduce(fc * fc, axis=-1)
-    return z, np.sqrt(z + 0j) / 2.0
+    w = np.sqrt(z + 0j) / 2.0
+    finite = np.isfinite(w)
+    # Cheaper than finite.all() on the scalar of a single field.
+    if np.count_nonzero(finite) == finite.size:
+        return z, w
+    # Real and imaginary parts side by side, shape (..., 6).
+    parts = np.ascontiguousarray(fc).view(np.float64)
+    k = np.maximum(np.frexp(np.abs(parts).max(axis=-1))[1] - 500, 0)
+    scaled = np.ldexp(parts, -k[..., None]).view(np.complex128)
+    root = np.sqrt(np.add.reduce(scaled * scaled, axis=-1) + 0j)[..., None]
+    rescaled = np.ldexp(root.view(np.float64), k[..., None] - 1).view(np.complex128)[..., 0]
+    return z, np.where(finite, w, rescaled)[()]
 
 
 def invariant_z(f: EMField) -> FieldInvariant:
     """Complex invariant z = sum_j (E^j + i B^j)^2 and its half-root w.
 
-    Follows numpy on overflow: z and w are inf or NaN, with a RuntimeWarning.
+    z follows numpy on overflow: inf or NaN, with a RuntimeWarning.  w is
+    sqrt(z)/2 wherever z is finite; where z overflows it is taken from the
+    field divided by a power of two, so it is finite for every finite field
+    (w = 5e199 for E = (1e200, 0, 0)).
     """
     z, w = _half_root(f.faraday_vector)
     if np.ndim(z) == 0:

@@ -192,6 +192,27 @@ _GRADED_IMAGES = {
 REPRESENTATION_KINDS = tuple(_GRADED_IMAGES)
 
 
+def _square_sign(x: ArrayC) -> bool:
+    """True when the 4x4 operator X squares to +I/4, False for -I/4; raises
+    ValueError when X^2 is neither within 1e-12."""
+    sq = x @ x
+    # A Python complex: the sign test costs less than on numpy scalars.
+    s = complex(sq[0, 0]) / 0.25
+    boost = abs(s - 1.0) < 1e-12
+    if not (boost or abs(s + 1.0) < 1e-12) or abs(sq - 0.25 * s * _UNIT).max() > 1e-12:
+        raise ValueError("operator does not square to +/- I/4")
+    return boost
+
+
+# id(matrix) -> (matrix, sign of its square) for the 24 spin-1/2 angular
+# images, checked once here.  Holding the matrix keeps its id from being
+# reused; the images are immutable, so the sign never goes stale.
+_HALF_SIGNS = {id(m): (m, _square_sign(m))
+               for kind in ("spin_half_plus", "spin_half_minus")
+               for (label, _), image in _GRADED_IMAGES[kind].items() if label == "angular"
+               for m in [image.l0.matrix]}
+
+
 def _image(kind: str, label: str, indices: tuple[int, ...]) -> GradedElement:
     """The image of the generator ``label`` ("translation" or "angular") with
     the ordered ``indices``."""
@@ -365,21 +386,31 @@ def half_flow_closed(x: ArrayLike, phi: float) -> ArrayC:
         exp(phi X) = cos(phi/2) I + 2 sin(phi/2) X        (s = -1)
     Returns a new writable array.  Raises ValueError when X is not 4x4 or
     X^2 is not +/- I/4 within 1e-12, and when the result is not finite (an
-    overflow emits numpy's RuntimeWarnings first): X may have large entries,
-    so finite coefficients do not make a finite result.
+    overflow emits numpy's RuntimeWarnings first).
+
+    The 24 spin-1/2 angular images of the library's tables are checked once,
+    at import: a call on one of those arrays (``angular_matrix``, ``rep(g)``)
+    reads the stored sign of X^2 and checks only the two coefficients, since
+    the entries 0, +/-1/2 and +/-i/2 on a zero diagonal give a finite result
+    exactly when both are finite.  Any other operator, a copy of an image
+    included, is checked on every call, and so is every entry of its result:
+    X may have large entries, so finite coefficients do not make a finite
+    result.
     """
     x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (4, 4):
+    entry = _HALF_SIGNS.get(id(x))
+    table = entry is not None and entry[0] is x
+    if table:
+        boost = entry[1]
+    elif x.shape != (4, 4):
         raise ValueError(f"operator must be 4x4, got shape {x.shape}")
-    sq = x @ x
-    # A Python complex: the sign test costs less than on numpy scalars.
-    s = complex(sq[0, 0]) / 0.25
-    boost = abs(s - 1.0) < 1e-12
-    if not (boost or abs(s + 1.0) < 1e-12) or abs(sq - 0.25 * s * _UNIT).max() > 1e-12:
-        raise ValueError("operator does not square to +/- I/4")
+    else:
+        boost = _square_sign(x)
     even, odd = ((np.cosh(phi / 2), 2 * np.sinh(phi / 2)) if boost
                  else (np.cos(phi / 2), 2 * np.sin(phi / 2)))
-    return _require_finite(even * _UNIT + odd * x, phi, "phi", "flow", "phi")
+    g = even * _UNIT + odd * x
+    return (g if table and math.isfinite(even) and math.isfinite(odd)
+            else _require_finite(g, phi, "phi", "flow", "phi"))
 
 
 # ---------------------------------------------------------------------------

@@ -389,6 +389,15 @@ class TestEvolveCommand:
         assert all(math.isfinite(v) for v in [*last["p_num"], last["dev"]])
         assert last["shell_residual"] < 1e-10
 
+    def test_huge_field_at_tiny_times(self, capsys):
+        # z overflows, but tau |E| stays at most 1: the rows are a boost of p0
+        assert main(["--format", "csv", "evolve", "1e200", "0", "0", "0", "0", "0",
+                     "1", "0", "0", "0", "1e-200", "3"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[1] == ["0", "1", "0", "0", "0"]
+        last = [float(v) for v in rows[3][1:]]
+        assert last == pytest.approx([math.cosh(1.0), -math.sinh(1.0), 0.0, 0.0], rel=1e-15)
+
     def test_negative_exponent_arguments_are_numbers(self, tmp_path):
         out = tmp_path / "e.csv"
         assert main(["--format", "csv", "--output", str(out), "evolve",

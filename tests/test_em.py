@@ -175,6 +175,16 @@ class TestInvariant:
             inv = invariant_z(f)
             assert abs(inv.w ** 2 - inv.z / 4) < 1e-14
 
+    def test_half_root_is_finite_for_huge_fields(self):
+        # z = 1e400 overflows and follows numpy; w = 5e199 is exact, and so is
+        # a w whose parts sit near the largest float
+        with pytest.warns(RuntimeWarning):
+            inv = invariant_z(EMField([1e200, 0, 0], [0, 0, 0]))
+        assert inv.z == complex(np.inf, 0) and inv.w == 5e199
+        with np.errstate(all="ignore"):
+            inv = invariant_z(EMField([1e308, 0, -1.7e308], [0, 1e308, 0]))
+        assert inv.w == 8.5e307
+
     def test_invariance_under_boost_flows(self):
         rng = np.random.default_rng(28)
         fields = random_fields(29, 30)
@@ -215,6 +225,14 @@ class TestExpFaraday:
         f = EMField([0.2, -0.3, 0.4], [0.6, 0.1, -0.5])
         np.testing.assert_allclose(exp_faraday_conjugate(f, 1.3),
                                    np.conj(exp_faraday(f, 1.3)), atol=1e-15)
+
+    def test_huge_field_at_a_tiny_time(self):
+        # tau |E| = 1: the boost by rapidity 1, although z overflows
+        got = exp_faraday(EMField([1e200, 0, 0], [0, 0, 0]), 1e-200)
+        np.testing.assert_allclose(got, exp_faraday(EMField([1, 0, 0], [0, 0, 0]), 1.0),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(exp_faraday(EMField([1e200, 0, 0], [0, 0, 0]), 0.0),
+                                      np.eye(4))
 
     def test_small_invariant_kernel(self):
         # nearly null field exercises the series branch of sinh(x)/x

@@ -406,8 +406,11 @@ class TestClosedFlowContract:
         calls = [(boost_flow_closed, (j,), lambda j, phi: reference_spin1_flow(0, j, phi))
                  for j in range(4)]
         calls += [(rotation_flow_closed, pair, reference_spin1_flow) for pair in INDEX_PAIRS]
-        calls += [(half_flow_closed, (rep.angular_matrix(*pair),), reference_half_flow)
-                  for rep in (PLUS, MINUS) for pair in ORDERED_PAIRS]
+        # the table images, whose square is checked at import, and writable
+        # copies of them, checked on every call
+        calls += [(half_flow_closed, (image,), reference_half_flow)
+                  for rep in (PLUS, MINUS) for pair in ORDERED_PAIRS
+                  for image in (rep.angular_matrix(*pair), rep.angular_matrix(*pair).copy())]
         with np.errstate(all="ignore"):
             for flow, args, reference in calls:
                 want = reference(*args, phi)
@@ -418,6 +421,22 @@ class TestClosedFlowContract:
                 else:
                     np.testing.assert_array_equal(flow(*args, phi).view(np.uint64),
                                                   want.view(np.uint64))
+
+    def test_table_images_skip_the_square_check(self, monkeypatch):
+        # The sign of X^2 of each table image is read from the table built at
+        # import; any other array, a copy of an image too, is checked per call.
+        def refuse(x):
+            raise AssertionError("square check reached")
+
+        monkeypatch.setattr(representations, "_square_sign", refuse)
+        for rep in (PLUS, MINUS):
+            for pair in ORDERED_PAIRS:
+                x = rep.angular_matrix(*pair)
+                for phi in (-3.1, 0.0, 0.4, 25.0):
+                    np.testing.assert_array_equal(half_flow_closed(x, phi).view(np.uint64),
+                                                  reference_half_flow(x, phi).view(np.uint64))
+                with pytest.raises(AssertionError, match="square check reached"):
+                    half_flow_closed(x.copy(), 0.4)
 
     @pytest.mark.parametrize("pair", [(0, 4), (0, -1), (4, 1), (2, -1)])
     def test_bad_indices_raise_d_basis_error(self, pair):
