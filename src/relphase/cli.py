@@ -18,7 +18,9 @@ with) and ``--seed`` (drives all randomized suites).
 Output: every command builds one result and writes it in one place.
 ``--format json`` (the default) writes it as one indented JSON document,
 ``--format csv`` as a header row and one row per entry, with the same
-values; ``--output PATH`` writes it to PATH instead of stdout ('-' or unset
+values.  Every CSV line, the header included, ends in CRLF (``\\r\\n``, the
+``csv`` module's default), on stdout and in a file alike; JSON ends in one
+``\\n``.  ``--output PATH`` writes it to PATH instead of stdout ('-' or unset
 is stdout).  A command that fails writes nothing.
 
 Report payloads contain no timestamps: a fixed seed and flag set reproduces

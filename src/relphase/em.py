@@ -36,6 +36,15 @@ result of the single call on that entry, and single inputs keep their
 types: a :class:`FieldInvariant` of ``complex``, ``(4, 4)`` operators,
 ``(4,)`` momenta.
 
+A single field runs the same ufuncs in the same order as a stack, on numpy
+scalars where a stack has arrays, so it pays for its arithmetic rather than
+for array glue: w and the argument of sinh(x)/x are numpy complexes, tested
+without array reductions, no axes are added for one entry, and both
+evolutions' momenta go through ``np.matvec``, as a stack's do.  A momentum
+of a real dtype is taken as float64, without the complex cast and the
+imaginary-part check that a complex one gets.  The contract table checks
+that the single calls keep the bits of the stacks.
+
 A result that overflows double precision is an error:
 :func:`exp_faraday`, :func:`evolve_closed_form` and :func:`evolve_numeric`
 raise ValueError naming the first proper time whose result is not finite,
@@ -68,6 +77,7 @@ buffer and one ``np.add`` back into the momenta, and allocates nothing.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +108,8 @@ class EMField:
             v = _frozen(getattr(self, name), np.float64)
             if v.shape[-1:] != (3,):
                 raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-            if not np.isfinite(v).all():
+            # Cheaper than .all() on the three entries of one field.
+            if np.count_nonzero(np.isfinite(v)) != v.size:
                 raise ValueError(f"{name} components must be finite")
             object.__setattr__(self, name, v)
         if self.e.shape != self.b.shape:
@@ -222,21 +233,27 @@ def _half_root(fc: ArrayC) -> tuple[ArrayC, ArrayC]:
     and the root is multiplied back by 2^k.  Both steps are exact, and the
     parts of w are at most sqrt(3)/2 times the largest part of fc, so w is
     finite for every finite fc.  Each field takes its own branch, so an
-    entry of a stack has the bits of the single call.
+    entry of a stack has the bits of the single call.  A single field's w is
+    a numpy complex, and ``cmath.isfinite`` tests it.
     """
     z = np.add.reduce(fc * fc, axis=-1)
     w = np.sqrt(z + 0j) / 2.0
+    if fc.ndim == 1:
+        return z, w if cmath.isfinite(w) else _scaled_half_root(fc)[()]
     finite = np.isfinite(w)
-    # Cheaper than finite.all() on the scalar of a single field.
     if np.count_nonzero(finite) == finite.size:
         return z, w
+    return z, np.where(finite, w, _scaled_half_root(fc))
+
+
+def _scaled_half_root(fc: ArrayC) -> ArrayC:
+    """sqrt(z)/2 of every field, from fc divided by 2^k and multiplied back."""
     # Real and imaginary parts side by side, shape (..., 6).
     parts = np.ascontiguousarray(fc).view(np.float64)
     k = np.maximum(np.frexp(np.abs(parts).max(axis=-1))[1] - 500, 0)
     scaled = np.ldexp(parts, -k[..., None]).view(np.complex128)
     root = np.sqrt(np.add.reduce(scaled * scaled, axis=-1) + 0j)[..., None]
-    rescaled = np.ldexp(root.view(np.float64), k[..., None] - 1).view(np.complex128)[..., 0]
-    return z, np.where(finite, w, rescaled)[()]
+    return np.ldexp(root.view(np.float64), k[..., None] - 1).view(np.complex128)[..., 0]
 
 
 def invariant_z(f: EMField) -> FieldInvariant:
@@ -261,9 +278,11 @@ def _sinhc(x: ArrayLike) -> complex | ArrayC:
     Taylor terms are built from real and imaginary parts with one rounding
     per float operation: an entry has the same bits alone or in a stack.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    small = abs(x) < _SINHC_THRESHOLD
-    if not np.count_nonzero(small):
+    # One entry is a numpy complex, whose bool is tested as it is; a stack
+    # is an array.
+    x = np.asarray(x, dtype=np.complex128)[()]
+    small = np.absolute(x) < _SINHC_THRESHOLD
+    if not (small if x.ndim == 0 else np.count_nonzero(small)):
         return np.sinh(x) / x
     xr, xi = x.real, x.imag
     x2r, x2i = xr * xr - xi * xi, xr * xi + xi * xr
@@ -277,7 +296,10 @@ def _closed_flow(w: ArrayLike, tau: ArrayLike, op: ArrayC) -> ArrayC:
     """cosh(w tau) I + tau sinhc(w tau) op: exp(tau op) for an operator with
     op^2 = w^2 I, whichever root w is given."""
     x = w * tau
-    return np.cosh(x)[..., None, None] * _UNIT + (tau * _sinhc(x))[..., None, None] * op
+    even, odd = np.cosh(x), tau * _sinhc(x)
+    if np.ndim(x):
+        even, odd = even[..., None, None], odd[..., None, None]
+    return even * _UNIT + odd * op
 
 
 def _exp_faraday(f: EMField, tau: ArrayLike) -> ArrayC:
@@ -310,7 +332,7 @@ def _momentum(p0: ArrayLike, dtype: type) -> NDArray:
     p = np.asarray(p0, dtype=dtype)
     if p.shape[-1:] != (4,):
         raise ValueError(f"momentum must have 4 components, got shape {p.shape}")
-    if not np.isfinite(p).all():
+    if np.count_nonzero(np.isfinite(p)) != p.size:
         raise ValueError("momentum components must be finite")
     return p
 
@@ -327,12 +349,15 @@ def evolve_closed_form(f: EMField, p0: ArrayLike, tau: ArrayLike,
     shell p^2 = p0^2.  Raises ValueError when an evolved momentum is not
     finite, or when its imaginary residual exceeds imag_tol * max(1, |p|).
     """
-    p0 = _momentum(p0, np.complex128)
-    if np.abs(p0.imag).max(initial=0.0) > imag_tol:
+    p0 = np.asarray(p0)
+    # A real momentum needs neither the complex cast nor its imaginary check.
+    real = p0.dtype.kind in "biuf"
+    p0 = _momentum(p0, np.float64 if real else np.complex128)
+    if (0.0 if real else np.abs(p0.imag).max(initial=0.0)) > imag_tol:
         raise ValueError("evolve_closed_form expects a real four-momentum")
     with np.errstate(over="ignore", invalid="ignore"):
         x = _exp_faraday(f, tau)
-        p = (np.conj(x) @ (x @ p0.real[..., None]))[..., 0]
+        p = np.matvec(np.conj(x), np.matvec(x, p0.real))
     _require_finite(p, tau, "tau", "momentum", "tau or the field", 1)
     # |p| is only needed when a residual is above the absolute tolerance.
     if np.abs(p.imag).max(initial=0.0) > imag_tol:
@@ -406,7 +431,7 @@ def shell_drift(p0: ArrayLike, p: ArrayLike) -> float:
     p = np.asarray(p, dtype=np.float64)
     _, e = np.frexp(max(1.0, float(np.abs(p).max())))
     p0, p = np.ldexp(p0, -e), np.ldexp(p, -e)
-    scale = max(np.ldexp(1.0, -e), float(np.abs(p).max()))
+    scale = max(float(np.ldexp(1.0, -e)), float(np.abs(p).max()))
     return abs(float(_minkowski_square(p)) - float(_minkowski_square(p0))) / (scale * scale)
 
 

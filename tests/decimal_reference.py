@@ -12,7 +12,10 @@ significant digits.  cosh(x) - 1 and 1 - cos(x) are 2 sinh(x/2)^2 and
 The flows are the exact closed forms of exp(phi X) for an operator with
 entries that are exact in binary: ``half_flow`` for X^2 = +/- I/4 and
 ``rotation_flow`` for the spin-1 generator D = d_basis(k, l) and its square.
-``eps_error`` judges a double-precision flow against one of them.
+``faraday_flow`` is exp(tau Fc) for the Faraday operator of a field, and
+``evolution`` the momentum conj(exp(tau Fc)) exp(tau Fc) p0; their sinh and
+cosh are power series in (w tau)^2, so they need no complex root.
+``eps_error`` judges a double-precision result against one of them.
 """
 
 from __future__ import annotations
@@ -164,16 +167,89 @@ def rotation_flow(d, phi: float) -> list:
     raise ValueError("generator cube is not +/- the generator")
 
 
-def eps_error(got, want: list) -> float:
-    """Largest |got - want| / max(1, |want|) over the entries, in units of
-    EPS; |.| is the complex modulus.  The differences are exact to the
-    working precision; only the ratio is taken in doubles."""
-    got = np.asarray(got, dtype=np.complex128).tolist()
+def _cmul(a: tuple, b: tuple) -> tuple:
+    """The product of two complex numbers held as (re, im) pairs."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _kernel(u: tuple) -> tuple[tuple, tuple]:
+    """(cosh x, sinh(x)/x) for a complex x with x^2 = u, as (re, im) pairs:
+    the series sum u^n / (2n)! and sum u^n / (2n+1)!.  Both are even in x,
+    so no root is taken and the branch of x cannot matter."""
+    even = odd = term = (Decimal(1), Decimal(0))
+    n = 0
+    while True:
+        n += 1
+        term = tuple(t / ((2 * n - 1) * (2 * n)) for t in _cmul(term, u))
+        more = (even[0] + term[0], even[1] + term[1])
+        more_odd = (odd[0] + term[0] / (2 * n + 1), odd[1] + term[1] / (2 * n + 1))
+        if more == even and more_odd == odd:
+            return even, odd
+        even, odd = more, more_odd
+
+
+def _faraday_flow(e, b, tau, boosts) -> list:
+    """exp(tau Fc) at working precision, 4 rows of 4 (re, im) pairs."""
+    x = np.asarray(boosts, dtype=np.complex128).tolist()
+    fc = [(Decimal(float(ej)), Decimal(float(bj))) for ej, bj in zip(e, b)]
+    z = [sum(parts) for parts in zip(*(_cmul(f, f) for f in fc))]
+    t = Decimal(float(tau))
+    even, odd = _kernel((z[0] * t * t / 4, z[1] * t * t / 4))
+    flow = []
+    for r in range(4):
+        row = []
+        for c in range(4):
+            op = [sum(parts) for parts in zip(*(_cmul(f, (Decimal(xj[r][c].real),
+                                                           Decimal(xj[r][c].imag)))
+                                                 for f, xj in zip(fc, x)))]
+            entry = _cmul(odd, (t * op[0], t * op[1]))
+            row.append((entry[0] + (even[0] if r == c else 0), entry[1] + (even[1] if r == c else 0)))
+        flow.append(row)
+    return flow
+
+
+def faraday_flow(e, b, tau, boosts) -> list:
+    """exp(tau Fc) for the field (e, b), 4 rows of 4 (re, im) pairs.
+
+    Fc = sum_j (e_j + i b_j) X_j with ``boosts`` the three X_j, whose
+    entries are exact in binary; Fc^2 = z/4 I with z = sum_j (e_j + i b_j)^2,
+    so exp(tau Fc) = cosh(w tau) I + tau sinhc(w tau) Fc for (w tau)^2 =
+    z tau^2 / 4.  The field, tau and so z enter exactly."""
+    with localcontext() as ctx:
+        _working(ctx)
+        flow = _faraday_flow(e, b, tau, boosts)
+    return [[(_ROUND.plus(re), _ROUND.plus(im)) for re, im in row] for row in flow]
+
+
+def evolution(e, b, p0, tau, boosts) -> list:
+    """p(tau) = conj(exp(tau Fc)) exp(tau Fc) p0 for a real momentum p0, as
+    4 (re, im) pairs; the exact result is real."""
+    with localcontext() as ctx:
+        _working(ctx)
+        flow = _faraday_flow(e, b, tau, boosts)
+        p = [Decimal(float(x)) for x in p0]
+        half = [[sum(m[k] * p[c] for c, m in enumerate(flow[r])) for k in (0, 1)]
+                for r in range(4)]
+        out = [[sum(parts) for parts in zip(*(_cmul((m[0], -m[1]), half[c])
+                                               for c, m in enumerate(flow[r])))]
+               for r in range(4)]
+    return [(_ROUND.plus(re), _ROUND.plus(im)) for re, im in out]
+
+
+def eps_error(got, want: list, whole: bool = False) -> float:
+    """Largest |got - want| over the entries, in units of EPS, relative to
+    max(1, |want|) of the entry, or with ``whole`` to max(1, |want|) of the
+    largest entry; |.| is the complex modulus.  ``want`` is a list of (re, im)
+    pairs or of rows of them, in the shape of ``got``.  The differences are
+    exact to the working precision; only the ratio is taken in doubles."""
+    got = np.asarray(got, dtype=np.complex128).ravel().tolist()
+    want = [pair for row in want for pair in row] if isinstance(want[0], list) else want
+    size = [math.hypot(float(re), float(im)) for re, im in want]
+    scale = [max(size)] * len(size) if whole else size
     worst = 0.0
     with localcontext() as ctx:
         _working(ctx)
-        for g_row, w_row in zip(got, want):
-            for g, (re, im) in zip(g_row, w_row):
-                err = math.hypot(float(Decimal(g.real) - re), float(Decimal(g.imag) - im))
-                worst = max(worst, err / max(1.0, math.hypot(float(re), float(im))))
+        for g, (re, im), s in zip(got, want, scale):
+            err = math.hypot(float(Decimal(g.real) - re), float(Decimal(g.imag) - im))
+            worst = max(worst, err / max(1.0, s))
     return worst / EPS

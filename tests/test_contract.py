@@ -47,7 +47,8 @@ def contract_fields():
     The null fields are exact (a unit E with a perpendicular unit B) or
     built from orthonormal pairs, so |w tau| < 1e-4 and the Taylor branch of
     the kernel runs in the same stack as the sinh branch.  Pure-E fields
-    carry B = -0.0 to exercise signed zeros.
+    carry B = -0.0, and about one momentum entry in six is -0.0, to
+    exercise signed zeros.
     """
     rng = np.random.default_rng(43)
     e, b = rng.uniform(-1, 1, (2, 2000, 3))
@@ -62,8 +63,10 @@ def contract_fields():
     special_b = np.concatenate([amp * e2, 0 * unit, -0.0 * unit, -0.9 * unit, np.roll(unit, 1, 0),
                                 np.zeros((1, 3))])
     order = rng.permutation(2000 + len(special_e))
+    p0s = rng.uniform(-1, 1, (2000 + len(special_e), 4))
+    p0s[rng.random(p0s.shape) < 1 / 6] = -0.0
     return (EMField(np.concatenate([e, special_e])[order], np.concatenate([b, special_b])[order]),
-            rng.uniform(-1, 1, (2000 + len(special_e), 4)))
+            p0s)
 
 
 def assert_same_bits(got, want):
@@ -271,8 +274,9 @@ ROWS = [
     Row(exp_faraday, FIELDS[:, None], TAUS, core=0, single=(4, 4)),
     Row(exp_faraday_conjugate, FIELDS[:200, None], TAUS, core=0, single=(4, 4)),
     Row(evolve_closed_form, FIELDS, P0S, 2.5, core=(0, 1, 0), single=(4,)),
-    Row(evolve_closed_form, FIELDS[:, None], P0S[:, None], TAUS, core=(0, 1, 0),
-        single=(4,), tag="grid"),
+    # a real momentum of complex dtype takes the checked complex path
+    Row(evolve_closed_form, FIELDS[:, None], P0S[:, None].astype(np.complex128), TAUS,
+        core=(0, 1, 0), single=(4,), tag="grid"),
     Row(evolve_numeric, FIELDS[:200, None], P0S[:200, None], TAUS, 9, core=(0, 1, 0, 0),
         single=(4,), mode="fresh"),
     Row(mass_shell_residual, FIELDS[0], P0S[0], 1.0, core=(0, 1, 0), single=float),
@@ -490,6 +494,10 @@ INPUT_ERRORS = [
                  [1, 0, 0, complex(0, np.nan)])],
     *[(evolve_numeric, (FIELD, p0, 1.0, 9), "momentum components must be finite")
       for p0 in ([np.nan, 0, 0, 0], [[1.0, 0, 0, 0], [0, 0, 0, -np.inf]])],
+    # an imaginary part above imag_tol, and a real momentum against a
+    # negative imag_tol, which no momentum meets
+    *[(evolve_closed_form, (FIELD, p0, 1.0, tol), "evolve_closed_form expects a real four-momentum")
+      for p0, tol in (([1, 1j, 0, 0], 1e-9), ([1.0, 0, 0, 0], -1.0))],
 ]
 
 

@@ -233,6 +233,15 @@ class TestExpFaraday:
                                    rtol=0, atol=1e-15)
         np.testing.assert_array_equal(exp_faraday(EMField([1e200, 0, 0], [0, 0, 0]), 0.0),
                                       np.eye(4))
+        # a single huge field takes the rescaled root alone and keeps the
+        # bits of its entry in a stack beside a field that does not
+        stack = EMField([[1e200, 0, 0], [3e199, -1e200, 2e199], [0.5, 0, 0]],
+                        [[0, 0, 0], [1e200, -0.0, -5e199], [0, 0.3, 0]])
+        p0 = np.array([1.0, -0.0, 0.5, -0.25])
+        for k in range(3):
+            assert_same_bits(exp_faraday(stack[k], 1e-200), exp_faraday(stack, 1e-200)[k])
+            assert_same_bits(evolve_closed_form(stack[k], p0, 1e-200),
+                             evolve_closed_form(stack, p0, 1e-200)[k])
 
     def test_small_invariant_kernel(self):
         # nearly null field exercises the series branch of sinh(x)/x
