@@ -39,11 +39,11 @@ types: a :class:`FieldInvariant` of ``complex``, ``(4, 4)`` operators,
 A single field runs the same ufuncs in the same order as a stack, on numpy
 scalars where a stack has arrays, so it pays for its arithmetic rather than
 for array glue: w and the argument of sinh(x)/x are numpy complexes, tested
-without array reductions, no axes are added for one entry, and both
-evolutions' momenta go through ``np.matvec``, as a stack's do.  A momentum
-of a real dtype is taken as float64, without the complex cast and the
-imaginary-part check that a complex one gets.  The contract table checks
-that the single calls keep the bits of the stacks.
+without array reductions, and both evolutions' momenta go through
+``np.matvec``, as a stack's do.  A momentum of a real dtype is taken as
+float64, without the complex cast and the imaginary-part check that a
+complex one gets.  The contract table checks that the single calls keep the
+bits of the stacks.
 
 A result that overflows double precision is an error:
 :func:`exp_faraday`, :func:`evolve_closed_form` and :func:`evolve_numeric`
@@ -296,10 +296,7 @@ def _closed_flow(w: ArrayLike, tau: ArrayLike, op: ArrayC) -> ArrayC:
     """cosh(w tau) I + tau sinhc(w tau) op: exp(tau op) for an operator with
     op^2 = w^2 I, whichever root w is given."""
     x = w * tau
-    even, odd = np.cosh(x), tau * _sinhc(x)
-    if np.ndim(x):
-        even, odd = even[..., None, None], odd[..., None, None]
-    return even * _UNIT + odd * op
+    return np.cosh(x)[..., None, None] * _UNIT + (tau * _sinhc(x))[..., None, None] * op
 
 
 def _exp_faraday(f: EMField, tau: ArrayLike) -> ArrayC:

@@ -61,7 +61,7 @@ from .triproduct import d_basis
 # ---------------------------------------------------------------------------
 
 #: Rotation index pair dual to each boost plane, keyed by the spatial axis.
-DUAL_PAIRS: dict[int, tuple[int, int]] = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
+DUAL_PAIRS: dict[int, tuple[int, int]] = dict(enumerate(QO_BASIS_PAIRS[3:], 1))
 
 
 @dataclass(frozen=True)
@@ -204,13 +204,13 @@ def _square_sign(x: ArrayC) -> bool:
     return boost
 
 
-# id(matrix) -> (matrix, sign of its square) for the 24 spin-1/2 angular
-# images, checked once here.  Holding the matrix keeps its id from being
-# reused; the images are immutable, so the sign never goes stale.
-_HALF_SIGNS = {id(m): (m, _square_sign(m))
+# id(matrix) -> sign of its square for the 24 spin-1/2 angular images,
+# checked once here.  _GRADED_IMAGES holds each of these arrays for the life
+# of the process, so no other live object can have its id; the images are
+# immutable, so the sign never goes stale.
+_HALF_SIGNS = {id(image.l0.matrix): _square_sign(image.l0.matrix)
                for kind in ("spin_half_plus", "spin_half_minus")
-               for (label, _), image in _GRADED_IMAGES[kind].items() if label == "angular"
-               for m in [image.l0.matrix]}
+               for (label, _), image in _GRADED_IMAGES[kind].items() if label == "angular"}
 
 
 def _image(kind: str, label: str, indices: tuple[int, ...]) -> GradedElement:
@@ -390,21 +390,20 @@ def half_flow_closed(x: ArrayLike, phi: float) -> ArrayC:
 
     The 24 spin-1/2 angular images of the library's tables are checked once,
     at import: a call on one of those arrays (``angular_matrix``, ``rep(g)``)
-    reads the stored sign of X^2 and checks only the two coefficients, since
-    the entries 0, +/-1/2 and +/-i/2 on a zero diagonal give a finite result
-    exactly when both are finite.  Any other operator, a copy of an image
-    included, is checked on every call, and so is every entry of its result:
-    X may have large entries, so finite coefficients do not make a finite
-    result.
+    finds it by its ``id``, which no other live object can share while the
+    table holds the array, reads the stored sign of X^2 and checks only the
+    two coefficients, since the entries 0, +/-1/2 and +/-i/2 on a zero
+    diagonal give a finite result exactly when both are finite.  Any other
+    operator, a copy of an image included, is checked on every call, and so
+    is every entry of its result: X may have large entries, so finite
+    coefficients do not make a finite result.
     """
     x = np.asarray(x, dtype=np.complex128)
-    entry = _HALF_SIGNS.get(id(x))
-    table = entry is not None and entry[0] is x
-    if table:
-        boost = entry[1]
-    elif x.shape != (4, 4):
-        raise ValueError(f"operator must be 4x4, got shape {x.shape}")
-    else:
+    boost = _HALF_SIGNS.get(id(x))
+    table = boost is not None
+    if not table:
+        if x.shape != (4, 4):
+            raise ValueError(f"operator must be 4x4, got shape {x.shape}")
         boost = _square_sign(x)
     even, odd = ((np.cosh(phi / 2), 2 * np.sinh(phi / 2)) if boost
                  else (np.cos(phi / 2), 2 * np.sin(phi / 2)))

@@ -328,6 +328,7 @@ class TestEvolveCommand:
             tau = row["tau"]
             assert row["p"][0] == pytest.approx(1 + tau ** 2 / 2, abs=1e-9)
 
+    @pytest.mark.dispatch_pinned
     def test_compare_matches_pinned_scalar_rk4_output(self, tmp_path):
         # The fixture holds `--format csv evolve ... --compare` output of the
         # per-sample scalar RK4 loop (generic, null, pure-E and pure-B fields,
@@ -493,6 +494,7 @@ class TestNpDumpCommand:
 
 
 class TestPinnedOutput:
+    @pytest.mark.dispatch_pinned
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_transform_and_evolve_match_pinned_bytes(self, fmt, tmp_path):
         # The fixture holds the output of `relphase --format FMT transform|evolve

@@ -215,6 +215,22 @@ class TestPoincareRelations:
         br = half_graded_bracket(x, v)
         np.testing.assert_allclose(br.l1, d_basis(0, 1) @ basis(0), atol=1e-15)
 
+    def test_lorentz_casimirs_fix_the_spin(self):
+        # With K_j the images of M_0j and J_j those of the dual rotations
+        # M_23, M_31, M_12, the two Casimirs J.J - K.K and J.K are multiples
+        # of I: (1/2, 1/2), the four-vector, for spin 1, and one chirality on
+        # all of C^4 for each spin-1/2 map.  The image entries are 0, +/-1,
+        # +/-1/2 and +/-i/2, so every product and sum is exact.
+        casimirs = {"spin1": (-3, 0), "spin_half_plus": (-1.5, -0.75j),
+                    "spin_half_minus": (-1.5, 0.75j)}
+        for rep in (SPIN1, PLUS, MINUS):
+            k = [rep.angular_matrix(0, axis) for axis in DUAL_PAIRS]
+            j = [rep.angular_matrix(*pair) for pair in DUAL_PAIRS.values()]
+            square = sum(a @ a for a in j) - sum(b @ b for b in k)
+            product = sum(a @ b for a, b in zip(j, k))
+            for casimir, value in zip((square, product), casimirs[rep.kind]):
+                assert np.abs(casimir - value * np.eye(4)).max() == 0.0
+
 
 class TestFlows:
     def test_zero_angle_is_identity(self):

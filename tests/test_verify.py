@@ -413,6 +413,7 @@ def test_batched_poincare_checks_reproduce_the_loops_on_wrong_images():
         assert [c.residual for c in verify._poincare_checks(rep, "x")] == loop_poincare(rep)
 
 
+@pytest.mark.dispatch_pinned
 def test_known_mass_shell_false_failure_at_pass_7109_209():
     # Three far benchmark passes on which em.mass_shell_conserved failed
     # while the flow was right ([7101, 917] failed em.evolution_reality too):
@@ -640,6 +641,14 @@ def skew_offset_on_flat_pairs(mp, part):
     return suite_check(verify.suite_core, "core.symplectic_skew")
 
 
+def odd_closed_flow_kernel(mp):
+    # a kernel odd in w: the flows at w and at -w differ by 2e-3 w I
+    original = verify._closed_flow
+    mp.setattr(verify, "_closed_flow",
+               lambda w, tau, op: original(w, tau, op) + 1e-3 * w[..., None, None] * np.eye(4))
+    return suite_check(verify.suite_em, "em.branch_independence")
+
+
 def imaginary_field_tensor(mp):
     # i D_01 is still in the algebra, but the field tensor is no longer real
     perturb(mp, "field_tensor", lambda q: QoElement(q.matrix + 1e-3j * d_basis(0, 1)))
@@ -699,6 +708,7 @@ WRONG_INPUTS = {
     "symplectic_skew_momenta": lambda mp: skew_offset_on_flat_pairs(mp, "imag"),
     "symplectic_skew_positions": lambda mp: skew_offset_on_flat_pairs(mp, "real"),
     "field_tensor_real": imaginary_field_tensor,
+    "branch_independence": odd_closed_flow_kernel,
     "exponential_in_group": stretched_long_flow,
 }
 
