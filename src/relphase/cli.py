@@ -199,19 +199,20 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     header = ["tau", "p0", "p1", "p2", "p3"]
     # One row per sample: tau, p, and with --compare p_num, dev, shell_residual.
     try:
-        taus = np.linspace(0.0, args.tau_max, args.samples)
-        p = evolve_closed_form(field, p0, taus)
-        table = np.column_stack([taus, p])
-        if args.compare:
-            header += ["p0_num", "p1_num", "p2_num", "p3_num", "dev", "shell_residual"]
-            p_num = evolve_numeric(field, p0, taus, args.rk4_steps)
-            # The difference of two finite momenta can still overflow; the
-            # table check below names it, so numpy's warning is noise.
-            with np.errstate(over="ignore"):
+        # Overflow, of the tau grid near the float maximum or of the
+        # difference of two finite momenta, is detected on the table, so
+        # numpy's warnings are noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            taus = np.linspace(0.0, args.tau_max, args.samples)
+            p = evolve_closed_form(field, p0, taus)
+            table = np.column_stack([taus, p])
+            if args.compare:
+                header += ["p0_num", "p1_num", "p2_num", "p3_num", "dev", "shell_residual"]
+                p_num = evolve_numeric(field, p0, taus, args.rk4_steps)
                 dev = np.abs(p - p_num).max(axis=1) / np.maximum(1.0, np.abs(p).max(axis=1))
-            shell = [shell_drift(p0, row) for row in p]
-            table = np.column_stack([table, p_num, dev, shell])
-        _require_finite(table, taus, "tau", "momentum", "tau or the field", 1)
+                shell = [shell_drift(p0, row) for row in p]
+                table = np.column_stack([table, p_num, dev, shell])
+            _require_finite(table, taus, "tau", "momentum", "tau or the field", 1)
         rows = table.tolist()
     except MemoryError:
         raise ValueError(f"samples={args.samples} do not fit in memory; reduce samples") from None

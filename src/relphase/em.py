@@ -40,10 +40,10 @@ A single field runs the same ufuncs in the same order as a stack, on numpy
 scalars where a stack has arrays, so it pays for its arithmetic rather than
 for array glue: w and the argument of sinh(x)/x are numpy complexes, tested
 without array reductions, and both evolutions' momenta go through
-``np.matvec``, as a stack's do.  A momentum of a real dtype is taken as
-float64, without the complex cast and the imaginary-part check that a
-complex one gets.  The contract table checks that the single calls keep the
-bits of the stacks.
+``np.matvec``, as a stack's do.  A field or momentum of a real dtype is
+taken as float64, without the complex cast and the imaginary-part check
+that a complex one gets.  The contract table checks that the single calls
+keep the bits of the stacks.
 
 A result that overflows double precision is an error:
 :func:`exp_faraday`, :func:`evolve_closed_form` and :func:`evolve_numeric`
@@ -61,9 +61,15 @@ power of two, the root taken, and the result multiplied back.  Both steps
 are exact, so w is finite for every finite field, and a field of 1e200 at
 tau = 1e-200 gives the boost by rapidity 1, not an overflow error.
 
-The initial momentum of both evolutions is checked by one helper before
-any arithmetic: it has shape ``(..., 4)`` and finite components, or the
-call raises ValueError (``momentum components must be finite``).
+E, B and the initial momentum p0 are real, and one helper reads all three
+before any arithmetic, for :class:`EMField`, both evolutions and
+:func:`mass_shell_residual`: the last axis has 3 (E, B) or 4 (p0) entries,
+every component is finite, and a complex dtype is accepted only when no
+imaginary part exceeds ``imag_tol`` (1e-9, or the one given to
+:func:`evolve_closed_form`), after which it gives the bits of its real
+part.  Anything else raises ValueError (``momentum components must be
+finite``, ``e components must be real within 1e-09``), never a truncated
+imaginary part, a ComplexWarning or a TypeError.
 
 The independent oracle is :func:`evolve_numeric`, classical fixed-step RK4
 built from the evolution generator A alone.  For this linear equation one
@@ -81,7 +87,7 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import ArrayLike, NDArray
+from numpy.typing import ArrayLike
 
 from .core import _UNIT, ETA, ArrayC, ArrayR, _frozen, _require_finite
 from .liealgebra import QoElement
@@ -90,6 +96,33 @@ from .representations import Representation
 # Kernel sinh(x)/x switches to its Taylor expansion below this |x| to avoid
 # cancellation near null fields.
 _SINHC_THRESHOLD = 1e-4
+
+# The largest imaginary part of a field or momentum of complex dtype that is
+# still read as real; evolve_closed_form takes its own.
+_IMAG_TOL = 1e-9
+
+
+def _real_vectors(a: ArrayLike, n: int, name: str, imag_tol: float = _IMAG_TOL) -> ArrayR:
+    """``a`` as float64 rows of shape ``(..., n)``, or ValueError.
+
+    The checks run in this order: the last axis has ``n`` entries, every
+    component is finite, and no imaginary part exceeds ``imag_tol``.  A
+    bool, integer or float dtype is cast to float64 alone, without the
+    complex cast and the imaginary check; only a negative ``imag_tol``
+    rejects it.  Any other dtype (complex, or object) is cast to complex128.
+    """
+    a = np.asarray(a)
+    real = a.dtype.kind in "biuf"
+    a = np.asarray(a, np.float64 if real else np.complex128)
+    if a.shape[-1:] != (n,):
+        raise ValueError(f"{name} must have {n} components, got shape {a.shape}")
+    # Cheaper than .all() on the few entries of one vector.
+    if np.count_nonzero(np.isfinite(a)) != a.size:
+        raise ValueError(f"{name} components must be finite")
+    if (0.0 if real else np.abs(a.imag).max(initial=0.0)) > imag_tol:
+        raise ValueError(f"{name} components must be real within {imag_tol:g}")
+    return a if real else a.real
+
 
 @dataclass(frozen=True)
 class EMField:
@@ -105,13 +138,8 @@ class EMField:
 
     def __post_init__(self) -> None:
         for name in ("e", "b"):
-            v = _frozen(getattr(self, name), np.float64)
-            if v.shape[-1:] != (3,):
-                raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-            # Cheaper than .all() on the three entries of one field.
-            if np.count_nonzero(np.isfinite(v)) != v.size:
-                raise ValueError(f"{name} components must be finite")
-            object.__setattr__(self, name, v)
+            v = _real_vectors(getattr(self, name), 3, name)
+            object.__setattr__(self, name, _frozen(v, np.float64))
         if self.e.shape != self.b.shape:
             raise ValueError(f"e and b must have the same shape, got {self.e.shape} "
                              f"and {self.b.shape}")
@@ -323,38 +351,23 @@ def exp_faraday_conjugate(f: EMField, tau: ArrayLike) -> ArrayC:
     return np.conj(exp_faraday(f, tau))
 
 
-def _momentum(p0: ArrayLike, dtype: type) -> NDArray:
-    """``p0`` as a ``dtype`` array of shape ``(..., 4)``; raises ValueError
-    when the last axis is not 4 or a component is NaN or infinite."""
-    p = np.asarray(p0, dtype=dtype)
-    if p.shape[-1:] != (4,):
-        raise ValueError(f"momentum must have 4 components, got shape {p.shape}")
-    if np.count_nonzero(np.isfinite(p)) != p.size:
-        raise ValueError("momentum components must be finite")
-    return p
-
-
 def evolve_closed_form(f: EMField, p0: ArrayLike, tau: ArrayLike,
-                       imag_tol: float = 1e-9) -> ArrayR:
+                       imag_tol: float = _IMAG_TOL) -> ArrayR:
     """Evolve a real four-momentum through proper time tau in closed form.
 
     p(tau) = exp(tau conj(Fc)) exp(tau Fc) p0, using that the two factors
     commute.  The field axes, the axes of ``tau`` and the leading axes of
     ``p0`` (shape ``(..., 4)``) broadcast; the result has shape ``(..., 4)``.
-    The input must be a real four-momentum; the output is real (the
-    residual imaginary part is checked and discarded) and stays on the mass
-    shell p^2 = p0^2.  Raises ValueError when an evolved momentum is not
-    finite, or when its imaginary residual exceeds imag_tol * max(1, |p|).
+    The input must be a real four-momentum (a complex dtype within imag_tol
+    is read as its real part); the output is real (the residual imaginary
+    part is checked and discarded) and stays on the mass shell p^2 = p0^2.
+    Raises ValueError when an evolved momentum is not finite, or when its
+    imaginary residual exceeds imag_tol * max(1, |p|).
     """
-    p0 = np.asarray(p0)
-    # A real momentum needs neither the complex cast nor its imaginary check.
-    real = p0.dtype.kind in "biuf"
-    p0 = _momentum(p0, np.float64 if real else np.complex128)
-    if (0.0 if real else np.abs(p0.imag).max(initial=0.0)) > imag_tol:
-        raise ValueError("evolve_closed_form expects a real four-momentum")
+    p0 = _real_vectors(p0, 4, "momentum", imag_tol)
     with np.errstate(over="ignore", invalid="ignore"):
         x = _exp_faraday(f, tau)
-        p = np.matvec(np.conj(x), np.matvec(x, p0.real))
+        p = np.matvec(np.conj(x), np.matvec(x, p0))
     _require_finite(p, tau, "tau", "momentum", "tau or the field", 1)
     # |p| is only needed when a residual is above the absolute tolerance.
     if np.abs(p.imag).max(initial=0.0) > imag_tol:
@@ -394,7 +407,7 @@ def evolve_numeric(f: EMField, p0: ArrayLike, tau: ArrayLike, steps: int) -> Arr
     taus = np.asarray(tau, dtype=np.float64)
     if taus.ndim > 1:
         raise ValueError(f"tau must be a scalar or a 1-D array, got shape {taus.shape}")
-    p = _momentum(p0, np.float64)
+    p = _real_vectors(p0, 4, "momentum")
     eye = np.eye(4)
     with np.errstate(over="ignore", invalid="ignore"):
         x = (taus[..., None, None] / steps) * evolution_generator(f)
@@ -438,4 +451,5 @@ def mass_shell_residual(f: EMField, p0: ArrayLike, tau: float) -> float:
     Raises ValueError, from :func:`evolve_closed_form`, when the evolved
     momentum overflows.
     """
+    p0 = _real_vectors(p0, 4, "momentum")
     return shell_drift(p0, evolve_closed_form(f, p0, tau))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relphase import (EMField, Representation, evolve_closed_form, exponential_flow,
@@ -170,7 +170,8 @@ class TestTransformCommand:
         # the library's message names phi as given, for a swapped label too
         out = tmp_path / f"t.{fmt}"
         flags = ["--output", str(out)] if to_file else []
-        for label, phi, named in (("M01", "1e3", "1000"), ("M10", "-1e3", "-1000")):
+        for label, phi, named in (("M01", "1e3", "1000"), ("M10", "-1e3", "-1000"),
+                                  ("M10", "1e3", "1000")):
             assert main(["--format", fmt, *flags, "transform", "spin1", label, phi,
                          "1", "0", "0", "0"]) == 2
             assert not out.exists()
@@ -251,6 +252,12 @@ class TestEvolveProperties:
            tau_max=st.floats(min_value=1e-300, max_value=1e300),
            samples=st.integers(2, 4), compare=st.booleans(), fmt=st.sampled_from(["json", "csv"]))
     @settings(max_examples=150, deadline=None)
+    # A tau-max within rounding of the float maximum overflows the tau grid
+    # itself, before any evolution.
+    @example(e=[1.0, 0.0, 0.0], b=[0.0, 0.0, 0.0], p0=[1.0, 0.0, 0.0, 0.0],
+             tau_max=1.7976931348623157e308, samples=4, compare=False, fmt="json")
+    @example(e=[1.0, 0.0, 0.0], b=[0.0, 0.0, 0.0], p0=[1.0, 0.0, 0.0, 0.0],
+             tau_max=1.7976931348623157e308, samples=4, compare=True, fmt="csv")
     def test_evolve_is_finite_or_usage_error(self, e, b, p0, tau_max, samples, compare, fmt):
         argv = ["--format", fmt, "evolve", *map(repr, e + b + p0), repr(tau_max), str(samples)]
         if compare:
@@ -258,7 +265,7 @@ class TestEvolveProperties:
         code, out, err = run_quiet(argv)
         if code == 2:
             assert out == ""
-            assert err.startswith("error: ")
+            assert err.startswith("error: ") and err.count("\n") == 1
             return
         assert code == 0
         if fmt == "json":
@@ -424,6 +431,9 @@ class TestEvolveCommand:
          "e components must be finite"),
         (["evolve", "1", "0", "0", "0", "0", "0", "1", "-nan", "0", "0", "1", "2"],
          "momentum components must be finite"),
+        # and a plain nan, which gets the same message
+        (["evolve", "1", "0", "0", "0", "0", "0", "nan", "0", "0", "0", "2.0", "9"],
+         "momentum components must be finite"),
     ])
     def test_negative_non_finite_arguments_are_numbers(self, argv, message, capsys):
         # argparse must not read -inf or -nan as an option and blame a
@@ -431,7 +441,7 @@ class TestEvolveCommand:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
     def test_bad_sample_count_is_usage_error(self):
         assert main(["evolve", "1", "0", "0", "0", "0", "0", "1", "0", "0", "0",

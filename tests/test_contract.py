@@ -496,13 +496,22 @@ INPUT_ERRORS = [
       for p0 in ([np.nan, 0, 0, 0], [[1.0, 0, 0, 0], [0, 0, 0, -np.inf]])],
     # an imaginary part above imag_tol, and a real momentum against a
     # negative imag_tol, which no momentum meets
-    *[(evolve_closed_form, (FIELD, p0, 1.0, tol), "evolve_closed_form expects a real four-momentum")
+    *[(evolve_closed_form, (FIELD, p0, 1.0, tol), f"momentum components must be real within {tol:g}")
       for p0, tol in (([1, 1j, 0, 0], 1e-9), ([1.0, 0, 0, 0], -1.0))],
+    # a complex field or momentum, as a list and as an array, is rejected
+    # by the same rule, never cast to its real part or a TypeError
+    *[(EMField, (e, [0, 0, 0]), "e components must be real within 1e-09")
+      for e in (np.array([1 + 2j, 0, 0]), [1 + 2j, 0, 0])],
+    *[(call, (FIELD, p0, 1.0, *steps), "momentum components must be real within 1e-09")
+      for call, steps in ((evolve_numeric, (9,)), (mass_shell_residual, ()))
+      for p0 in ([1, 0.5j, 0, 0], np.array([1, 0.5j, 0, 0]))],
 ]
 
 
 @pytest.mark.parametrize("call, args, message", INPUT_ERRORS,
                          ids=[f"{c.__name__}-{i}" for i, (c, *_) in enumerate(INPUT_ERRORS)])
 def test_bad_input_is_a_value_error(call, args, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    # the ValueError is the only signal: no warning comes before it
+    with warnings.catch_warnings(), pytest.raises(ValueError, match=f"^{message}$"):
+        warnings.simplefilter("error")
         call(*args)

@@ -46,7 +46,7 @@ class TestEMField:
 
     def test_rejects_bad_stacks(self):
         e = np.random.default_rng(40).uniform(-1, 1, (50, 3))
-        with pytest.raises(ValueError, match="3-vector"):
+        with pytest.raises(ValueError, match=r"^e must have 3 components, got shape \(50, 2\)$"):
             EMField(e[:, :2], e[:, :2])
         with pytest.raises(ValueError, match="same shape"):
             EMField(e, e[:49])
@@ -57,6 +57,24 @@ class TestEMField:
             bad[37, 1] = np.inf
             with pytest.raises(ValueError, match=f"{name} components must be finite"):
                 EMField(bad, e) if name == "e" else EMField(e, bad)
+
+    def test_complex_dtype_with_zero_imaginary_parts_keeps_the_real_bits(self):
+        # E, B and p0 are read through one rule: a complex dtype within
+        # imag_tol is the float64 input, silently and bit for bit
+        f, p0, taus = FIELDS[:40], P0S[:40], np.array([0.0, 0.7, 2.5])
+        fc = EMField(f.e.astype(np.complex128), f.b.astype(np.complex128))
+        pc = p0.astype(np.complex128)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_bits(fc.e, f.e)
+            assert_same_bits(fc.b, f.b)
+            assert_same_bits(evolve_closed_form(fc[:, None], pc[:, None], taus),
+                             evolve_closed_form(f[:, None], p0[:, None], taus))
+            assert_same_bits(evolve_numeric(fc[:, None], pc[:, None], taus, 20),
+                             evolve_numeric(f[:, None], p0[:, None], taus, 20))
+            for k in range(3):
+                assert (mass_shell_residual(fc[k], pc[k], 1.3).hex()
+                        == mass_shell_residual(f[k], p0[k], 1.3).hex())
 
     def test_stack_is_read_only_copy(self):
         e = np.random.default_rng(41).uniform(-1, 1, (4, 2, 3))

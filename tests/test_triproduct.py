@@ -29,6 +29,18 @@ def terms(a, b, c):
                abs(scalar_product(b, c)) * size(a))
 
 
+def rounding_scale(a, b, c):
+    """Largest entry of the tri-product of absolute values with a Euclidean
+    dot, (|a|.|b|)|c| + (|c|.|a|)|b| + (|b|.|c|)|a|.
+
+    Each bilinear product <a|b> carries rounding of about eps sum_k
+    |a_k||b_k|, even where it cancels to far below that (nearly null a = b),
+    so this bounds the rounding of {a, b, c} and of D(a, b) @ c a priori.
+    """
+    a, b, c = np.abs(a), np.abs(b), np.abs(c)
+    return ((a @ b) * c + (c @ a) * b + (b @ c) * a).max()
+
+
 class TestTriProduct:
     def test_repeated_basis_vector(self):
         np.testing.assert_array_equal(tri_product(basis(0), basis(0), basis(0)), basis(0))
@@ -61,7 +73,8 @@ class TestTriProduct:
         mixed = lam * a + a2
         lhs = tri_product(b, mixed, c)
         rhs = lam * tri_product(b, a, c) + tri_product(b, a2, c)
-        scale = max(1.0, terms(b, mixed, c), abs(lam) * terms(b, a, c), terms(b, a2, c))
+        scale = max(1.0, rounding_scale(b, mixed, c), abs(lam) * rounding_scale(b, a, c),
+                    rounding_scale(b, a2, c))
         assert np.abs(lhs - rhs).max() / scale < 1e-12
 
 
@@ -82,11 +95,11 @@ class TestDOperator:
     @example(np.array([0, 0, 0, 15.906287375278794j]), np.array([33, 0, 33, 0]),
              np.array([33, 0, 33, 0]))
     def test_linear_action(self, a, b, c):
-        # Rounding in D @ c is proportional to |D| @ |c|, not to the result:
-        # with b null all three tri-product terms vanish, and D @ c cancels
-        # entries of 524.9 * 33 against each other.
+        # Rounding in D @ c is proportional to the a-priori scale, not to the
+        # result: with b null all three tri-product terms vanish, and D @ c
+        # cancels entries of 524.9 * 33 against each other.
         d = d_operator(a, b)
-        size = max(1.0, (np.abs(d) @ np.abs(c)).max())
+        size = max(1.0, rounding_scale(a, b, c))
         assert np.abs(d @ c - tri_product(a, b, c)).max() / size < 1e-12
 
 
