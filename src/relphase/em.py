@@ -435,10 +435,12 @@ def shell_drift(p0: ArrayLike, p: ArrayLike) -> float:
     Both momenta are first divided by a power of two near the scale.  That
     division is exact, so the result has the bits of the unscaled formula
     wherever that formula does not overflow, and stays finite for every
-    finite p.
+    finite p.  Both momenta are read by the rule of :class:`EMField`: an
+    imaginary part above 1e-9, a non-finite component or a length other
+    than 4 raises ValueError.
     """
-    p0 = np.asarray(p0, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
+    p0 = _real_vectors(p0, 4, "momentum")
+    p = _real_vectors(p, 4, "momentum")
     _, e = np.frexp(max(1.0, float(np.abs(p).max())))
     p0, p = np.ldexp(p0, -e), np.ldexp(p, -e)
     scale = max(float(np.ldexp(1.0, -e)), float(np.abs(p).max()))
@@ -451,5 +453,4 @@ def mass_shell_residual(f: EMField, p0: ArrayLike, tau: float) -> float:
     Raises ValueError, from :func:`evolve_closed_form`, when the evolved
     momentum overflows.
     """
-    p0 = _real_vectors(p0, 4, "momentum")
     return shell_drift(p0, evolve_closed_form(f, p0, tau))

@@ -1,4 +1,4 @@
-"""Hypothesis settings for the whole suite.
+"""Hypothesis settings for the whole suite, and isolation of verify's memos.
 
 Tier-1 draws the same examples on every run and in every checkout: each
 property test is seeded from its own source (``derandomize``), and no example
@@ -7,8 +7,28 @@ database replays an earlier run's failures.  Each test keeps its own
 ``pytest tests --hypothesis-profile=search`` (README, "Tests").
 """
 
+import pytest
 from hypothesis import settings
+
+from relphase import verify
 
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("search", database=None)
 settings.load_profile("tier1")
+
+# The cached functions that hold verify's checks drawing nothing.
+VERIFY_MEMOS = [f for f in vars(verify).values()
+                if hasattr(f, "cache_clear") and f.__module__ == verify.__name__]
+
+
+@pytest.fixture(autouse=True)
+def clear_verify_memos_after_monkeypatch(request):
+    """Clear verify's memos after a test that uses ``monkeypatch``.
+
+    A suite run while a name is perturbed would store a wrong check for
+    every later test in the process.
+    """
+    yield
+    if "monkeypatch" in request.fixturenames:
+        for memo in VERIFY_MEMOS:
+            memo.cache_clear()

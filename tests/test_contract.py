@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 import relphase
 from relphase import *  # noqa: F403  (the table covers every public name)
-from relphase.em import _sinhc
+from relphase.em import _sinhc, shell_drift
 from relphase.representations import _CUBIC
 
 EXEMPT = {
@@ -505,6 +505,12 @@ INPUT_ERRORS = [
     *[(call, (FIELD, p0, 1.0, *steps), "momentum components must be real within 1e-09")
       for call, steps in ((evolve_numeric, (9,)), (mass_shell_residual, ()))
       for p0 in ([1, 0.5j, 0, 0], np.array([1, 0.5j, 0, 0]))],
+    # either momentum of shell_drift: complex, NaN, three components
+    (shell_drift, (np.array([1, 0.5j, 0, 0]), [1.0, 0, 0, 0]),
+     "momentum components must be real within 1e-09"),
+    (shell_drift, ([1.0, 0, 0, 0], [1.0, np.nan, 0, 0]), "momentum components must be finite"),
+    (shell_drift, ([1.0, 0, 0], [1.0, 0, 0, 0]),
+     r"momentum must have 4 components, got shape \(3,\)"),
 ]
 
 

@@ -13,8 +13,9 @@ from relphase import (PAULI, PoincareGenerator, QoElement, Representation, basis
 from relphase import representations
 from relphase.liealgebra import QO_BASIS_PAIRS
 from relphase.representations import DUAL_PAIRS, np_block_residuals
-from relphase.verify import (boost_closed_form_residual, closed_flows_residual,
-                             np_round_trip_residual, real_subspace_residual)
+from relphase.verify import (boost_closed_form_residual, casimir_residual,
+                             closed_flows_residual, np_round_trip_residual,
+                             real_subspace_residual)
 
 def coefficient_tensor_dual(q):
     """qo_dual through the coefficient tensor and qo_realize, its old path."""
@@ -217,19 +218,13 @@ class TestPoincareRelations:
 
     def test_lorentz_casimirs_fix_the_spin(self):
         # With K_j the images of M_0j and J_j those of the dual rotations
-        # M_23, M_31, M_12, the two Casimirs J.J - K.K and J.K are multiples
-        # of I: (1/2, 1/2), the four-vector, for spin 1, and one chirality on
-        # all of C^4 for each spin-1/2 map.  The image entries are 0, +/-1,
-        # +/-1/2 and +/-i/2, so every product and sum is exact.
-        casimirs = {"spin1": (-3, 0), "spin_half_plus": (-1.5, -0.75j),
-                    "spin_half_minus": (-1.5, 0.75j)}
+        # M_23, M_31, M_12, the two Casimirs J.J - K.K and J.K are the
+        # multiples of I that casimir_residual states: (1/2, 1/2), the
+        # four-vector, for spin 1, and one chirality on all of C^4 for each
+        # spin-1/2 map.  The image entries are 0, +/-1, +/-1/2 and +/-i/2, so
+        # every product and sum is exact.
         for rep in (SPIN1, PLUS, MINUS):
-            k = [rep.angular_matrix(0, axis) for axis in DUAL_PAIRS]
-            j = [rep.angular_matrix(*pair) for pair in DUAL_PAIRS.values()]
-            square = sum(a @ a for a in j) - sum(b @ b for b in k)
-            product = sum(a @ b for a, b in zip(j, k))
-            for casimir, value in zip((square, product), casimirs[rep.kind]):
-                assert np.abs(casimir - value * np.eye(4)).max() == 0.0
+            assert casimir_residual(rep.kind) == 0.0
 
 
 class TestFlows:

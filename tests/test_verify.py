@@ -167,6 +167,7 @@ def test_batched_suites_reproduce_the_per_draw_loops():
 
 
 PLUS = Representation("spin_half_plus")
+SPIN1 = Representation("spin1")
 
 
 def loop_em(rng, draws):
@@ -380,14 +381,18 @@ def loop_representations(rng):
 
 def test_batched_graded_suites_reproduce_the_per_draw_loops():
     # Same draws, same kernel bits: every residual is equal, and the
-    # generator is left in the same state.
-    for seed in (13, 21):
-        batched, per_draw = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert [c.residual for c in suite_liealgebra(batched)] == loop_liealgebra(per_draw)
-        assert batched.bit_generator.state == per_draw.bit_generator.state
-        assert [c.residual for c in suite_representations(batched)] == \
-            loop_representations(per_draw)
-        assert batched.bit_generator.state == per_draw.bit_generator.state
+    # generator is left in the same state, whether the suites compute their
+    # checks that draw nothing (cold) or take them from the memos (warm).
+    for cold in (True, False):
+        for seed in (13, 21):
+            if cold:
+                clear_memos()
+            batched, per_draw = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert [c.residual for c in suite_liealgebra(batched)] == loop_liealgebra(per_draw)
+            assert batched.bit_generator.state == per_draw.bit_generator.state
+            assert [c.residual for c in suite_representations(batched)] == \
+                loop_representations(per_draw)
+            assert batched.bit_generator.state == per_draw.bit_generator.state
 
 
 def test_graded_draws_match_per_draw_elements():
@@ -433,6 +438,68 @@ def test_known_mass_shell_false_failure_at_pass_7109_209():
         assert checks["em.evolution_reality"].residual == real, seed
         assert checks["em.mass_shell_conserved"].tolerance == 1e-11
         assert checks["em.evolution_reality"].tolerance == 1e-11
+
+
+# The checks of each suite that draw nothing, computed once per process.
+MEMOS = {"triproduct": verify._fixed_triproduct, "liealgebra": verify._fixed_liealgebra,
+         "representations": verify._fixed_representations, "em": verify._fixed_em}
+
+
+def clear_memos():
+    for memo in MEMOS.values():
+        memo.cache_clear()
+
+
+def bits(checks):
+    return [(c.id, float.hex(c.residual), float.hex(c.tolerance)) for c in checks]
+
+
+def test_memos_cover_every_cached_function():
+    cached = {f for f in vars(verify).values()
+              if hasattr(f, "cache_clear") and f.__module__ == verify.__name__}
+    assert cached == set(MEMOS.values())
+
+
+def fixed_bits(name, report):
+    """The bits of the checks in ``report`` that suite ``name`` memoises."""
+    fixed = {c.id for c in MEMOS[name].__wrapped__()}
+    return [b for b in bits(report) if b[0] in fixed]
+
+
+def test_memoised_checks_have_the_bits_of_a_cold_recomputation():
+    # The suite's first call after cache_clear() fills the memo and its
+    # second call reads it; both report the bits of the undecorated function.
+    suites = dict(SUITES)
+    for name, memo in MEMOS.items():
+        cold = bits(memo.__wrapped__())
+        memo.cache_clear()
+        for call in ("first", "second"):
+            assert fixed_bits(name, suites[name](np.random.default_rng(3))) == cold, (name, call)
+            assert bits(memo()) == cold, (name, call)
+
+
+def test_seed_independent_residuals_agree_across_seeds():
+    for name, fn in SUITES:
+        if name in MEMOS:
+            reports = []
+            for seed in (1, 2):
+                clear_memos()
+                reports.append(fixed_bits(name, fn(np.random.default_rng(seed))))
+            assert reports[0] == reports[1], name
+
+
+def test_warm_suites_consume_the_generator_as_cold_ones():
+    # Every suite, memos cleared and then filled: the same report bits, and
+    # the generator left in the same state.
+    for name, fn in SUITES:
+        states, reports = [], []
+        clear_memos()
+        for _ in ("cold", "warm"):
+            rng = np.random.default_rng(17)
+            reports.append(bits(fn(rng)))
+            states.append(rng.bit_generator.state)
+        assert reports[0] == reports[1], name
+        assert states[0] == states[1], name
 
 
 class Skewed:
@@ -511,6 +578,12 @@ def wrong_double_turn(mp):
     mp.setattr(verify, "exponential_flow",
                lambda x, phi: -original(x, phi) if phi > 3 * np.pi else original(x, phi))
     return periods(PLUS.angular_matrix(1, 2), d_basis(1, 2))
+
+
+def casimirs_of(mp, kind, images):
+    # the Casimirs stated for ``kind``, measured on the stand-in ``images``
+    mp.setattr(verify, "Representation", lambda _: images)
+    return [(verify.casimir_residual(kind), 0.0)]
 
 
 def boost_flows_of_opposite_rapidity(mp):
@@ -679,6 +752,15 @@ WRONG_INPUTS = {
         {(0, j): PLUS.angular_matrix(*pair) for j, pair in DUAL_PAIRS.items()})),
     "squares_rotation": lambda mp: squares(Images(
         {pair: PLUS.angular_matrix(0, j) for j, pair in DUAL_PAIRS.items()})),
+    # boosts swapped for their dual rotations: J.J - K.K changes sign and
+    # J.K = K.J stays 0
+    "casimir_square": lambda mp: casimirs_of(mp, "spin1", Images(
+        {**{(0, j): SPIN1.angular_matrix(*pair) for j, pair in DUAL_PAIRS.items()},
+         **{pair: SPIN1.angular_matrix(0, j) for j, pair in DUAL_PAIRS.items()}},
+        base=SPIN1.angular_matrix)),
+    # boosts negated: the other chirality, with the same J.J - K.K
+    "casimir_product": lambda mp: casimirs_of(mp, "spin_half_plus", Images(
+        {(0, j): -PLUS.angular_matrix(0, j) for j in DUAL_PAIRS})),
     "period_half": lambda mp: periods(d_basis(1, 2), d_basis(1, 2)),
     "period_whole": lambda mp: periods(PLUS.angular_matrix(1, 2), PLUS.angular_matrix(1, 2)),
     "period_double": wrong_double_turn,
