@@ -76,7 +76,7 @@ _UNIT = _frozen(np.eye(4))
 
 def basis(mu: int) -> ArrayC:
     """Return the standard basis vector u_mu, mu in 0..3."""
-    if not 0 <= mu <= 3:
+    if not (isinstance(mu, (int, np.integer)) and 0 <= mu <= 3):
         raise ValueError(f"basis index must be in 0..3, got {mu}")
     return _UNIT[mu].copy()
 

@@ -232,12 +232,12 @@ def faraday_components(x: ArrayLike, tol: float = 1e-10) -> ArrayC:
     ``x`` is one operator or a ``(..., 4, 4)`` stack; the result has shape
     ``(..., 3)``, each entry bit for bit the single call's.  Raises
     ValueError when an operator is not in the span of the three boost
-    images within tol (relative to its size).
+    images within tol (relative to its size), or has a NaN entry.
     """
     m = np.asarray(x, dtype=np.complex128)
     c = (m.reshape(m.shape[:-2] + (1, 16)) @ _BOOST_TRACE)[..., 0, :]
     gap = np.abs(_faraday(c) - m).max(axis=(-2, -1))
-    if (gap > tol * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))).any():
+    if not (gap <= tol * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))).all():  # NaN fails too
         raise ValueError("operator is not a combination of the boost images")
     return c
 
@@ -402,8 +402,8 @@ def evolve_numeric(f: EMField, p0: ArrayLike, tau: ArrayLike, steps: int) -> Arr
     new writable array.  Raises ValueError naming the first tau (C order)
     whose integrated momentum is not finite.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+        raise ValueError(f"steps must be an integer >= 1, got {steps}")
     taus = np.asarray(tau, dtype=np.float64)
     if taus.ndim > 1:
         raise ValueError(f"tau must be a scalar or a 1-D array, got shape {taus.shape}")
@@ -437,10 +437,13 @@ def shell_drift(p0: ArrayLike, p: ArrayLike) -> float:
     wherever that formula does not overflow, and stays finite for every
     finite p.  Both momenta are read by the rule of :class:`EMField`: an
     imaginary part above 1e-9, a non-finite component or a length other
-    than 4 raises ValueError.
+    than 4 raises ValueError, and so does a stack of momenta.
     """
     p0 = _real_vectors(p0, 4, "momentum")
     p = _real_vectors(p, 4, "momentum")
+    for v in (p0, p):
+        if v.ndim != 1:
+            raise ValueError(f"momentum must have shape (4,), got shape {v.shape}")
     _, e = np.frexp(max(1.0, float(np.abs(p).max())))
     p0, p = np.ldexp(p0, -e), np.ldexp(p, -e)
     scale = max(float(np.ldexp(1.0, -e)), float(np.abs(p).max()))

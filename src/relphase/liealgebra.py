@@ -97,13 +97,14 @@ def qo_realize(coeffs: ArrayLike, tol: float = 1e-12) -> QoElement:
     """Realise an antisymmetric coefficient tensor, or a (..., 4, 4) stack of
     them, as an algebra element.
 
-    Raises ValueError when an input tensor is not antisymmetric within tol.
+    Raises ValueError when an input tensor is not antisymmetric within tol;
+    a tensor with a NaN entry never is.
     """
     x = np.asarray(coeffs, dtype=np.complex128)
     if x.shape[-2:] != (4, 4):
         raise ValueError(f"coefficient tensor must be 4x4, got shape {x.shape}")
     asym = np.abs(x + x.mT).max(initial=0.0)
-    if asym > tol:
+    if not asym <= tol:  # NaN fails too
         raise ValueError(f"coefficient tensor is not antisymmetric (residual {asym:.3e})")
     x = 0.5 * (x - x.mT)  # exact antisymmetry
     return QoElement(2 * x @ ETA)

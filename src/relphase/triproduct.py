@@ -82,7 +82,7 @@ def d_basis(alpha: int, beta: int) -> ArrayC:
     Action: u_gamma -> -eta_{gamma alpha} u_beta + eta_{beta gamma} u_alpha.
     Antisymmetric in (alpha, beta); zero when alpha == beta.
     """
-    if not (0 <= alpha <= 3 and 0 <= beta <= 3):
+    if not all(isinstance(i, (int, np.integer)) and 0 <= i <= 3 for i in (alpha, beta)):
         raise ValueError(f"basis indices must be in 0..3, got ({alpha}, {beta})")
     m = np.zeros((4, 4), dtype=np.complex128)
     m[beta, alpha] -= ETA[alpha, alpha]

@@ -27,14 +27,17 @@ are written once, in :func:`_structure_residual`: the bracket table of the
 basis operators and the angular brackets of all three generator maps are
 judged by it.
 
-A check that draws nothing from the generator is computed once per process,
-the first time its suite runs: each suite with such checks keeps them in one
-cached private function (``_fixed_triproduct`` and so on) and puts the
-stored :class:`Check` back at its place in the report on every later call.
-A stored residual has the bits of the cold one, and the checks that draw
-run as before, so the generator is consumed identically; only the wall time
-of a later suite call in the same process (the stderr timing of ``relphase
-verify``) reads lower.
+The checks of the liealgebra and representations suites that draw nothing
+from the generator are computed once per process, the first time their
+suite runs: each of the two suites keeps them in one cached private function
+(``_fixed_liealgebra``, ``_fixed_representations``) and puts the stored
+:class:`Check` back at its place in the report on every later call.  A
+stored residual has the bits of the cold one, and the checks that draw run
+as before, so the generator is consumed identically; only the wall time of a
+later suite call in the same process (the stderr timing of ``relphase
+verify``) reads lower.  The triproduct and em suites each have one such
+check, which costs less to recompute than the suite's run-to-run spread, so
+they compute it on every call.
 """
 
 from __future__ import annotations
@@ -62,6 +65,8 @@ from .triproduct import (d_basis, d_hat, d_operator, tri_product,
                          tri_product_coords)
 
 DEFAULT_TOLERANCE = 1e-12
+# Inputs drawn by a check of core, triproduct or em that sets no count of its own.
+_DRAWS = 500
 
 
 @dataclass(frozen=True)
@@ -144,21 +149,21 @@ def _graded_draws(rng: np.random.Generator, draws: int, count: int,
 # core
 # ---------------------------------------------------------------------------
 
-def suite_core(rng: np.random.Generator, draws: int = 500) -> list[Check]:
+def suite_core(rng: np.random.Generator) -> list[Check]:
     checks = []
 
-    lam, a, b, c = _draw(rng, draws, 1, 4, 4, 4)
+    lam, a, b, c = _draw(rng, _DRAWS, 1, 4, 4, 4)
     mixed = lam * a + c
     lam = lam[:, 0]
     worst = max(_worst(scalar_product(mixed, b), lam * scalar_product(a, b) + scalar_product(c, b)),
                 _worst(scalar_product(b, mixed), lam * scalar_product(b, a) + scalar_product(b, c)))
     checks.append(Check("core.bilinearity", worst, 1e-12))
 
-    a, b = _draw(rng, draws, 4, 4)
+    a, b = _draw(rng, _DRAWS, 4, 4)
     worst = float(np.abs(scalar_product(a, b) - scalar_product(b, a)).max())
     checks.append(Check("core.symmetry", worst, 1e-15))
 
-    (a,) = _draw(rng, draws, 4)
+    (a,) = _draw(rng, _DRAWS, 4)
     p, x = decompose(a)
     s = scalar_product(conjugate(a), a)
     sq = scalar_square(a)
@@ -181,29 +186,19 @@ def suite_core(rng: np.random.Generator, draws: int = 500) -> list[Check]:
 # triproduct
 # ---------------------------------------------------------------------------
 
-def _jordan_check(rng: np.random.Generator, draws: int) -> Check:
+def _jordan_check(rng: np.random.Generator) -> Check:
     """Derivation identity [D(x,y), D(a,b)] = D(D(x,y)a, b) - D(a, D(y,x)b)."""
-    x, y, a, b = _draw(rng, draws, 4, 4, 4, 4)
+    x, y, a, b = _draw(rng, _DRAWS, 4, 4, 4, 4)
     dxy = d_operator(x, y)
     lhs = commutator(dxy, d_operator(a, b))
     rhs = d_operator(np.matvec(dxy, a), b) - d_operator(a, np.matvec(d_operator(y, x), b))
     return Check("tri.jordan_identity", _worst(lhs, rhs), 1e-10)
 
 
-@functools.cache
-def _fixed_triproduct() -> tuple[Check, ...]:
-    """The check of :func:`suite_triproduct` that draws nothing."""
-    pairs = np.array([(alpha, beta) for alpha in range(4) for beta in range(4)])
-    units = np.stack([basis(mu) for mu in range(4)])
-    closed = np.stack([d_basis(alpha, beta) for alpha, beta in pairs])
-    worst = float(np.abs(closed - d_hat(units[pairs[:, 0]], units[pairs[:, 1]])).max())
-    return (Check("tri.basis_operator_agreement", worst, 1e-15),)
-
-
-def suite_triproduct(rng: np.random.Generator, draws: int = 500) -> list[Check]:
+def suite_triproduct(rng: np.random.Generator) -> list[Check]:
     checks = []
 
-    a, b, c = _draw(rng, draws, 4, 4, 4)
+    a, b, c = _draw(rng, _DRAWS, 4, 4, 4)
     checks.append(Check("tri.outer_symmetry",
                         _worst(tri_product(a, b, c), tri_product(c, b, a)), 1e-12))
 
@@ -217,13 +212,17 @@ def suite_triproduct(rng: np.random.Generator, draws: int = 500) -> list[Check]:
                        lam * tri_product(b, c, a) + tri_product(b, c, a2)))
     checks.append(Check("tri.trilinearity", worst, 1e-12))
 
-    checks.append(_jordan_check(rng, draws))
+    checks.append(_jordan_check(rng))
 
-    a, b, c = _draw(rng, draws, 4, 4, 4)
+    a, b, c = _draw(rng, _DRAWS, 4, 4, 4)
     checks.append(Check("tri.coordinate_form",
                         _worst(tri_product(a, b, c), tri_product_coords(a, b, c)), 1e-13))
 
-    checks.extend(_fixed_triproduct())
+    pairs = np.array([(alpha, beta) for alpha in range(4) for beta in range(4)])
+    units = np.stack([basis(mu) for mu in range(4)])
+    closed = np.stack([d_basis(alpha, beta) for alpha, beta in pairs])
+    worst = float(np.abs(closed - d_hat(units[pairs[:, 0]], units[pairs[:, 1]])).max())
+    checks.append(Check("tri.basis_operator_agreement", worst, 1e-15))
 
     return checks
 
@@ -413,9 +412,7 @@ def casimir_residual(kind: str) -> float:
     (plus) or +3i/4 I (minus).  The image entries are 0, +/-1, +/-1/2 and
     +/-i/2, so every product and sum is exact and the true images give 0.
     """
-    m = Representation(kind).angular_matrix
-    k = np.stack([m(0, j) for j in DUAL_PAIRS])
-    j = np.stack([m(*pair) for pair in DUAL_PAIRS.values()])
+    k, j = np.split(_angular_stack(Representation(kind)), 2)
     square, product = _CASIMIRS[kind]
     eye = np.eye(4)
     return float(max(np.abs((j @ j).sum(axis=0) - (k @ k).sum(axis=0) - square * eye).max(),
@@ -629,18 +626,11 @@ def closed_form_rk4_residual(fields: EMField, p0s, tau: float, steps: int) -> fl
     return _worst(evolve_closed_form(fields, p0s, tau), evolve_numeric(fields, p0s, tau, steps))
 
 
-@functools.cache
-def _fixed_em() -> tuple[Check, ...]:
-    """The check of :func:`suite_em` that draws nothing."""
-    worst = null_flow_residual(EMField([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), (0.5, 2.0, 7.0))
-    return (Check("em.null_field_flow_linear", worst, 1e-12),)
-
-
-def suite_em(rng: np.random.Generator, draws: int = 500) -> list[Check]:
+def suite_em(rng: np.random.Generator) -> list[Check]:
     checks = []
 
     # Field k takes row k: E from the first three entries, B from the last.
-    u = rng.uniform(-1, 1, (draws, 6))
+    u = rng.uniform(-1, 1, (_DRAWS, 6))
     fields = EMField(u[:, :3], u[:, 3:])
     checks.append(Check("em.faraday_square_invariant", faraday_square_residual(fields), 1e-12))
     checks.append(Check("em.conjugate_commutes", conjugate_commutator_residual(fields), 1e-12))
@@ -669,7 +659,8 @@ def suite_em(rng: np.random.Generator, draws: int = 500) -> list[Check]:
     worst = max(0.0 if is_in_qo(q.matrix) else 1.0, float(np.abs(q.matrix.imag).max()))
     checks.append(Check("em.field_tensor_in_algebra", worst, 1e-12))
 
-    checks.extend(_fixed_em())
+    worst = null_flow_residual(EMField([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), (0.5, 2.0, 7.0))
+    checks.append(Check("em.null_field_flow_linear", worst, 1e-12))
 
     worst = closed_form_rk4_residual(fields[:3], rng.uniform(-1, 1, (3, 4)), 1.0, 2000)
     checks.append(Check("em.closed_form_vs_rk4", worst, 1e-8))

@@ -16,9 +16,10 @@ settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("search", database=None)
 settings.load_profile("tier1")
 
-# The cached functions that hold verify's checks drawing nothing.
-VERIFY_MEMOS = [f for f in vars(verify).values()
-                if hasattr(f, "cache_clear") and f.__module__ == verify.__name__]
+# The cached functions that hold verify's checks drawing nothing, keyed by
+# the suite that runs each: ``_fixed_<suite>``.
+VERIFY_MEMOS = {name.removeprefix("_fixed_"): f for name, f in vars(verify).items()
+                if hasattr(f, "cache_clear") and f.__module__ == verify.__name__}
 
 
 @pytest.fixture(autouse=True)
@@ -30,5 +31,5 @@ def clear_verify_memos_after_monkeypatch(request):
     """
     yield
     if "monkeypatch" in request.fixturenames:
-        for memo in VERIFY_MEMOS:
+        for memo in VERIFY_MEMOS.values():
             memo.cache_clear()

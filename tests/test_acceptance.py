@@ -72,7 +72,7 @@ def test_criterion_2_spin_half_relations_and_explicit_cases():
 
 
 def test_criterion_3_jordan_identity():
-    worst = _jordan_check(np.random.default_rng(500), 500).residual
+    worst = _jordan_check(np.random.default_rng(500)).residual
     report(3, "triple-product derivation identity, 500 seeded quadruples",
            worst, 1e-10)
 

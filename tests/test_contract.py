@@ -511,6 +511,19 @@ INPUT_ERRORS = [
     (shell_drift, ([1.0, 0, 0, 0], [1.0, np.nan, 0, 0]), "momentum components must be finite"),
     (shell_drift, ([1.0, 0, 0], [1.0, 0, 0, 0]),
      r"momentum must have 4 components, got shape \(3,\)"),
+    # NaN fails a tolerance test, not only a value above it
+    (qo_realize, (np.array([[0, np.nan, 0, 0], [np.nan, 0, 0, 0], [0] * 4, [0] * 4]),),
+     r"coefficient tensor is not antisymmetric \(residual nan\)"),
+    (faraday_components, (np.full((4, 4), np.nan),),
+     "operator is not a combination of the boost images"),
+    # a float count or index, and a stack where one momentum is meant
+    (evolve_numeric, (FIELD, [1.0, 0, 0, 0], 1.0, 2.0), r"steps must be an integer >= 1, got 2\.0"),
+    (shell_drift, (np.ones((2, 4)), np.ones((2, 4))),
+     r"momentum must have shape \(4,\), got shape \(2, 4\)"),
+    (mass_shell_residual, (FIELD, [[1.0, 0, 0, 0], [2.0, 0, 0, 0]], 1.0),
+     r"momentum must have shape \(4,\), got shape \(2, 4\)"),
+    (basis, (1.5,), r"basis index must be in 0\.\.3, got 1\.5"),
+    (d_basis, (0.5, 1), r"basis indices must be in 0\.\.3, got \(0\.5, 1\)"),
 ]
 
 

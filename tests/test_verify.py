@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import VERIFY_MEMOS
 
 from relphase import (DUAL_PAIRS, ETA, EMField, GradedElement, PoincareGenerator, QoElement,
                       Representation, basis, boost_flow_closed, commutator, conjugate,
@@ -17,7 +18,8 @@ from relphase import (DUAL_PAIRS, ETA, EMField, GradedElement, PoincareGenerator
 from relphase.em import _sinhc
 from relphase.liealgebra import QO_BASIS_PAIRS
 from relphase.representations import NPBasis, np_block_residuals
-from relphase.verify import (SUITES, _draw, _graded_draws, _worst, car_residual, generator_squares_residual,
+from relphase.verify import (_DRAWS, SUITES, _draw, _graded_draws, _worst, car_residual,
+                             generator_squares_residual,
                              half_angle_period_residual, qo_dimension, run_all, suite_core,
                              suite_em, suite_liealgebra, suite_representations,
                              suite_triproduct)
@@ -157,12 +159,11 @@ def test_batched_suites_reproduce_the_per_draw_loops():
     eps = np.finfo(np.float64).eps
     for seed in (3, 8):
         batched, per_draw = np.random.default_rng(seed), np.random.default_rng(seed)
-        core = [c.residual for c in suite_core(batched, draws=60)]
-        want = loop_core(per_draw, 60)
+        core = [c.residual for c in suite_core(batched)]
+        want = loop_core(per_draw, _DRAWS)
         assert abs(core[0] - want[0]) <= 8 * eps
         assert core[1:] == want[1:]
-        assert [c.residual for c in suite_triproduct(batched, draws=60)] == \
-            loop_triproduct(per_draw, 60)
+        assert [c.residual for c in suite_triproduct(batched)] == loop_triproduct(per_draw, _DRAWS)
         assert batched.bit_generator.state == per_draw.bit_generator.state
 
 
@@ -224,7 +225,7 @@ def test_batched_em_suite_reproduces_the_per_field_loops():
     # generator is left in the same state.
     for seed in (5, 11):
         batched, per_field = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert [c.residual for c in suite_em(batched, draws=120)] == loop_em(per_field, 120)
+        assert [c.residual for c in suite_em(batched)] == loop_em(per_field, _DRAWS)
         assert batched.bit_generator.state == per_field.bit_generator.state
 
 
@@ -440,13 +441,8 @@ def test_known_mass_shell_false_failure_at_pass_7109_209():
         assert checks["em.evolution_reality"].tolerance == 1e-11
 
 
-# The checks of each suite that draw nothing, computed once per process.
-MEMOS = {"triproduct": verify._fixed_triproduct, "liealgebra": verify._fixed_liealgebra,
-         "representations": verify._fixed_representations, "em": verify._fixed_em}
-
-
 def clear_memos():
-    for memo in MEMOS.values():
+    for memo in VERIFY_MEMOS.values():
         memo.cache_clear()
 
 
@@ -454,15 +450,9 @@ def bits(checks):
     return [(c.id, float.hex(c.residual), float.hex(c.tolerance)) for c in checks]
 
 
-def test_memos_cover_every_cached_function():
-    cached = {f for f in vars(verify).values()
-              if hasattr(f, "cache_clear") and f.__module__ == verify.__name__}
-    assert cached == set(MEMOS.values())
-
-
 def fixed_bits(name, report):
     """The bits of the checks in ``report`` that suite ``name`` memoises."""
-    fixed = {c.id for c in MEMOS[name].__wrapped__()}
+    fixed = {c.id for c in VERIFY_MEMOS[name].__wrapped__()}
     return [b for b in bits(report) if b[0] in fixed]
 
 
@@ -470,7 +460,7 @@ def test_memoised_checks_have_the_bits_of_a_cold_recomputation():
     # The suite's first call after cache_clear() fills the memo and its
     # second call reads it; both report the bits of the undecorated function.
     suites = dict(SUITES)
-    for name, memo in MEMOS.items():
+    for name, memo in VERIFY_MEMOS.items():
         cold = bits(memo.__wrapped__())
         memo.cache_clear()
         for call in ("first", "second"):
@@ -480,7 +470,7 @@ def test_memoised_checks_have_the_bits_of_a_cold_recomputation():
 
 def test_seed_independent_residuals_agree_across_seeds():
     for name, fn in SUITES:
-        if name in MEMOS:
+        if name in VERIFY_MEMOS:
             reports = []
             for seed in (1, 2):
                 clear_memos()
