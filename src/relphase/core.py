@@ -39,6 +39,12 @@ Polynomial kernels (``invariant_z``, ``tri_product``, ``d_operator``,
 ``lorentz_force``) follow numpy: an overflow gives inf or NaN with a
 RuntimeWarning.
 
+Arguments, one rule for the library: an index, a sign or a count is an
+``int`` or a numpy integer, never a bool or a float, and one of its allowed
+values; anything else raises ValueError ``<name> must be <rule>, got
+<value>`` (``basis index must be in 0..3, got True``).  ``_index`` checks
+it for every module.
+
 Read-only arrays, one rule for the library: every array that a value holds
 or a table shares (the metric, the generator images, the element and field
 arrays) is a C-contiguous copy in an immutable ``bytes`` buffer, made by
@@ -74,10 +80,28 @@ _ETA_C = _frozen(ETA)
 _UNIT = _frozen(np.eye(4))
 
 
+def _index(name: str, rule: str, allowed: range | tuple | dict, *values: object) -> None:
+    """Check index, sign and count arguments: each of ``values`` is an ``int``
+    or a numpy integer, never a bool or a float, and is in ``allowed``.
+
+    Otherwise raises ValueError ``<name> must be <rule>, got <value>``, with
+    two or more values shown as ``(a, b)``.
+    """
+    for v in values:
+        # bool is a subclass of int, not its type.  A numpy integer is tested
+        # as the int it holds: range tests any other type entry by entry.
+        if not (type(v) is int or isinstance(v, np.integer)) or int(v) not in allowed:
+            got = values[0] if len(values) == 1 else f"({', '.join(map(str, values))})"
+            raise ValueError(f"{name} must be {rule}, got {got}")
+
+
 def basis(mu: int) -> ArrayC:
-    """Return the standard basis vector u_mu, mu in 0..3."""
-    if not (isinstance(mu, (int, np.integer)) and 0 <= mu <= 3):
-        raise ValueError(f"basis index must be in 0..3, got {mu}")
+    """Return the standard basis vector u_mu.
+
+    Raises ValueError ``basis index must be in 0..3, got <mu>`` unless mu is
+    an integer in 0..3 (see ``_index``).
+    """
+    _index("basis index", "in 0..3", range(4), mu)
     return _UNIT[mu].copy()
 
 

@@ -89,7 +89,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import _UNIT, ETA, ArrayC, ArrayR, _frozen, _require_finite
+from .core import _UNIT, ETA, ArrayC, ArrayR, _frozen, _index, _require_finite
 from .liealgebra import QoElement
 from .representations import Representation
 
@@ -400,10 +400,11 @@ def evolve_numeric(f: EMField, p0: ArrayLike, tau: ArrayLike, steps: int) -> Arr
     added back, the same sums in the same order as ``p + D p``, with no
     array allocated per step.  ``p0`` is never written, and the result is a
     new writable array.  Raises ValueError naming the first tau (C order)
-    whose integrated momentum is not finite.
+    whose integrated momentum is not finite, and ValueError ``steps must be
+    an integer >= 1, got <steps>`` unless steps is an integer (see
+    ``core._index``) from 1 to below 2**63.
     """
-    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
-        raise ValueError(f"steps must be an integer >= 1, got {steps}")
+    _index("steps", "an integer >= 1", range(1, 2**63), steps)
     taus = np.asarray(tau, dtype=np.float64)
     if taus.ndim > 1:
         raise ValueError(f"tau must be a scalar or a 1-D array, got shape {taus.shape}")

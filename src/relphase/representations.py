@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import _UNIT, ArrayC, _frozen, _require_finite, basis
+from .core import _UNIT, ArrayC, _frozen, _index, _require_finite, basis
 from .liealgebra import QO_BASIS_PAIRS, GradedElement, QoElement, _graded_bracket, graded_bracket
 from .triproduct import d_basis
 
@@ -78,14 +78,19 @@ class PoincareGenerator:
 
     @staticmethod
     def translation(mu: int) -> "PoincareGenerator":
-        if not 0 <= mu <= 3:
-            raise ValueError(f"translation index must be in 0..3, got {mu}")
+        """P_mu; raises ValueError ``translation index must be in 0..3, got
+        <mu>`` unless mu is an integer in 0..3 (see ``core._index``)."""
+        _index("translation index", "in 0..3", range(4), mu)
         return PoincareGenerator("translation", (mu,))
 
     @staticmethod
     def angular(alpha: int, beta: int) -> "PoincareGenerator":
-        if alpha == beta or not (0 <= alpha <= 3 and 0 <= beta <= 3):
-            raise ValueError(f"angular indices must be distinct and in 0..3, got ({alpha}, {beta})")
+        """M_{alpha beta}; raises ValueError ``angular indices must be distinct
+        and in 0..3, got (alpha, beta)`` unless both are distinct integers in
+        0..3 (see ``core._index``)."""
+        # Equal indices allow no value, so they get the same message.
+        _index("angular indices", "distinct and in 0..3", range(4) if alpha != beta else (),
+               alpha, beta)
         if alpha < beta:
             return PoincareGenerator("angular", (alpha, beta), 1)
         return PoincareGenerator("angular", (beta, alpha), -1)
@@ -102,11 +107,15 @@ class PoincareGenerator:
 
 
 def parse_generator(label: str) -> PoincareGenerator:
-    """Parse labels like "P0", "M01", "M31"."""
+    """Parse labels like "P0", "M01", "M31".
+
+    The indices are ASCII digits; any other label raises ValueError
+    ``unknown generator label <label> (expected e.g. P0 or M01)``.
+    """
     label = label.strip()
-    if len(label) == 2 and label[0] in "Pp" and label[1].isdigit():
+    if label.isascii() and len(label) == 2 and label[0] in "Pp" and label[1].isdigit():
         return PoincareGenerator.translation(int(label[1]))
-    if len(label) == 3 and label[0] in "Mm" and label[1].isdigit() and label[2].isdigit():
+    if label.isascii() and len(label) == 3 and label[0] in "Mm" and label[1:].isdigit():
         return PoincareGenerator.angular(int(label[1]), int(label[2]))
     raise ValueError(f"unknown generator label {label!r} (expected e.g. P0 or M01)")
 
@@ -116,9 +125,12 @@ def parse_generator(label: str) -> PoincareGenerator:
 # ---------------------------------------------------------------------------
 
 def d_perp(j: int) -> ArrayC:
-    """Rotation generator dual to the boost d_basis(0, j)."""
-    if j not in DUAL_PAIRS:
-        raise ValueError(f"dual index must be 1, 2 or 3, got {j}")
+    """Rotation generator dual to the boost d_basis(0, j).
+
+    Raises ValueError ``dual index must be 1, 2 or 3, got <j>`` unless j is
+    an integer 1, 2 or 3 (see ``core._index``).
+    """
+    _index("dual index", "1, 2 or 3", DUAL_PAIRS, j)
     return d_basis(*DUAL_PAIRS[j])
 
 
@@ -146,10 +158,11 @@ def d_pm(j: int, sign: int) -> ArrayC:
 
     Squares to the identity; distinct axes with the same sign anticommute
     (canonical anticommutation relations); opposite-sign combinations
-    commute.
+    commute.  Raises ValueError ``sign must be +1 or -1, got <sign>`` unless
+    sign is the integer +1 or -1, and d_basis's or d_perp's error for a bad
+    j (see ``core._index``).
     """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    _index("sign", "+1 or -1", (1, -1), sign)
     return d_basis(0, j) + sign * 1j * d_perp(j)
 
 
@@ -215,10 +228,20 @@ _HALF_SIGNS = {id(image.l0.matrix): _square_sign(image.l0.matrix)
 
 def _image(kind: str, label: str, indices: tuple[int, ...]) -> GradedElement:
     """The image of the generator ``label`` ("translation" or "angular") with
-    the ordered ``indices``."""
+    the ordered ``indices``.
+
+    Raises ValueError ``no <kind> image for <label> indices <indices>`` for
+    an unknown kind, or unless the indices are integers (see
+    ``core._index``) that label an image.
+    """
     try:
-        return _GRADED_IMAGES[kind][(label, indices)]
-    except KeyError:
+        # A key has one or two indices, so the first and the last are all of
+        # them, and plain ints skip the call: the table holds no other type,
+        # but a bool or a float equal to a key would find its image.
+        if type(indices[0]) is not int or type(indices[-1]) is not int:
+            _index("indices", "in 0..3", range(4), *indices)
+        return _GRADED_IMAGES[kind][label, indices]
+    except (IndexError, KeyError, ValueError):
         raise ValueError(f"no {kind} image for {label} indices {indices}") from None
 
 
@@ -237,12 +260,11 @@ def pi_half(g: PoincareGenerator, sign: int) -> GradedElement:
     Translations: u_mu, as in the spin-1 map.
 
     The minus-representation operators are the entrywise conjugates of the
-    plus ones.
+    plus ones.  Raises ValueError ``sign must be +1 or -1, got <sign>``
+    unless sign is the integer +1 or -1 (see ``core._index``).
     """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    kind = "spin_half_plus" if sign > 0 else "spin_half_minus"
-    return _image(kind, g.kind, g.indices[::g.sign])
+    _index("sign", "+1 or -1", (1, -1), sign)
+    return _image("spin_half_plus" if sign > 0 else "spin_half_minus", g.kind, g.indices[::g.sign])
 
 
 def half_graded_bracket(x: GradedElement, y: GradedElement) -> GradedElement:
@@ -343,8 +365,9 @@ def boost_flow_closed(j: int, phi: float) -> ArrayC:
     ``rotation_flow_closed(0, j, phi)``.
 
     Carries -sinh entries relative to the textbook boost display; see the
-    module docstring.  Returns a new writable array.  Raises ValueError when
-    j is outside 0..3 or when cosh(phi) or sinh(phi) is not finite; an
+    module docstring.  Returns a new writable array.  Raises ValueError
+    ``basis indices must be in 0..3, got (0, j)`` unless j is an integer in
+    0..3 (see ``core._index``), and when cosh(phi) or sinh(phi) is not finite; an
     overflow emits numpy's RuntimeWarnings first.  j = 0 gives the identity
     for every finite phi.
     """
@@ -360,15 +383,18 @@ def rotation_flow_closed(k: int, l: int, phi: float) -> ArrayC:
     gives the boost along axis j at -phi.  On a rotation plane D^3 = -D, so
     odd = sin(phi) and even = 1 - cos(phi); k = l gives D = 0 and the
     identity.  D and D^2 come from a table built at import, so a call makes
-    no generator.  Returns a new writable array.  Raises ValueError when k
-    or l is outside 0..3 (d_basis's error), when phi is NaN or infinite, or
+    no generator.  Returns a new writable array.  Raises ValueError ``basis
+    indices must be in 0..3, got (k, l)`` unless k and l are integers in
+    0..3 (d_basis's message; see ``core._index``), when phi is NaN or infinite, or
     when the flow overflows (|phi| beyond about 710.48 on a boost plane); an
     overflow emits numpy's RuntimeWarnings first.  D has entries 0 and +/-1 and D^2
     entries 0 and 1, so the result is finite exactly when both coefficients
     are; checking them is cheaper than checking the result.
     """
-    # d_basis raises its ValueError for a label outside the table.
-    d, d2 = _CUBIC.get((k, l)) or d_basis(k, l)
+    # _CUBIC holds every pair in 0..3, so plain ints that key it skip the call.
+    if type(k) is not int or type(l) is not int or (k, l) not in _CUBIC:
+        _index("basis indices", "in 0..3", range(4), k, l)
+    d, d2 = _CUBIC[k, l]
     if (k == 0) != (l == 0):
         odd, even = np.sinh(phi), np.cosh(phi) - 1.0
     else:
@@ -488,10 +514,10 @@ def np_block_pattern(j: int, boost: bool, rep_kind: str = "spin_half_plus") -> t
     The second block equals -sigma_j/2 (resp. i sigma_j/2) for j in {1, 2}
     and carries the opposite sign for j = 3.  The minus-representation blocks
     (taken in the conjugated tetrad ordering) are the entrywise conjugates.
-    Raises ValueError when j is not 1, 2 or 3.
+    Raises ValueError ``axis must be 1, 2 or 3, got <j>`` unless j is an
+    integer 1, 2 or 3 (see ``core._index``).
     """
-    if j not in DUAL_PAIRS:
-        raise ValueError(f"axis must be 1, 2 or 3, got {j}")
+    _index("axis", "1, 2 or 3", DUAL_PAIRS, j)
     sig = PAULI[j - 1]
     first = -0.5 * np.conj(sig)
     second = -0.5 * (PAULI[0] @ np.conj(sig) @ PAULI[0])

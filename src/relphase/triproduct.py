@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import _ETA_C, _UNIT, ETA, ArrayC, _bilinear
+from .core import _ETA_C, _UNIT, ETA, ArrayC, _bilinear, _index
 
 
 def tri_product(a: ArrayLike, b: ArrayLike, c: ArrayLike) -> ArrayC:
@@ -80,10 +80,11 @@ def d_basis(alpha: int, beta: int) -> ArrayC:
     """Closed-form matrix of d_hat(u_alpha, u_beta).
 
     Action: u_gamma -> -eta_{gamma alpha} u_beta + eta_{beta gamma} u_alpha.
-    Antisymmetric in (alpha, beta); zero when alpha == beta.
+    Antisymmetric in (alpha, beta); zero when alpha == beta.  Raises
+    ValueError ``basis indices must be in 0..3, got (alpha, beta)`` unless
+    both are integers in 0..3 (see ``core._index``).
     """
-    if not all(isinstance(i, (int, np.integer)) and 0 <= i <= 3 for i in (alpha, beta)):
-        raise ValueError(f"basis indices must be in 0..3, got ({alpha}, {beta})")
+    _index("basis indices", "in 0..3", range(4), alpha, beta)
     m = np.zeros((4, 4), dtype=np.complex128)
     m[beta, alpha] -= ETA[alpha, alpha]
     m[alpha, beta] += ETA[beta, beta]

@@ -598,9 +598,11 @@ def shell_and_reality_residuals(fields: EMField, p0s, taus) -> tuple[float, floa
 def flow_invariance_residual(fields: EMField, axes, phis) -> float:
     """Change of the invariant z when field k is conjugated by the spin-1/2
     boost flow along axes[k] (1, 2 or 3) at rapidity phis[k], relative to
-    max(1, |z|)."""
+    max(1, |z|).  Raises ValueError ``boost axes must be 1, 2 or 3, got
+    <axes>`` unless ``axes`` has an integer dtype, never bool or float, and
+    only the values 1, 2 and 3: the rule of ``core._index``, for an array."""
     axes = np.asarray(axes)
-    if not np.isin(axes, (1, 2, 3)).all():
+    if axes.dtype.kind not in "iu" or not np.isin(axes, (1, 2, 3)).all():
         raise ValueError(f"boost axes must be 1, 2 or 3, got {axes}")
     x = _BOOST_PLUS[axes - 1]
     phis = np.asarray(phis, dtype=np.float64)[:, None, None]

@@ -130,9 +130,14 @@ class TestTransformCommand:
         got = np.array([parse_complex(z) for z in d["output"]])
         np.testing.assert_allclose(got, [0, 0, 1, 0], atol=1e-12)
 
-    def test_unknown_generator_is_usage_error(self):
+    def test_unknown_generator_is_usage_error(self, capsys):
         assert main(["transform", "spin1", "M99", "1.0", "1", "0", "0", "0"]) == 2
         assert main(["transform", "spin1", "P0", "1.0", "1", "0", "0", "0"]) == 2
+        # a superscript digit is an unknown label, not int()'s parse error
+        capsys.readouterr()
+        assert main(["transform", "spin1", "M0²", "1.0", "1", "0", "0", "0"]) == 2
+        assert capsys.readouterr().err == ("error: unknown generator label 'M0²' "
+                                           "(expected e.g. P0 or M01)\n")
 
     def test_csv_round_trip(self, tmp_path):
         out = tmp_path / "t.csv"

@@ -20,10 +20,12 @@ exact message.  A new public callable needs a row here, or an entry with
 its reason in ``EXEMPT``.
 """
 
+import ast
 import dataclasses
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +35,8 @@ from hypothesis import strategies as st
 import relphase
 from relphase import *  # noqa: F403  (the table covers every public name)
 from relphase.em import _sinhc, shell_drift
-from relphase.representations import _CUBIC
+from relphase.representations import _CUBIC, np_block_residuals
+from relphase.verify import flow_invariance_residual
 
 EXEMPT = {
     "ArrayC": "a type alias", "ArrayR": "a type alias", "__version__": "a string",
@@ -524,13 +527,107 @@ INPUT_ERRORS = [
      r"momentum must have shape \(4,\), got shape \(2, 4\)"),
     (basis, (1.5,), r"basis index must be in 0\.\.3, got 1\.5"),
     (d_basis, (0.5, 1), r"basis indices must be in 0\.\.3, got \(0\.5, 1\)"),
+    (EMField, ([1, 2], [0, 0, 0]), r"e must have 3 components, got shape \(2,\)"),
+    (EMField, ([1, 2, np.nan], [0, 0, 0]), "e components must be finite"),
+    (faraday_components, (np.eye(4),), "operator is not a combination of the boost images"),
+    # one operator just outside the span fails a stack
+    (faraday_components, (FARADAY[:50] + np.where(np.arange(50)[:, None, None] == 30,
+                                                   1e-6 * np.eye(4), 0.0),),
+     "operator is not a combination of the boost images"),
+    (evolve_numeric, (FIELD, np.ones(4), 1.0, 0), "steps must be an integer >= 1, got 0"),
+    (evolve_numeric, (FIELD, np.ones(4), np.ones((2, 2)), 10),
+     r"tau must be a scalar or a 1-D array, got shape \(2, 2\)"),
+    (PoincareGenerator.angular, (2, 2),
+     r"angular indices must be distinct and in 0\.\.3, got \(2, 2\)"),
+    (parse_generator, ("Q7",), r"unknown generator label 'Q7' \(expected e\.g\. P0 or M01\)"),
+    (np_block_residuals, ("spin1",), "no block pattern for representation 'spin1'"),
+    *[(half_flow_closed, (x, 1.0), rf"operator must be 4x4, got shape \({shape}\)")
+      for x, shape in ((np.stack([PLUS.angular_matrix(0, 1)] * 2), "2, 4, 4"),
+                       (np.full(4, 0.5), "4,"))],
+    # I squares to 4 (I/4); diag(1/2, 0, 0, 0) to no multiple of I
+    *[(half_flow_closed, (x, 1.0), r"operator does not square to \+/- I/4")
+      for x in (np.eye(4), np.diag([0.5, 0.0, 0.0, 0.0]))],
+    # a bool is an int to Python and a float equals one, but neither is an
+    # index, a sign or a count
+    (basis, (True,), r"basis index must be in 0\.\.3, got True"),
+    (d_basis, (True, 2), r"basis indices must be in 0\.\.3, got \(True, 2\)"),
+    (rotation_flow_closed, (True, 2, 0.5), r"basis indices must be in 0\.\.3, got \(True, 2\)"),
+    (rotation_flow_closed, (1.0, 2, 0.5), r"basis indices must be in 0\.\.3, got \(1\.0, 2\)"),
+    (boost_flow_closed, (True, 0.5), r"basis indices must be in 0\.\.3, got \(0, True\)"),
+    (REPS[0].angular_matrix, (1.0, 2), r"no spin1 image for angular indices \(1\.0, 2\)"),
+    (REPS[0], (PoincareGenerator("angular", (True, 2)),),
+     r"no spin1 image for angular indices \(True, 2\)"),
+    (PoincareGenerator.translation, (1.5,), r"translation index must be in 0\.\.3, got 1\.5"),
+    (PoincareGenerator.angular, (True, 2),
+     r"angular indices must be distinct and in 0\.\.3, got \(True, 2\)"),
+    (d_perp, (1.0,), r"dual index must be 1, 2 or 3, got 1\.0"),
+    (d_pm, (1, True), r"sign must be \+1 or -1, got True"),
+    (d_pm, (True, 1), r"basis indices must be in 0\.\.3, got \(0, True\)"),
+    (pi_half, (PoincareGenerator.angular(0, 1), True), r"sign must be \+1 or -1, got True"),
+    (np_block_pattern, (1.0, True), r"axis must be 1, 2 or 3, got 1\.0"),
+    (np_block_pattern, (True, True), "axis must be 1, 2 or 3, got True"),
+    (evolve_numeric, (FIELD, [1.0, 0, 0, 0], 1.0, True), "steps must be an integer >= 1, got True"),
+    (flow_invariance_residual, (FIELDS[:2], [1.0, 2.0], [0.4, 0.4]),
+     r"boost axes must be 1, 2 or 3, got \[1\. 2\.\]"),
+    (flow_invariance_residual, (FIELDS[:2], [True, True], [0.4, 0.4]),
+     r"boost axes must be 1, 2 or 3, got \[ True  True\]"),
+    # indices are ASCII digits: a superscript one is not int()'s to parse,
+    # and an Arabic-Indic one is no M01
+    *[(parse_generator, (label,),
+       rf"unknown generator label '{label}' \(expected e\.g\. P0 or M01\)")
+      for label in ("M0²", "P¹", "M0١")],
 ]
 
 
 @pytest.mark.parametrize("call, args, message", INPUT_ERRORS,
-                         ids=[f"{c.__name__}-{i}" for i, (c, *_) in enumerate(INPUT_ERRORS)])
+                         ids=[f"{getattr(c, '__name__', type(c).__name__)}-{i}"
+                              for i, (c, *_) in enumerate(INPUT_ERRORS)])
 def test_bad_input_is_a_value_error(call, args, message):
     # the ValueError is the only signal: no warning comes before it
     with warnings.catch_warnings(), pytest.raises(ValueError, match=f"^{message}$"):
         warnings.simplefilter("error")
         call(*args)
+
+
+# Each call with plain ints: an index, a sign or a step count.
+INT_ARGUMENTS = [
+    (basis, 2), (d_basis, 3, 1), (d_perp, 2), (d_pm, 3, -1), (np_block_pattern, 2, False),
+    (rotation_flow_closed, 3, 1, 0.7), (boost_flow_closed, 2, -0.4),
+    (PoincareGenerator.translation, 1), (PoincareGenerator.angular, 3, 1),
+    (lambda a, b: tuple(rep.angular_matrix(a, b) for rep in REPS), 2, 0),
+    (lambda a, b, s: (pi_spin1(PoincareGenerator.angular(a, b)),
+                      pi_half(PoincareGenerator.translation(a), s),
+                      REPS[2](PoincareGenerator("angular", (a, b)))), 3, 0, -1),
+    (lambda steps: evolve_numeric(FIELDS[:5], P0S[:5], 0.7, steps), 9),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_a_numpy_integer_argument_gives_the_bits_of_the_int(dtype):
+    for call, *args in INT_ARGUMENTS:
+        got = parts(call(*[dtype(a) if type(a) is int else a for a in args]))
+        for g, w in zip(got, parts(call(*args)), strict=True):
+            if isinstance(w, np.ndarray):
+                assert_same_bits(g, w)
+            else:
+                assert g == w
+
+
+def test_the_argument_rule_has_one_owner():
+    # isinstance(..., np.integer) appears only in core._index, and no module
+    # tests a sign against a tuple of +1 and -1: every such argument meets
+    # the one rule.
+    for path in sorted(Path(relphase.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(node) for f in ast.walk(tree) if path.name == "core.py"
+                 and isinstance(f, ast.FunctionDef) and f.name == "_index" for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and "np.integer" in ast.unparse(node)):
+                assert id(node) in owner, f"{path.name}:{node.lineno}"
+            for right in node.comparators if isinstance(node, ast.Compare) else ():
+                try:
+                    value = ast.literal_eval(right)
+                except ValueError:
+                    continue
+                assert value not in ((1, -1), (-1, 1)), f"{path.name}:{node.lineno}"

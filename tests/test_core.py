@@ -135,14 +135,14 @@ class TestDecompose:
 
 class TestPhaseVector:
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^phase vector needs 4 coordinates, got shape \(3,\)$"):
             phase_vector([1, 2, 3])
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            phase_vector([np.nan, 0, 0, 0])
-        with pytest.raises(ValueError):
-            phase_vector([np.inf * 1j, 0, 0, 0])
+        for coords in ([np.nan, 0, 0, 0], [np.inf * 1j, 0, 0, 0]):
+            with pytest.raises(ValueError, match="^phase vector coordinates must be finite$"):
+                phase_vector(coords)
 
     def test_roundtrip(self):
         v = phase_vector([1, 2j, 3 + 4j, -1])
@@ -156,9 +156,9 @@ class TestPhaseOperator:
         assert m.dtype == np.complex128
 
     def test_rejects_wrong_shape_and_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^phase operator must be 4x4, got shape \(3, 3\)$"):
             phase_operator(np.eye(3))
         bad = np.eye(4, dtype=complex)
         bad[0, 0] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^phase operator entries must be finite$"):
             phase_operator(bad)

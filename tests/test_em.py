@@ -38,24 +38,18 @@ class TestEMField:
         f = EMField([1, 2, 3], [4, 5, 6])
         np.testing.assert_array_equal(f.faraday_vector, [1 + 4j, 2 + 5j, 3 + 6j])
 
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            EMField([1, 2], [0, 0, 0])
-        with pytest.raises(ValueError):
-            EMField([1, 2, np.nan], [0, 0, 0])
-
     def test_rejects_bad_stacks(self):
         e = np.random.default_rng(40).uniform(-1, 1, (50, 3))
         with pytest.raises(ValueError, match=r"^e must have 3 components, got shape \(50, 2\)$"):
             EMField(e[:, :2], e[:, :2])
-        with pytest.raises(ValueError, match="same shape"):
-            EMField(e, e[:49])
-        with pytest.raises(ValueError, match="same shape"):
-            EMField(e, e[0])
+        for b, shape in ((e[:49], r"\(49, 3\)"), (e[0], r"\(3,\)")):
+            message = rf"^e and b must have the same shape, got \(50, 3\) and {shape}$"
+            with pytest.raises(ValueError, match=message):
+                EMField(e, b)
         for name in ("e", "b"):
             bad = e.copy()
             bad[37, 1] = np.inf
-            with pytest.raises(ValueError, match=f"{name} components must be finite"):
+            with pytest.raises(ValueError, match=f"^{name} components must be finite$"):
                 EMField(bad, e) if name == "e" else EMField(e, bad)
 
     def test_complex_dtype_with_zero_imaginary_parts_keeps_the_real_bits(self):
@@ -141,13 +135,6 @@ class TestFaradayTensor:
         f = EMField([0.2, -0.4, 0.9], [-0.1, 0.6, 0.3])
         comps = faraday_components(faraday_tensor(f))
         np.testing.assert_allclose(comps, f.faraday_vector, atol=1e-12)
-        with pytest.raises(ValueError):
-            faraday_components(np.eye(4))
-        # one operator outside the span fails a stack
-        ops = faraday_tensor(random_fields(22, 50))
-        ops[30] += 1e-6 * np.eye(4)
-        with pytest.raises(ValueError):
-            faraday_components(ops)
 
 
 class TestLorentzForce:
@@ -213,7 +200,7 @@ class TestInvariant:
     @pytest.mark.parametrize("axis", [0, 4])
     def test_flow_axis_outside_one_to_three_raises(self, axis):
         # index axis - 1 of the boost table would wrap 0 round to axis 3
-        with pytest.raises(ValueError, match="boost axes must be 1, 2 or 3"):
+        with pytest.raises(ValueError, match=rf"^boost axes must be 1, 2 or 3, got \[1 {axis}\]$"):
             flow_invariance_residual(random_fields(29, 2), (1, axis), (0.4, 0.4))
 
 
@@ -275,16 +262,6 @@ class TestEvolution:
         np.testing.assert_allclose(evolve_closed_form(f, p0, 0.0), p0)
         np.testing.assert_allclose(evolve_numeric(f, p0, 0.0, 50), p0)
 
-    def test_rejects_complex_momentum(self):
-        f = EMField([1, 0, 0], [0, 0, 0])
-        with pytest.raises(ValueError):
-            evolve_closed_form(f, np.array([1, 1j, 0, 0]), 1.0)
-
-    def test_rejects_bad_steps(self):
-        f = EMField([1, 0, 0], [0, 0, 0])
-        with pytest.raises(ValueError):
-            evolve_numeric(f, np.ones(4), 1.0, 0)
-
     def test_pure_electric_is_boost(self):
         # E along x boosts the momentum in the time-x plane with rapidity
         # e*tau (library sign: p1 decreases for positive E and p0)
@@ -331,8 +308,6 @@ class TestEvolution:
         assert evolve_numeric(f, p0, 1.0, 10).shape == (4,)
         assert evolve_numeric(f, p0, np.float64(1.0), 10).shape == (4,)
         assert evolve_numeric(f, p0, [0.5, 1.0, 2.0], 10).shape == (3, 4)
-        with pytest.raises(ValueError):
-            evolve_numeric(f, p0, np.ones((2, 2)), 10)
 
     def test_closed_form_checks_imaginary_residual(self):
         f = EMField([0.6, -0.2, 0.1], [0.3, 0.5, -0.4])

@@ -8,6 +8,8 @@ from relphase.liealgebra import QO_BASIS_PAIRS, _group_residual
 from relphase.verify import _graded_draws, jacobi_residual, qo_dimension
 
 GENERATORS = [d_basis(*p) for p in QO_BASIS_PAIRS]
+# the tensors below that fail are off by 2 from antisymmetric
+ANTISYMMETRY_ERROR = r"^coefficient tensor is not antisymmetric \(residual 2\.000e\+00\)$"
 
 
 def antisym(coeffs):
@@ -40,7 +42,7 @@ class TestQoRealize:
     def test_rejects_symmetric_input(self):
         coeffs = np.zeros((4, 4), dtype=complex)
         coeffs[0, 1] = coeffs[1, 0] = 1
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=ANTISYMMETRY_ERROR):
             qo_realize(coeffs)
 
     def test_lowered_matrix_antisymmetric(self):
@@ -69,19 +71,20 @@ class TestQoRealize:
         coeffs = antisym(rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4)))
         bad = qo_realize(coeffs).matrix.copy()
         bad[3] += np.eye(4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^operator is not in the quasi-orthogonal algebra$"):
             qo_from_operator(bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=ANTISYMMETRY_ERROR):
             qo_realize(coeffs + np.eye(4))
 
     def test_from_operator_rejects_outsiders(self):
-        with pytest.raises(ValueError):
+        message = "^operator is not in the quasi-orthogonal algebra$"
+        with pytest.raises(ValueError, match=message):
             qo_from_operator(np.eye(4))
         rng = np.random.default_rng(9)
         for pair in QO_BASIS_PAIRS:
             for bump in (np.eye(4), np.outer(basis(0), basis(0)),
                          rng.standard_normal((4, 4))):
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match=message):
                     qo_from_operator(d_basis(*pair) + 1e-6 * bump)
 
 

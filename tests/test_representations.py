@@ -43,16 +43,10 @@ class TestPoincareGenerator:
         assert g.indices == (0, 1)
         assert g.sign == -1
 
-    def test_rejects_equal_indices(self):
-        with pytest.raises(ValueError):
-            PoincareGenerator.angular(2, 2)
-
     def test_parse(self):
         assert parse_generator("M01") == PoincareGenerator.angular(0, 1)
         assert parse_generator("P3") == PoincareGenerator.translation(3)
         assert [parse_generator(s).is_boost() for s in ("M10", "M31", "P0")] == [True, False, False]
-        with pytest.raises(ValueError):
-            parse_generator("Q7")
 
 
 class TestSpin1:
@@ -203,7 +197,8 @@ class TestImageTables:
     @pytest.mark.parametrize("mu", [-1, 4])
     def test_bad_translation_index_is_value_error(self, mu):
         for rep in (SPIN1, PLUS, MINUS):
-            with pytest.raises(ValueError):
+            message = re.escape(f"no {rep.kind} image for translation indices ({mu},)")
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 rep(PoincareGenerator("translation", (mu,)))
 
 
@@ -352,20 +347,10 @@ class TestNullTetrad:
             want_matrix = to_np_basis(Representation(kind).angular_matrix(*pair), want)
             assert matrix.tobytes() == want_matrix.tobytes()
 
-    def test_block_residuals_need_a_spin_half_kind(self):
-        with pytest.raises(ValueError, match="no block pattern for representation 'spin1'"):
-            np_block_residuals("spin1")
-
 
 class TestNonFiniteFlows:
     def test_half_flow_checks_its_input_and_result(self):
-        for x in (np.stack([PLUS.angular_matrix(0, 1)] * 2), np.full(4, 0.5)):
-            with pytest.raises(ValueError, match="must be 4x4"):
-                half_flow_closed(x, 1.0)
-        # I squares to 4 (I/4); diag(1/2, 0, 0, 0) to no multiple of I
-        for x in (np.eye(4), np.diag([0.5, 0.0, 0.0, 0.0])):
-            with pytest.raises(ValueError, match="does not square to"):
-                half_flow_closed(x, 1.0)
+        # the input checks are rows of tests/test_contract.py::INPUT_ERRORS
         # X^2 = I/4 and finite coefficients, but the entry 1e300 overflows
         x = np.diag([0.5, -0.5, 0.5, -0.5]) + np.diag([1e300, 0.0, 0.0], k=1)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^non-finite result at phi=50:"):
