@@ -262,6 +262,11 @@ class TestEvolution:
         np.testing.assert_allclose(evolve_closed_form(f, p0, 0.0), p0)
         np.testing.assert_allclose(evolve_numeric(f, p0, 0.0, 50), p0)
 
+    def test_rejects_complex_momentum(self):
+        f = EMField([1, 0, 0], [0, 0, 0])
+        with pytest.raises(ValueError, match=r"^momentum components must be real within 1e-09$"):
+            evolve_closed_form(f, np.array([1, 1j, 0, 0]), 1.0)
+
     def test_pure_electric_is_boost(self):
         # E along x boosts the momentum in the time-x plane with rapidity
         # e*tau (library sign: p1 decreases for positive E and p0)
