@@ -31,12 +31,18 @@ error, an unwritable ``--output`` or stdout (a closed pipe) included.
 Complex numbers are serialized as ``re+imi`` strings in JSON and as split
 re/im columns in CSV; floats are written with 17 significant digits so that
 parsing them back is lossless.
+
+``main`` builds its parser once per process, on the first call, and is safe
+to call repeatedly in-process: argparse applies the defaults to a fresh
+namespace on every parse, so no flag (``--output`` included) carries over
+from one call to the next, and the command is looked up when ``main`` runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -290,7 +296,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan|[ij]$)", re.IGNORECASE)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on the first call and then shared for
+    the life of the process; callers must not modify it."""
     parser = _Parser(
         prog="relphase",
         description="Relativistic phase-space toolkit: verification suites, "
@@ -307,10 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("verify", help="run every invariant suite").set_defaults(run=cmd_verify)
+    sub.add_parser("verify", help="run every invariant suite")
 
     p_tr = sub.add_parser("transform", help="apply an exponential generator flow to a vector")
-    p_tr.set_defaults(run=cmd_transform)
     p_tr.add_argument("representation", choices=REPRESENTATION_KINDS)
     p_tr.add_argument("generator", help="angular generator label, e.g. M01 or M12")
     p_tr.add_argument("phi", type=float, help="flow parameter (rapidity or angle)")
@@ -318,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="four vector components, each 're' or 're+imi'")
 
     p_ev = sub.add_parser("evolve", help="evolve a four-momentum in a uniform field")
-    p_ev.set_defaults(run=cmd_evolve)
     p_ev.add_argument("e", type=float, nargs=3, metavar="E",
                       help="electric field components EX EY EZ")
     p_ev.add_argument("b", type=float, nargs=3, metavar="B",
@@ -333,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="internal integrator steps per sample (default: %(default)s)")
 
     p_np = sub.add_parser("np-dump", help="null-tetrad block structure of the spin-1/2 generators")
-    p_np.set_defaults(run=cmd_np_dump)
     p_np.add_argument("representation",
                       choices=[k for k in REPRESENTATION_KINDS if k.startswith("spin_half")])
 
@@ -342,10 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up on each call, not bound into the shared parser, so that a
+    # rebinding of a cmd_* name (a tracer's, say) takes effect.
+    run = {"verify": cmd_verify, "transform": cmd_transform, "evolve": cmd_evolve,
+           "np-dump": cmd_np_dump}[args.command]
     try:
         if not np.isfinite(args.tolerance) or args.tolerance <= 0:
             raise ValueError(f"tolerance must be positive, got {args.tolerance}")
-        return args.run(args)
+        return run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from relphase import (EMField, Representation, evolve_closed_form, exponential_flow,
                       half_flow_closed, rotation_flow_closed)
+from relphase import cli
 from relphase.cli import format_complex, main, parse_complex
 from relphase.representations import REPRESENTATION_KINDS
 
@@ -632,3 +633,57 @@ class TestProcessInvocation:
     def test_usage_error_exit_code(self):
         proc = run_cli(["transform", "spin1", "BAD", "1.0", "1", "0", "0", "0"])
         assert proc.returncode == 2
+
+    def test_repeated_main_calls_match_fresh_processes(self, tmp_path):
+        # One process runs an argparse usage error, --help, and then each
+        # command with --output and again without it.  Each stdout and file
+        # holds the bytes that the same call prints first in a fresh
+        # process, an --output reaches no later call, and the parser is
+        # built once.
+        early = [["evolve", "1", "0"], ["--help"]]
+        commands = [["evolve", *"1 0 0 0 0 0 1 0 0 0 2.0 9".split(), "--compare"],
+                    ["transform", *"spin1 M10 0.5 1 0 0 0".split()],
+                    ["np-dump", "spin_half_plus"], ["--format", "csv", "verify"]]
+        calls = early + [argv for i, command in enumerate(commands)
+                         for argv in (["--output", str(tmp_path / f"out{i}"), *command], command)]
+        code = textwrap.dedent(f"""\
+        import contextlib, io, json
+        from relphase import cli
+        results = []
+        for argv in {calls!r}:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    status = cli.main(argv)
+                except SystemExit as exc:
+                    status = exc.code
+            results.append([status, out.getvalue(), err.getvalue()])
+        print(json.dumps([results, cli.build_parser.cache_info().misses]))
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        results, builds = json.loads(proc.stdout)
+        assert builds == 1
+
+        def fresh(argv):
+            proc = subprocess.run([sys.executable, "-m", "relphase.cli", *argv], capture_output=True)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        for argv, (status, out, err) in zip(early, results):
+            assert (status, out.encode(), err.encode()) == fresh(argv), argv
+        assert results[0][0] == 2 and results[0][2].startswith("usage: relphase evolve")
+        assert results[1][0] == 0 and results[1][1].startswith("usage: relphase")
+        for i, command in enumerate(commands):
+            want_status, want_out, _ = fresh(command)
+            (to_file, file_stdout, _), (status, out, _) = results[2 + 2 * i: 4 + 2 * i]
+            assert want_status == 0 and want_out, command
+            assert (to_file, file_stdout) == (0, ""), command
+            assert (tmp_path / f"out{i}").read_bytes() == want_out, command
+            assert (status, out.encode()) == (0, want_out), command
+
+    def test_main_looks_up_its_command_on_each_call(self, monkeypatch):
+        # A name rebound after the parser was built, as a tracer rebinds
+        # every cmd_*, is the one that runs.
+        assert run_quiet(["np-dump", "spin_half_plus"])[0] == 0
+        monkeypatch.setattr(cli, "cmd_np_dump", lambda args: 7)
+        assert main(["np-dump", "spin_half_plus"]) == 7

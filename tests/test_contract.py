@@ -475,114 +475,154 @@ def test_a_non_finite_parameter_is_an_input_error(name):
 
 
 FIELD = EMField([1.0, 0, 0], [0, 0, 0])
-# (call, arguments, the whole message of its ValueError)
+# Fifty random E rows, and a copy with one infinite entry, as field stacks.
+E50 = np.random.default_rng(40).uniform(-1, 1, (50, 3))
+E50_INF = E50.copy()
+E50_INF[37, 1] = np.inf
+# (case, call, arguments, the whole message of its ValueError), grouped by
+# callable.  The test id is `<callable>-<case>`: a case is named once and
+# never renumbered, so a row can be inserted anywhere.  A numbered case
+# keeps the id it had when ids were row positions.
 INPUT_ERRORS = [
-    (basis, (4,), r"basis index must be in 0\.\.3, got 4"),
-    (qo_realize, (np.zeros((3, 3)),), r"coefficient tensor must be 4x4, got shape \(3, 3\)"),
-    (PoincareGenerator.translation, (4,), r"translation index must be in 0\.\.3, got 4"),
-    (d_perp, (0,), "dual index must be 1, 2 or 3, got 0"),
-    (d_pm, (1, 0), r"sign must be \+1 or -1, got 0"),
-    (pi_half, (PoincareGenerator.angular(0, 1), 0), r"sign must be \+1 or -1, got 0"),
-    (Representation, ("spin2",), "unknown representation 'spin2'"),
-    (np_block_pattern, (0, True), "axis must be 1, 2 or 3, got 0"),
-    (np_block_pattern, (4, False), "axis must be 1, 2 or 3, got 4"),
-    (evolve_closed_form, (FIELD, [1.0, 0, 0], 1.0),
-     r"momentum must have 4 components, got shape \(3,\)"),
-    (evolve_numeric, (FIELD, [1.0, 0, 0], 1.0, 9),
+    # core
+    ("0", basis, (4,), r"basis index must be in 0\.\.3, got 4"),
+    ("32", basis, (1.5,), r"basis index must be in 0\.\.3, got 1\.5"),
+    # a bool is an int to Python and a float equals one, but neither is an
+    # index, a sign or a count
+    ("47", basis, (True,), r"basis index must be in 0\.\.3, got True"),
+    ("wrong-shape", phase_vector, ([1, 2, 3],),
+     r"phase vector needs 4 coordinates, got shape \(3,\)"),
+    *[(case, phase_vector, (coords,), "phase vector coordinates must be finite")
+      for case, coords in (("nan", [np.nan, 0, 0, 0]), ("inf-imag", [np.inf * 1j, 0, 0, 0]))],
+    ("wrong-shape", phase_operator, (np.eye(3),), r"phase operator must be 4x4, got shape \(3, 3\)"),
+    ("nan", phase_operator, (np.diag([complex(np.nan), 1, 1, 1]),),
+     "phase operator entries must be finite"),
+    # triproduct
+    ("33", d_basis, (0.5, 1), r"basis indices must be in 0\.\.3, got \(0\.5, 1\)"),
+    ("48", d_basis, (True, 2), r"basis indices must be in 0\.\.3, got \(True, 2\)"),
+    ("3", d_perp, (0,), "dual index must be 1, 2 or 3, got 0"),
+    ("56", d_perp, (1.0,), r"dual index must be 1, 2 or 3, got 1\.0"),
+    ("4", d_pm, (1, 0), r"sign must be \+1 or -1, got 0"),
+    ("57", d_pm, (1, True), r"sign must be \+1 or -1, got True"),
+    ("58", d_pm, (True, 1), r"basis indices must be in 0\.\.3, got \(0, True\)"),
+    # liealgebra
+    ("1", qo_realize, (np.zeros((3, 3)),), r"coefficient tensor must be 4x4, got shape \(3, 3\)"),
+    # NaN fails a tolerance test, not only a value above it
+    ("27", qo_realize, (np.array([[0, np.nan, 0, 0], [np.nan, 0, 0, 0], [0] * 4, [0] * 4]),),
+     r"coefficient tensor is not antisymmetric \(residual nan\)"),
+    # representations
+    ("2", PoincareGenerator.translation, (4,), r"translation index must be in 0\.\.3, got 4"),
+    ("54", PoincareGenerator.translation, (1.5,), r"translation index must be in 0\.\.3, got 1\.5"),
+    ("40", PoincareGenerator.angular, (2, 2),
+     r"angular indices must be distinct and in 0\.\.3, got \(2, 2\)"),
+    ("55", PoincareGenerator.angular, (True, 2),
+     r"angular indices must be distinct and in 0\.\.3, got \(True, 2\)"),
+    ("41", parse_generator, ("Q7",), r"unknown generator label 'Q7' \(expected e\.g\. P0 or M01\)"),
+    # indices are ASCII digits: a superscript one is not int()'s to parse,
+    # and an Arabic-Indic one is no M01
+    *[(case, parse_generator, (label,),
+       rf"unknown generator label '{label}' \(expected e\.g\. P0 or M01\)")
+      for case, label in (("65", "M0²"), ("66", "P¹"), ("67", "M0١"))],
+    ("6", Representation, ("spin2",), "unknown representation 'spin2'"),
+    ("53", REPS[0], (PoincareGenerator("angular", (True, 2)),),
+     r"no spin1 image for angular indices \(True, 2\)"),
+    ("52", REPS[0].angular_matrix, (1.0, 2), r"no spin1 image for angular indices \(1\.0, 2\)"),
+    ("5", pi_half, (PoincareGenerator.angular(0, 1), 0), r"sign must be \+1 or -1, got 0"),
+    ("59", pi_half, (PoincareGenerator.angular(0, 1), True), r"sign must be \+1 or -1, got True"),
+    ("49", rotation_flow_closed, (True, 2, 0.5), r"basis indices must be in 0\.\.3, got \(True, 2\)"),
+    ("50", rotation_flow_closed, (1.0, 2, 0.5), r"basis indices must be in 0\.\.3, got \(1\.0, 2\)"),
+    ("51", boost_flow_closed, (True, 0.5), r"basis indices must be in 0\.\.3, got \(0, True\)"),
+    *[(case, half_flow_closed, (x, 1.0), rf"operator must be 4x4, got shape \({shape}\)")
+      for case, x, shape in (("43", np.stack([PLUS.angular_matrix(0, 1)] * 2), "2, 4, 4"),
+                             ("44", np.full(4, 0.5), "4,"))],
+    # I squares to 4 (I/4); diag(1/2, 0, 0, 0) to no multiple of I
+    *[(case, half_flow_closed, (x, 1.0), r"operator does not square to \+/- I/4")
+      for case, x in (("45", np.eye(4)), ("46", np.diag([0.5, 0.0, 0.0, 0.0])))],
+    ("7", np_block_pattern, (0, True), "axis must be 1, 2 or 3, got 0"),
+    ("8", np_block_pattern, (4, False), "axis must be 1, 2 or 3, got 4"),
+    ("60", np_block_pattern, (1.0, True), r"axis must be 1, 2 or 3, got 1\.0"),
+    ("61", np_block_pattern, (True, True), "axis must be 1, 2 or 3, got True"),
+    ("42", np_block_residuals, ("spin1",), "no block pattern for representation 'spin1'"),
+    # em
+    ("34", EMField, ([1, 2], [0, 0, 0]), r"e must have 3 components, got shape \(2,\)"),
+    ("35", EMField, ([1, 2, np.nan], [0, 0, 0]), "e components must be finite"),
+    # a complex field or momentum, as a list and as an array, is rejected
+    # by the same rule, never cast to its real part or a TypeError
+    *[(case, EMField, (e, [0, 0, 0]), "e components must be real within 1e-09")
+      for case, e in (("18", np.array([1 + 2j, 0, 0])), ("19", [1 + 2j, 0, 0]))],
+    # stacks: too few components, unequal shapes, one infinite entry
+    ("stack-e-shape", EMField, (E50[:, :2], E50[:, :2]),
+     r"e must have 3 components, got shape \(50, 2\)"),
+    *[(case, EMField, (E50, b), rf"e and b must have the same shape, got \(50, 3\) and {shape}")
+      for case, b, shape in (("stack-b-rows", E50[:49], r"\(49, 3\)"),
+                             ("stack-b-single", E50[0], r"\(3,\)"))],
+    ("stack-e-inf", EMField, (E50_INF, E50), "e components must be finite"),
+    ("stack-b-inf", EMField, (E50, E50_INF), "b components must be finite"),
+    ("28", faraday_components, (np.full((4, 4), np.nan),),
+     "operator is not a combination of the boost images"),
+    ("36", faraday_components, (np.eye(4),), "operator is not a combination of the boost images"),
+    # one operator just outside the span fails a stack
+    ("37", faraday_components, (FARADAY[:50] + np.where(np.arange(50)[:, None, None] == 30,
+                                                        1e-6 * np.eye(4), 0.0),),
+     "operator is not a combination of the boost images"),
+    ("9", evolve_closed_form, (FIELD, [1.0, 0, 0], 1.0),
      r"momentum must have 4 components, got shape \(3,\)"),
     # NaN and infinite components, in a single momentum and the last of a
     # stack, and a NaN imaginary part
-    *[(evolve_closed_form, (FIELD, p0, 1.0), "momentum components must be finite")
-      for p0 in ([np.nan, 0, 0, 0], [[1.0, 0, 0, 0], [0, 0, 0, np.inf]],
-                 [1, 0, 0, complex(0, np.nan)])],
-    *[(evolve_numeric, (FIELD, p0, 1.0, 9), "momentum components must be finite")
-      for p0 in ([np.nan, 0, 0, 0], [[1.0, 0, 0, 0], [0, 0, 0, -np.inf]])],
+    *[(case, evolve_closed_form, (FIELD, p0, 1.0), "momentum components must be finite")
+      for case, p0 in (("11", [np.nan, 0, 0, 0]), ("12", [[1.0, 0, 0, 0], [0, 0, 0, np.inf]]),
+                       ("13", [1, 0, 0, complex(0, np.nan)]))],
     # an imaginary part above imag_tol, and a real momentum against a
     # negative imag_tol, which no momentum meets
-    *[(evolve_closed_form, (FIELD, p0, 1.0, tol), f"momentum components must be real within {tol:g}")
-      for p0, tol in (([1, 1j, 0, 0], 1e-9), ([1.0, 0, 0, 0], -1.0))],
-    # a complex field or momentum, as a list and as an array, is rejected
-    # by the same rule, never cast to its real part or a TypeError
-    *[(EMField, (e, [0, 0, 0]), "e components must be real within 1e-09")
-      for e in (np.array([1 + 2j, 0, 0]), [1 + 2j, 0, 0])],
-    *[(call, (FIELD, p0, 1.0, *steps), "momentum components must be real within 1e-09")
-      for call, steps in ((evolve_numeric, (9,)), (mass_shell_residual, ()))
-      for p0 in ([1, 0.5j, 0, 0], np.array([1, 0.5j, 0, 0]))],
-    # either momentum of shell_drift: complex, NaN, three components
-    (shell_drift, (np.array([1, 0.5j, 0, 0]), [1.0, 0, 0, 0]),
-     "momentum components must be real within 1e-09"),
-    (shell_drift, ([1.0, 0, 0, 0], [1.0, np.nan, 0, 0]), "momentum components must be finite"),
-    (shell_drift, ([1.0, 0, 0], [1.0, 0, 0, 0]),
+    *[(case, evolve_closed_form, (FIELD, p0, 1.0, tol),
+       f"momentum components must be real within {tol:g}")
+      for case, p0, tol in (("16", [1, 1j, 0, 0], 1e-9), ("17", [1.0, 0, 0, 0], -1.0))],
+    ("10", evolve_numeric, (FIELD, [1.0, 0, 0], 1.0, 9),
      r"momentum must have 4 components, got shape \(3,\)"),
-    # NaN fails a tolerance test, not only a value above it
-    (qo_realize, (np.array([[0, np.nan, 0, 0], [np.nan, 0, 0, 0], [0] * 4, [0] * 4]),),
-     r"coefficient tensor is not antisymmetric \(residual nan\)"),
-    (faraday_components, (np.full((4, 4), np.nan),),
-     "operator is not a combination of the boost images"),
+    *[(case, evolve_numeric, (FIELD, p0, 1.0, 9), "momentum components must be finite")
+      for case, p0 in (("14", [np.nan, 0, 0, 0]), ("15", [[1.0, 0, 0, 0], [0, 0, 0, -np.inf]]))],
+    *[(case, call, (FIELD, p0, 1.0, *steps), "momentum components must be real within 1e-09")
+      for case, call, steps, p0 in (
+          ("20", evolve_numeric, (9,), [1, 0.5j, 0, 0]),
+          ("21", evolve_numeric, (9,), np.array([1, 0.5j, 0, 0])),
+          ("22", mass_shell_residual, (), [1, 0.5j, 0, 0]),
+          ("23", mass_shell_residual, (), np.array([1, 0.5j, 0, 0])))],
     # a float count or index, and a stack where one momentum is meant
-    (evolve_numeric, (FIELD, [1.0, 0, 0, 0], 1.0, 2.0), r"steps must be an integer >= 1, got 2\.0"),
-    (shell_drift, (np.ones((2, 4)), np.ones((2, 4))),
-     r"momentum must have shape \(4,\), got shape \(2, 4\)"),
-    (mass_shell_residual, (FIELD, [[1.0, 0, 0, 0], [2.0, 0, 0, 0]], 1.0),
-     r"momentum must have shape \(4,\), got shape \(2, 4\)"),
-    (basis, (1.5,), r"basis index must be in 0\.\.3, got 1\.5"),
-    (d_basis, (0.5, 1), r"basis indices must be in 0\.\.3, got \(0\.5, 1\)"),
-    (EMField, ([1, 2], [0, 0, 0]), r"e must have 3 components, got shape \(2,\)"),
-    (EMField, ([1, 2, np.nan], [0, 0, 0]), "e components must be finite"),
-    (faraday_components, (np.eye(4),), "operator is not a combination of the boost images"),
-    # one operator just outside the span fails a stack
-    (faraday_components, (FARADAY[:50] + np.where(np.arange(50)[:, None, None] == 30,
-                                                   1e-6 * np.eye(4), 0.0),),
-     "operator is not a combination of the boost images"),
-    (evolve_numeric, (FIELD, np.ones(4), 1.0, 0), "steps must be an integer >= 1, got 0"),
-    (evolve_numeric, (FIELD, np.ones(4), np.ones((2, 2)), 10),
+    ("29", evolve_numeric, (FIELD, [1.0, 0, 0, 0], 1.0, 2.0), r"steps must be an integer >= 1, got 2\.0"),
+    ("38", evolve_numeric, (FIELD, np.ones(4), 1.0, 0), "steps must be an integer >= 1, got 0"),
+    ("62", evolve_numeric, (FIELD, [1.0, 0, 0, 0], 1.0, True), "steps must be an integer >= 1, got True"),
+    ("39", evolve_numeric, (FIELD, np.ones(4), np.ones((2, 2)), 10),
      r"tau must be a scalar or a 1-D array, got shape \(2, 2\)"),
-    (PoincareGenerator.angular, (2, 2),
-     r"angular indices must be distinct and in 0\.\.3, got \(2, 2\)"),
-    (parse_generator, ("Q7",), r"unknown generator label 'Q7' \(expected e\.g\. P0 or M01\)"),
-    (np_block_residuals, ("spin1",), "no block pattern for representation 'spin1'"),
-    *[(half_flow_closed, (x, 1.0), rf"operator must be 4x4, got shape \({shape}\)")
-      for x, shape in ((np.stack([PLUS.angular_matrix(0, 1)] * 2), "2, 4, 4"),
-                       (np.full(4, 0.5), "4,"))],
-    # I squares to 4 (I/4); diag(1/2, 0, 0, 0) to no multiple of I
-    *[(half_flow_closed, (x, 1.0), r"operator does not square to \+/- I/4")
-      for x in (np.eye(4), np.diag([0.5, 0.0, 0.0, 0.0]))],
-    # a bool is an int to Python and a float equals one, but neither is an
-    # index, a sign or a count
-    (basis, (True,), r"basis index must be in 0\.\.3, got True"),
-    (d_basis, (True, 2), r"basis indices must be in 0\.\.3, got \(True, 2\)"),
-    (rotation_flow_closed, (True, 2, 0.5), r"basis indices must be in 0\.\.3, got \(True, 2\)"),
-    (rotation_flow_closed, (1.0, 2, 0.5), r"basis indices must be in 0\.\.3, got \(1\.0, 2\)"),
-    (boost_flow_closed, (True, 0.5), r"basis indices must be in 0\.\.3, got \(0, True\)"),
-    (REPS[0].angular_matrix, (1.0, 2), r"no spin1 image for angular indices \(1\.0, 2\)"),
-    (REPS[0], (PoincareGenerator("angular", (True, 2)),),
-     r"no spin1 image for angular indices \(True, 2\)"),
-    (PoincareGenerator.translation, (1.5,), r"translation index must be in 0\.\.3, got 1\.5"),
-    (PoincareGenerator.angular, (True, 2),
-     r"angular indices must be distinct and in 0\.\.3, got \(True, 2\)"),
-    (d_perp, (1.0,), r"dual index must be 1, 2 or 3, got 1\.0"),
-    (d_pm, (1, True), r"sign must be \+1 or -1, got True"),
-    (d_pm, (True, 1), r"basis indices must be in 0\.\.3, got \(0, True\)"),
-    (pi_half, (PoincareGenerator.angular(0, 1), True), r"sign must be \+1 or -1, got True"),
-    (np_block_pattern, (1.0, True), r"axis must be 1, 2 or 3, got 1\.0"),
-    (np_block_pattern, (True, True), "axis must be 1, 2 or 3, got True"),
-    (evolve_numeric, (FIELD, [1.0, 0, 0, 0], 1.0, True), "steps must be an integer >= 1, got True"),
-    (flow_invariance_residual, (FIELDS[:2], [1.0, 2.0], [0.4, 0.4]),
+    ("31", mass_shell_residual, (FIELD, [[1.0, 0, 0, 0], [2.0, 0, 0, 0]], 1.0),
+     r"momentum must have shape \(4,\), got shape \(2, 4\)"),
+    # either momentum of shell_drift: complex, NaN, three components
+    ("24", shell_drift, (np.array([1, 0.5j, 0, 0]), [1.0, 0, 0, 0]),
+     "momentum components must be real within 1e-09"),
+    ("25", shell_drift, ([1.0, 0, 0, 0], [1.0, np.nan, 0, 0]), "momentum components must be finite"),
+    ("26", shell_drift, ([1.0, 0, 0], [1.0, 0, 0, 0]),
+     r"momentum must have 4 components, got shape \(3,\)"),
+    ("30", shell_drift, (np.ones((2, 4)), np.ones((2, 4))),
+     r"momentum must have shape \(4,\), got shape \(2, 4\)"),
+    # verify
+    ("63", flow_invariance_residual, (FIELDS[:2], [1.0, 2.0], [0.4, 0.4]),
      r"boost axes must be 1, 2 or 3, got \[1\. 2\.\]"),
-    (flow_invariance_residual, (FIELDS[:2], [True, True], [0.4, 0.4]),
+    ("64", flow_invariance_residual, (FIELDS[:2], [True, True], [0.4, 0.4]),
      r"boost axes must be 1, 2 or 3, got \[ True  True\]"),
-    # indices are ASCII digits: a superscript one is not int()'s to parse,
-    # and an Arabic-Indic one is no M01
-    *[(parse_generator, (label,),
-       rf"unknown generator label '{label}' \(expected e\.g\. P0 or M01\)")
-      for label in ("M0²", "P¹", "M0١")],
+    # np.asarray would read the bool as the axis 1
+    ("bool-among-ints", flow_invariance_residual, (FIELDS[:2], (2, True), [0.4, 0.4]),
+     r"boost axes must be 1, 2 or 3, got \[2 True\]"),
 ]
+INPUT_ERROR_IDS = [f"{getattr(c, '__name__', type(c).__name__)}-{case}"
+                   for case, c, *_ in INPUT_ERRORS]
 
 
-@pytest.mark.parametrize("call, args, message", INPUT_ERRORS,
-                         ids=[f"{getattr(c, '__name__', type(c).__name__)}-{i}"
-                              for i, (c, *_) in enumerate(INPUT_ERRORS)])
-def test_bad_input_is_a_value_error(call, args, message):
+def test_input_error_ids_are_unique():
+    # pytest would suffix a repeated id, so a later row could take its name
+    assert len(set(INPUT_ERROR_IDS)) == len(INPUT_ERROR_IDS)
+
+
+@pytest.mark.parametrize("case, call, args, message", INPUT_ERRORS, ids=INPUT_ERROR_IDS)
+def test_bad_input_is_a_value_error(case, call, args, message):
     # the ValueError is the only signal: no warning comes before it
     with warnings.catch_warnings(), pytest.raises(ValueError, match=f"^{message}$"):
         warnings.simplefilter("error")

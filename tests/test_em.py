@@ -38,20 +38,6 @@ class TestEMField:
         f = EMField([1, 2, 3], [4, 5, 6])
         np.testing.assert_array_equal(f.faraday_vector, [1 + 4j, 2 + 5j, 3 + 6j])
 
-    def test_rejects_bad_stacks(self):
-        e = np.random.default_rng(40).uniform(-1, 1, (50, 3))
-        with pytest.raises(ValueError, match=r"^e must have 3 components, got shape \(50, 2\)$"):
-            EMField(e[:, :2], e[:, :2])
-        for b, shape in ((e[:49], r"\(49, 3\)"), (e[0], r"\(3,\)")):
-            message = rf"^e and b must have the same shape, got \(50, 3\) and {shape}$"
-            with pytest.raises(ValueError, match=message):
-                EMField(e, b)
-        for name in ("e", "b"):
-            bad = e.copy()
-            bad[37, 1] = np.inf
-            with pytest.raises(ValueError, match=f"^{name} components must be finite$"):
-                EMField(bad, e) if name == "e" else EMField(e, bad)
-
     def test_complex_dtype_with_zero_imaginary_parts_keeps_the_real_bits(self):
         # E, B and p0 are read through one rule: a complex dtype within
         # imag_tol is the float64 input, silently and bit for bit
