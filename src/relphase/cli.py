@@ -315,10 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output file path; '-' or unset writes to stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("verify", help="run every invariant suite")
+    # Each run looks its cmd_* up when it is called, not when the shared
+    # parser is built, so that a rebinding of the name (a tracer's, say)
+    # takes effect.
+    sub.add_parser("verify", help="run every invariant suite").set_defaults(
+        run=lambda a: cmd_verify(a))
 
     p_tr = sub.add_parser("transform", help="apply an exponential generator flow to a vector")
+    p_tr.set_defaults(run=lambda a: cmd_transform(a))
     p_tr.add_argument("representation", choices=REPRESENTATION_KINDS)
     p_tr.add_argument("generator", help="angular generator label, e.g. M01 or M12")
     p_tr.add_argument("phi", type=float, help="flow parameter (rapidity or angle)")
@@ -326,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="four vector components, each 're' or 're+imi'")
 
     p_ev = sub.add_parser("evolve", help="evolve a four-momentum in a uniform field")
+    p_ev.set_defaults(run=lambda a: cmd_evolve(a))
     p_ev.add_argument("e", type=float, nargs=3, metavar="E",
                       help="electric field components EX EY EZ")
     p_ev.add_argument("b", type=float, nargs=3, metavar="B",
@@ -340,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="internal integrator steps per sample (default: %(default)s)")
 
     p_np = sub.add_parser("np-dump", help="null-tetrad block structure of the spin-1/2 generators")
+    p_np.set_defaults(run=lambda a: cmd_np_dump(a))
     p_np.add_argument("representation",
                       choices=[k for k in REPRESENTATION_KINDS if k.startswith("spin_half")])
 
@@ -348,14 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # Looked up on each call, not bound into the shared parser, so that a
-    # rebinding of a cmd_* name (a tracer's, say) takes effect.
-    run = {"verify": cmd_verify, "transform": cmd_transform, "evolve": cmd_evolve,
-           "np-dump": cmd_np_dump}[args.command]
     try:
         if not np.isfinite(args.tolerance) or args.tolerance <= 0:
             raise ValueError(f"tolerance must be positive, got {args.tolerance}")
-        return run(args)
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

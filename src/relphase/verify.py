@@ -601,9 +601,10 @@ def flow_invariance_residual(fields: EMField, axes, phis) -> float:
     max(1, |z|).  Raises ValueError ``boost axes must be 1, 2 or 3, got
     <axes>`` unless ``axes`` has an integer dtype, never bool or float, and
     only the values 1, 2 and 3: the rule of ``core._index``, for an array.
-    A sequence is checked entry by entry, so ``(2, True)`` is rejected too."""
+    The entries are checked before the conversion, so ``(2, True)`` is
+    rejected too."""
     given, axes = axes, np.asarray(axes)
-    if axes.dtype.kind in "iu" and not isinstance(given, np.ndarray):
+    if axes.dtype.kind in "iu":
         # np.asarray reads a bool among ints as 0 or 1
         entries = np.asarray(given, dtype=object)
         if not {bool, np.bool_}.isdisjoint(map(type, entries.flat)):
