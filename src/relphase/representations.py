@@ -25,6 +25,16 @@ Rotation images follow from the complex dependence M_{kl} -> -i M_{0j}
 spin-1/2 maps use the modified bracket [A, v] = (A + conj(A)) v, which
 reproduces the translation commutators exactly.
 
+Each closed-form flow exp(phi M) is one ``np.dot`` of a coefficient row
+against read-only rows built at import: (1, odd, even) against (I, D, D^2)
+for a spin-1 label, (even, odd) against (I, X) for a spin-1/2 table image
+X.  Every entry is a sum of exact products with at most two nonzero terms,
+so the flow has the bits of the elementwise formula I + odd D + even D^2
+(or even I + odd X) on every BLAS kernel.  The formula itself runs for any
+other operator, for coefficients that are not finite, and for spin-1/2
+rotations with cos(phi/2) < 0 and sin(phi/2) < 0, where it leaves -0.0 real
+parts that no dot product gives.
+
 Sign conventions that differ from common displays, fixed by internal
 consistency and covered by tests:
 
@@ -217,13 +227,15 @@ def _square_sign(x: ArrayC) -> bool:
     return boost
 
 
-# id(matrix) -> sign of its square for the 24 spin-1/2 angular images,
-# checked once here.  _GRADED_IMAGES holds each of these arrays for the life
-# of the process, so no other live object can have its id; the images are
-# immutable, so the sign never goes stale.
-_HALF_SIGNS = {id(image.l0.matrix): _square_sign(image.l0.matrix)
-               for kind in ("spin_half_plus", "spin_half_minus")
-               for (label, _), image in _GRADED_IMAGES[kind].items() if label == "angular"}
+# id(matrix) -> (sign of its square, read-only rows (I, X) of shape (2, 16))
+# for the 24 spin-1/2 angular images X, the sign checked once here.
+# _GRADED_IMAGES holds each of these arrays for the life of the process, so
+# no other live object can have its id; the images are immutable, so the
+# entry never goes stale.
+_HALF_ROWS = {id(x): (_square_sign(x), _frozen([_UNIT.ravel(), x.ravel()]))
+              for kind in ("spin_half_plus", "spin_half_minus")
+              for (label, _), image in _GRADED_IMAGES[kind].items() if label == "angular"
+              for x in [image.l0.matrix]}
 
 
 def _image(kind: str, label: str, indices: tuple[int, ...]) -> GradedElement:
@@ -354,10 +366,10 @@ def exponential_flow(x: ArrayLike, phi: ArrayLike) -> ArrayC:
                            "phi")
 
 
-# (D, D^2) for all sixteen index pairs, read-only.  A pair with alpha == beta
-# has D = 0 and gives the identity flow.
-_CUBIC = {(alpha, beta): (_frozen(d), _frozen(d @ d))
-          for alpha in range(4) for beta in range(4) for d in [d_basis(alpha, beta)]}
+# Read-only rows (I, D, D^2) of shape (3, 16) for all sixteen index pairs.  A
+# pair with alpha == beta has D = 0 and gives the identity flow.
+_SPIN1_ROWS = {(alpha, beta): _frozen([_UNIT.ravel(), d.ravel(), (d @ d).ravel()])
+               for alpha in range(4) for beta in range(4) for d in [d_basis(alpha, beta)]}
 
 
 def boost_flow_closed(j: int, phi: float) -> ArrayC:
@@ -382,26 +394,33 @@ def rotation_flow_closed(k: int, l: int, phi: float) -> ArrayC:
     0) D^3 = D, so odd = sinh(phi) and even = cosh(phi) - 1, and (j, 0)
     gives the boost along axis j at -phi.  On a rotation plane D^3 = -D, so
     odd = sin(phi) and even = 1 - cos(phi); k = l gives D = 0 and the
-    identity.  D and D^2 come from a table built at import, so a call makes
-    no generator.  Returns a new writable array.  Raises ValueError ``basis
-    indices must be in 0..3, got (k, l)`` unless k and l are integers in
-    0..3 (d_basis's message; see ``core._index``), when phi is NaN or infinite, or
-    when the flow overflows (|phi| beyond about 710.48 on a boost plane); an
-    overflow emits numpy's RuntimeWarnings first.  D has entries 0 and +/-1 and D^2
-    entries 0 and 1, so the result is finite exactly when both coefficients
-    are; checking them is cheaper than checking the result.
+    identity.  The flow is one ``np.dot`` of the row (1, odd, even) against
+    the label's rows (I, D, D^2), built at import, so a call makes no
+    generator.  D has entries 0 and +/-1 and D^2 entries 0 and 1, so every
+    entry is a sum of exact products with at most two nonzero terms: its
+    bits are the elementwise formula's whatever BLAS kernel runs, every zero
+    +0.0 included.  Returns a new writable array.
+
+    Raises ValueError ``basis indices must be in 0..3, got (k, l)`` unless k
+    and l are integers in 0..3 (d_basis's message; see ``core._index``),
+    when phi is NaN or infinite, or when the flow overflows (|phi| beyond
+    about 710.48 on a boost plane).  The result is finite exactly when both
+    coefficients are, so only they are checked; when one is not, the
+    elementwise formula runs instead, and its numpy RuntimeWarnings come
+    before the error.
     """
-    # _CUBIC holds every pair in 0..3, so plain ints that key it skip the call.
-    if type(k) is not int or type(l) is not int or (k, l) not in _CUBIC:
+    # _SPIN1_ROWS holds every pair in 0..3, so plain ints that key it skip the call.
+    if type(k) is not int or type(l) is not int or (k, l) not in _SPIN1_ROWS:
         _index("basis indices", "in 0..3", range(4), k, l)
-    d, d2 = _CUBIC[k, l]
+    rows = _SPIN1_ROWS[k, l]
     if (k == 0) != (l == 0):
         odd, even = np.sinh(phi), np.cosh(phi) - 1.0
     else:
         odd, even = np.sin(phi), 1.0 - np.cos(phi)
-    g = _UNIT + odd * d + even * d2
-    return (g if math.isfinite(odd) and math.isfinite(even)
-            else _require_finite(g, phi, "phi", "flow", "phi"))
+    if math.isfinite(odd) and math.isfinite(even):
+        return np.dot((1.0, odd, even), rows).reshape(4, 4)
+    _, d, d2 = rows.reshape(3, 4, 4)
+    return _require_finite(_UNIT + odd * d + even * d2, phi, "phi", "flow", "phi")
 
 
 def half_flow_closed(x: ArrayLike, phi: float) -> ArrayC:
@@ -419,23 +438,29 @@ def half_flow_closed(x: ArrayLike, phi: float) -> ArrayC:
     finds it by its ``id``, which no other live object can share while the
     table holds the array, reads the stored sign of X^2 and checks only the
     two coefficients, since the entries 0, +/-1/2 and +/-i/2 on a zero
-    diagonal give a finite result exactly when both are finite.  Any other
-    operator, a copy of an image included, is checked on every call, and so
-    is every entry of its result: X may have large entries, so finite
-    coefficients do not make a finite result.
+    diagonal give a finite result exactly when both are finite.  The flow is
+    then one ``np.dot`` of the row (even, odd) against the image's rows (I,
+    X), also built at import; each entry has at most one nonzero term, so
+    its bits are the elementwise formula's whatever BLAS kernel runs.  On a
+    rotation with cos(phi/2) < 0 and sin(phi/2) < 0 the formula leaves -0.0
+    real parts, which no dot product gives, so the formula runs there.  Any
+    other operator, a copy of an image included, takes the formula and is
+    checked on every call, and so is every entry of its result: X may have
+    large entries, so finite coefficients do not make a finite result.
     """
     x = np.asarray(x, dtype=np.complex128)
-    boost = _HALF_SIGNS.get(id(x))
-    table = boost is not None
-    if not table:
+    boost, rows = _HALF_ROWS.get(id(x), (None, None))
+    if rows is None:
         if x.shape != (4, 4):
             raise ValueError(f"operator must be 4x4, got shape {x.shape}")
         boost = _square_sign(x)
     even, odd = ((np.cosh(phi / 2), 2 * np.sinh(phi / 2)) if boost
                  else (np.cos(phi / 2), 2 * np.sin(phi / 2)))
+    checked = rows is not None and math.isfinite(even) and math.isfinite(odd)
+    if checked and (even > 0.0 or odd > 0.0):
+        return np.dot((even, odd), rows).reshape(4, 4)
     g = even * _UNIT + odd * x
-    return (g if table and math.isfinite(even) and math.isfinite(odd)
-            else _require_finite(g, phi, "phi", "flow", "phi"))
+    return g if checked else _require_finite(g, phi, "phi", "flow", "phi")
 
 
 # ---------------------------------------------------------------------------

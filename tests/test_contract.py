@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 import relphase
 from relphase import *  # noqa: F403  (the table covers every public name)
 from relphase.em import _sinhc, shell_drift
-from relphase.representations import _CUBIC, np_block_residuals
+from relphase.representations import _HALF_ROWS, _SPIN1_ROWS, np_block_residuals
 from relphase.verify import flow_invariance_residual
 
 EXEMPT = {
@@ -255,8 +255,11 @@ ROWS = [
     Row(boost_flow_closed, 0, 0.0, single=(4, 4), mode="fresh", tag="identity"),
     Row(rotation_flow_closed, 2, 3, 0.3, single=(4, 4), mode="fresh"),
     Row(half_flow_closed, PLUS.angular_matrix(0, 2), 0.3, single=(4, 4), mode="fresh"),
-    Row(lambda: sum(_CUBIC.values(), ()), single=((4, 4),) * 32, mode="ro",
+    # the rows each closed flow contracts its coefficients against
+    Row(lambda: tuple(_SPIN1_ROWS.values()), single=((3, 16),) * 16, mode="ro",
         name="rotation_flow_closed", tag="table"),
+    Row(lambda: tuple(rows for _, rows in _HALF_ROWS.values()), single=((2, 16),) * 24,
+        mode="ro", name="half_flow_closed", tag="table"),
     Row(lambda: PAULI, single=((2, 2),) * 3, mode="ro", name="PAULI"),
     Row(np_block_pattern, 3, True, single=((2, 2), (2, 2))),
     Row(np_blocks, OPS[0][0], single=((2, 2), (2, 2), float)),
@@ -531,7 +534,14 @@ INPUT_ERRORS = [
     ("59", pi_half, (PoincareGenerator.angular(0, 1), True), r"sign must be \+1 or -1, got True"),
     ("49", rotation_flow_closed, (True, 2, 0.5), r"basis indices must be in 0\.\.3, got \(True, 2\)"),
     ("50", rotation_flow_closed, (1.0, 2, 0.5), r"basis indices must be in 0\.\.3, got \(1\.0, 2\)"),
+    # d_basis's message for an index outside 0..3, not a KeyError from the
+    # flows' tables
+    *[(case, rotation_flow_closed, (k, l, 0.5),
+       rf"basis indices must be in 0\.\.3, got \({k}, {l}\)")
+      for case, k, l in (("0-4", 0, 4), ("0-minus-1", 0, -1), ("4-1", 4, 1), ("2-minus-1", 2, -1))],
     ("51", boost_flow_closed, (True, 0.5), r"basis indices must be in 0\.\.3, got \(0, True\)"),
+    *[(case, boost_flow_closed, (j, 0.5), rf"basis indices must be in 0\.\.3, got \(0, {j}\)")
+      for case, j in (("4", 4), ("minus-1", -1))],
     *[(case, half_flow_closed, (x, 1.0), rf"operator must be 4x4, got shape \({shape}\)")
       for case, x, shape in (("43", np.stack([PLUS.angular_matrix(0, 1)] * 2), "2, 4, 4"),
                              ("44", np.full(4, 0.5), "4,"))],

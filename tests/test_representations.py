@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -388,8 +389,11 @@ def reference_half_flow(x, phi):
 INDEX_PAIRS = [(a, b) for a in range(4) for b in range(4)]
 # 0, tiny, ordinary and large rapidities, both sides of the spin-1 boost's
 # overflow (cosh and sinh) and of the spin-1/2 boost's (2 sinh(phi/2), then
-# cosh(phi/2)), and the non-finite ones.
-FLOW_PHIS = [0.0, 1e-300, 0.7, 30.0, 710.4758600739439, 710.475860073944,
+# cosh(phi/2)), and the non-finite ones.  With their negatives, 2.0 and 4.0
+# put phi/2 in each quadrant: at -4.0 both cos(phi/2) and sin(phi/2) are
+# negative, where the formula leaves -0.0 real parts in a spin-1/2 rotation
+# that a dot product never gives.
+FLOW_PHIS = [0.0, 1e-300, 0.7, 2.0, 4.0, 30.0, 710.4758600739439, 710.475860073944,
              1419.565425786768, 1419.5654257867682, 1420.0, 1422.0, np.inf]
 FLOW_PHIS = FLOW_PHIS + [-phi for phi in FLOW_PHIS] + [np.nan]
 
@@ -434,15 +438,46 @@ class TestClosedFlowContract:
                 with pytest.raises(AssertionError, match="square check reached"):
                     half_flow_closed(x.copy(), 0.4)
 
-    @pytest.mark.parametrize("pair", [(0, 4), (0, -1), (4, 1), (2, -1)])
-    def test_bad_indices_raise_d_basis_error(self, pair):
-        # the message of d_basis, not a KeyError from the table
-        message = rf"^basis indices must be in 0\.\.3, got \({pair[0]}, {pair[1]}\)$"
-        with pytest.raises(ValueError, match=message):
-            rotation_flow_closed(*pair, 0.5)
-        if pair[0] == 0:
-            with pytest.raises(ValueError, match=message):
-                boost_flow_closed(pair[1], 0.5)
+    @pytest.mark.parametrize("flow, args, reference, phi", [
+        (boost_flow_closed, (1,), lambda j, phi: reference_spin1_flow(0, j, phi), 1e3),
+        (rotation_flow_closed, (2, 0), reference_spin1_flow, -1e3),
+        (half_flow_closed, (PLUS.angular_matrix(0, 3),), reference_half_flow, 3e3),
+        (half_flow_closed, (MINUS.angular_matrix(2, 0).copy(),), reference_half_flow, -3e3),
+    ], ids=["boost", "spin1-label", "half-table-image", "half-copy"])
+    def test_an_overflow_warns_then_raises(self, flow, args, reference, phi):
+        # numpy's RuntimeWarnings of the elementwise formula, overflow first,
+        # then the library's error
+        def warned(call, *args):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    result = call(*args)
+                except ValueError as exc:
+                    result = str(exc)
+            return result, [(w.category, str(w.message)) for w in caught]
+
+        got, got_warnings = warned(flow, *args, phi)
+        want, want_warnings = warned(reference, *args, phi)
+        assert got == want == (f"non-finite result at phi={phi:.17g}: the flow overflows "
+                               "double precision; reduce phi")
+        assert got_warnings == want_warnings
+        assert want_warnings[0][0] is RuntimeWarning
+        assert want_warnings[0][1].startswith("overflow encountered")
+
+    def test_a_finite_flow_of_a_table_image_warns_nothing(self):
+        # every label and table image at every phi whose flow is finite, the
+        # formula's quadrant included
+        calls = [(rotation_flow_closed, pair, reference_spin1_flow) for pair in INDEX_PAIRS]
+        calls += [(half_flow_closed, (rep.angular_matrix(*pair),), reference_half_flow)
+                  for rep in (PLUS, MINUS) for pair in ORDERED_PAIRS]
+        for phi in FLOW_PHIS:
+            for flow, args, reference in calls:
+                with np.errstate(all="ignore"):
+                    finite = not isinstance(reference(*args, phi), str)
+                if finite:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        flow(*args, phi)
 
     def test_equal_indices_give_the_identity(self):
         # D = 0, so the flow is exact at every finite phi, beyond the
