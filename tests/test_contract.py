@@ -621,6 +621,11 @@ INPUT_ERRORS = [
     # np.asarray would read the bool as the axis 1
     ("bool-among-ints", flow_invariance_residual, (FIELDS[:2], (2, True), [0.4, 0.4]),
      r"boost axes must be 1, 2 or 3, got \[2 True\]"),
+    # index axis - 1 of the boost table would wrap 0 round to axis 3
+    ("axis-0", flow_invariance_residual, (FIELDS[:2], (1, 0), [0.4, 0.4]),
+     r"boost axes must be 1, 2 or 3, got \[1 0\]"),
+    ("axis-4", flow_invariance_residual, (FIELDS[:2], (1, 4), [0.4, 0.4]),
+     r"boost axes must be 1, 2 or 3, got \[1 4\]"),
 ]
 INPUT_ERROR_IDS = [f"{getattr(c, '__name__', type(c).__name__)}-{case}"
                    for case, c, *_ in INPUT_ERRORS]
